@@ -9,15 +9,14 @@ materializing against the chain oracle is an explicit separate step.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .chain import ChainSpec, apply_entry_product, vacuum_state
 from .errors import CapabilityError, CardinalityError, DomainError
 from .izergin import DetTables, conj_mod_izergin, mod_izergin, rat_pow
-from .partitions import (CoefficientMap, GroundSet, bits_of, enumerate_splits,
-                         mask_values)
+from .partitions import (CoefficientMap, GroundSet, bits_of, mask_values,
+                         split_sum)
 from .scalars import (ModelParams, Rat, SpectralSet, TwistData, kernel_h,
                       prod_over, rat_str, set_product)
 
@@ -127,14 +126,21 @@ class WeightOracle:
                             new_red, self.reduction_order)
 
 
-def _twist_of(params) -> Optional[TwistData]:
+def _require_twist(params, formula: str,
+                   betas: tuple = ("beta1", "beta2")) -> TwistData:
+    """The twist scalars of `params` (a TwistData or a ModelParams), or a
+    DomainError naming the formula and the missing twist or the zero beta
+    among `betas`."""
     if params is None:
-        return None
-    if isinstance(params, TwistData):
-        return params
+        raise DomainError(f"{formula} requires twist parameters")
     if isinstance(params, ModelParams):
-        return params.twist()
-    raise DomainError(f"unsupported twist parameter object {type(params)!r}")
+        params = params.twist()
+    elif not isinstance(params, TwistData):
+        raise DomainError(f"unsupported twist parameter object {type(params)!r}")
+    zero = [name for name in betas if getattr(params, name) == 0]
+    if zero:
+        raise DomainError(f"{formula} needs a nonzero {' and '.join(zero)}")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +222,6 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
     oracle's reduction data.
     """
     c = Rat(c)
-    twist = _twist_of(params)
     u_set = SpectralSet(u_set.values, "u")
     v_set = SpectralSet(v_set.values, "v")
     ground = GroundSet.from_sets(u_set, v_set)
@@ -225,80 +230,65 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
     p = n + m
     lam1 = [oracle.lambda1(x) for x in values]
     lam2 = [oracle.lambda2(x) for x in values]
-    coeffs = CoefficientMap()
 
-    def fprod(mask_a, mask_b):
-        return tables.f_between(mask_a, mask_b)
+    def result(coeffs):
+        return ActionResult(kind, coeffs, ground, values, c)
 
     if kind in ("t11", "t22", "nu11", "nu22"):
         tables = DetTables(u_set.values, values, c)
-        if kind in ("nu11", "nu22"):
-            if twist is None:
-                raise DomainError(f"{kind} requires twist parameters")
-            beta = twist.beta2 if kind == "nu11" else twist.beta1
-            if beta == 0:
-                raise DomainError(f"{kind} needs a nonzero "
-                                  f"{'beta2' if kind == 'nu11' else 'beta1'}")
-            splits = enumerate_splits(p, 2)
-        else:
-            splits = enumerate_splits(p, 2, cards=(n, p - n))
-        for mask1, mask2 in splits:
-            l = bin(mask1).count("1")
-            if kind == "t11":
-                term = rat_pow(-1, n) * tables.k_minus_conj(1, mask1)
-                term *= fprod(mask2, mask1)
+        diagonal_one = kind in ("t11", "nu11")
+        twisted = kind.startswith("nu")
+        if twisted:
+            beta_name = "beta2" if diagonal_one else "beta1"
+            beta = getattr(_require_twist(params, kind, (beta_name,)), beta_name)
+
+        def diagonal_term(mask1, mask2):
+            if twisted:
+                term = rat_pow(beta, n) * rat_pow(-beta, -bin(mask1).count("1"))
+            else:
+                term = rat_pow(-1, n)
+            if diagonal_one:
+                term *= tables.k_minus_conj(1, mask1) * tables.f_between(mask2, mask1)
                 wvals = lam1
-            elif kind == "t22":
-                term = rat_pow(-1, n) * tables.k_plus(1, mask1)
-                term *= fprod(mask1, mask2)
-                wvals = lam2
-            elif kind == "nu11":
-                term = rat_pow(beta, n) * rat_pow(-beta, -l)
-                term *= tables.k_minus_conj(1, mask1) * fprod(mask2, mask1)
-                wvals = lam1
-            else:  # nu22
-                term = rat_pow(beta, n) * rat_pow(-beta, -l)
-                term *= tables.k_plus(1, mask1) * fprod(mask1, mask2)
+            else:
+                term *= tables.k_plus(1, mask1) * tables.f_between(mask1, mask2)
                 wvals = lam2
             for i in bits_of(mask1):
                 term *= wvals[i]
-            coeffs.add(mask2, term)
-        return ActionResult(kind, coeffs, ground, values, c)
+            return term
+
+        return result(split_sum(p, 2, diagonal_term,
+                                None if twisted else (n, p - n), keyed=True))
 
     if kind in ("t21", "nu21"):
         tables = DetTables(u_set.values, values, c)
-        if kind == "nu21":
-            if twist is None:
-                raise DomainError("nu21 requires twist parameters")
-            if twist.beta1 == 0 or twist.beta2 == 0:
-                raise DomainError("nu21 needs nonzero beta1 and beta2")
-            splits = enumerate_splits(p, 3)
-        else:
-            if m < n:
-                return ActionResult(kind, coeffs, ground, values, c)
-            splits = enumerate_splits(p, 3, cards=(n, n, p - 2 * n))
-        for mask1, mask2, mask3 in splits:
-            l1 = bin(mask1).count("1")
-            l2 = bin(mask2).count("1")
+        twisted = kind == "nu21"
+        if twisted:
+            twist = _require_twist(params, kind)
+        elif m < n:
+            return result(CoefficientMap())
+
+        def annihilation_term(mask1, mask2, mask3):
             term = tables.k_plus(1, mask1) * tables.k_minus_conj(1, mask2)
-            term *= fprod(mask1, mask2) * fprod(mask1, mask3) * fprod(mask3, mask2)
-            if kind == "nu21":
-                term *= rat_pow(-twist.beta1, n - l1) * rat_pow(-twist.beta2, n - l2)
+            term *= (tables.f_between(mask1, mask2) * tables.f_between(mask1, mask3)
+                     * tables.f_between(mask3, mask2))
+            if twisted:
+                term *= (rat_pow(-twist.beta1, n - bin(mask1).count("1"))
+                         * rat_pow(-twist.beta2, n - bin(mask2).count("1")))
             for i in bits_of(mask1):
                 term *= lam2[i]
             for i in bits_of(mask2):
                 term *= lam1[i]
-            coeffs.add(mask3, term)
-        return ActionResult(kind, coeffs, ground, values, c)
+            return term
+
+        return result(split_sum(p, 3, annihilation_term,
+                                None if twisted else (n, n, p - 2 * n), keyed=True))
 
     if kind == "nu12":
-        if twist is None:
-            raise DomainError("nu12 requires twist parameters")
+        twist = _require_twist(params, kind)
         if oracle.reduction_weight is None or oracle.reduction_order is None:
             raise CapabilityError(
                 "nu12 needs the oracle's reduction weight and reduction order")
-        if twist.beta1 == 0 or twist.beta2 == 0:
-            raise DomainError("nu12 needs nonzero beta1 and beta2")
         order = oracle.reduction_order
         if p < order:
             raise DomainError(
@@ -307,14 +297,17 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
         prefactor = rat_pow(
             (twist.mu - 1) * (twist.beta1 + twist.beta2)
             / (twist.beta1 * twist.beta2), p - order)
-        for mask1, mask2 in enumerate_splits(p, 2, cards=(p - order, order)):
+
+        def reduction_term(mask1, mask2):
             term = prefactor
             for i in bits_of(mask1):
                 term *= red[i]
             term *= set_product("g", mask_values(values, mask1),
                                 mask_values(values, mask2), c)
-            coeffs.add(mask2, term)
-        return ActionResult(kind, coeffs, ground, values, c)
+            return term
+
+        return result(split_sum(p, 2, reduction_term, (p - order, order),
+                                keyed=True))
 
     raise ValueError(f"unknown action kind {kind!r}")
 
@@ -329,11 +322,12 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
 
     SCe / SCbe are the plain-family forms (equal cardinalities); SPfin is the
     twisted form over unconstrained splits of the merged set; SPfinIK is its
-    rearrangement over independent splits of the two sets. Only SPfin honors
+    rearrangement into independent splits of the two sets. SCbe and SPfinIK
+    sum over splits of the merged set u∪v too, each split of it being a pair
+    of splits of u and of v. Every form is one `split_sum`. Only SPfin honors
     `jobs` (its split count is 2^(n+m); the others stay serial).
     """
     c = Rat(c)
-    twist = _twist_of(params)
     n, m = len(u_set), len(v_set)
     lam1 = oracle.lambda1
     lam2 = oracle.lambda2
@@ -346,181 +340,137 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
         tables = DetTables(u_set.values, values, c)
         l1v = [lam1(x) for x in values]
         l2v = [lam2(x) for x in values]
-        total = Rat(0)
-        for mask1, mask2 in enumerate_splits(2 * n, 2, cards=(n, n)):
+
+        def sce_term(mask1, mask2):
             term = tables.k_plus(1, mask1) * tables.k_minus_conj(1, mask2)
             term *= tables.f_between(mask1, mask2)
             for i in bits_of(mask1):
                 term *= l2v[i]
             for i in bits_of(mask2):
                 term *= l1v[i]
-            total += term
-        return total
+            return term
+
+        return split_sum(2 * n, 2, sce_term, (n, n))
 
     if form == "SCbe":
-        total = Rat(0)
-        for mu1, mu2 in enumerate_splits(n, 2):
-            n1 = bin(mu1).count("1")
-            usub1 = SpectralSet(mask_values(u_set.values, mu1))
-            usub2 = SpectralSet(mask_values(u_set.values, mu2))
-            for mv1, mv2 in enumerate_splits(m, 2, cards=(n1, m - n1)):
-                vsub1 = SpectralSet(mask_values(v_set.values, mv1))
-                vsub2 = SpectralSet(mask_values(v_set.values, mv2))
-                term = mod_izergin(1, vsub2, usub2, c)
-                term *= conj_mod_izergin(1, vsub1, usub1, c)
-                term *= set_product("f", usub1, usub2, c)
-                term *= set_product("f", vsub2, vsub1, c)
-                term *= prod_over(lam2, usub1) * prod_over(lam2, vsub2)
-                term *= prod_over(lam1, usub2) * prod_over(lam1, vsub1)
-                total += term
-        return total
+        low = (1 << n) - 1
+
+        def scbe_term(mask1, mask2):
+            if bin(mask1 & low).count("1") != bin(mask1 >> n).count("1"):
+                return Rat(0)
+            return _independent_term(1, *_uv_parts(u_set, v_set, mask1),
+                                     *_uv_parts(u_set, v_set, mask2), oracle, c)
+
+        return split_sum(2 * n, 2, scbe_term)
 
     if form == "SPfin":
-        if twist is None:
-            raise DomainError("SPfin requires twist parameters")
-        if twist.beta1 == 0 or twist.beta2 == 0:
-            raise DomainError("SPfin needs nonzero beta1 and beta2")
+        twist = _require_twist(params, "SPfin")
         values = u_set.values + v_set.values
-        payload = _SPfinPayload(
-            u_values=u_set.values,
-            values=values,
-            c=c,
-            mu=twist.mu,
-            beta1=twist.beta1,
-            beta2=twist.beta2,
-            n=n,
-            lam1=[lam1(x) for x in values],
-            lam2=[lam2(x) for x in values],
-        )
-        count = 1 << len(values)
-        if jobs <= 1 or count < 64:
-            return _spfin_range(payload, 0, count)
-        jobs = min(jobs, count)
-        bounds = [count * k // jobs for k in range(jobs + 1)]
-        chunks = [(payload, bounds[k], bounds[k + 1]) for k in range(jobs)]
-        with multiprocessing.Pool(jobs) as pool:
-            partials = pool.starmap(_spfin_range, chunks)
-        total = Rat(0)
-        for part in partials:
-            total += part
-        return total
+        term = _SPfinTerm(u_set.values, values, c, twist,
+                          [lam1(x) for x in values], [lam2(x) for x in values])
+        return split_sum(len(values), 2, term, jobs=jobs)
 
     if form == "SPfinIK":
-        if twist is None:
-            raise DomainError("SPfinIK requires twist parameters")
-        mu = twist.mu
+        mu = _require_twist(params, "SPfinIK", betas=()).mu
         if mu == 0:
             raise DomainError("SPfinIK needs mu != 0 (it deforms by 1/mu)")
         if mu == 1 and m != n:
             raise DomainError(
                 "SPfinIK carries the prefactor (1-mu)^(m-n), which is 0 or "
                 f"singular at mu=1 with n={n}, m={m}; use SPfin instead")
-        if twist.beta1 == 0 or twist.beta2 == 0:
-            raise DomainError("SPfinIK needs nonzero beta1 and beta2")
+        twist = _require_twist(params, "SPfinIK")
         inv_mu = 1 / mu
         prefactor = rat_pow(mu, 2 * n) * rat_pow(1 - mu, m - n)
-        total = Rat(0)
-        for mu1, mu2 in enumerate_splits(n, 2):
-            n1 = bin(mu1).count("1")
-            n2 = n - n1
-            usub1 = SpectralSet(mask_values(u_set.values, mu1))
-            usub2 = SpectralSet(mask_values(u_set.values, mu2))
-            fu = set_product("f", usub1, usub2, c)
-            wu = prod_over(lam2, usub1) * prod_over(lam1, usub2)
-            for mv1, mv2 in enumerate_splits(m, 2):
-                m1 = bin(mv1).count("1")
-                m2 = m - m1
-                vsub1 = SpectralSet(mask_values(v_set.values, mv1))
-                vsub2 = SpectralSet(mask_values(v_set.values, mv2))
-                term = rat_pow(-twist.beta1, n2 - m2) * rat_pow(-twist.beta2, n1 - m1)
-                term *= wu * prod_over(lam2, vsub2) * prod_over(lam1, vsub1)
-                term *= fu * set_product("f", vsub2, vsub1, c)
-                term *= mod_izergin(inv_mu, vsub2, usub2, c)
-                term *= conj_mod_izergin(inv_mu, vsub1, usub1, c)
-                total += term
-        return prefactor * total
+
+        def spfinik_term(mask1, mask2):
+            u1, v1 = _uv_parts(u_set, v_set, mask1)
+            u2, v2 = _uv_parts(u_set, v_set, mask2)
+            term = (rat_pow(-twist.beta1, len(u2) - len(v2))
+                    * rat_pow(-twist.beta2, len(u1) - len(v1)))
+            return term * _independent_term(inv_mu, u1, v1, u2, v2, oracle, c)
+
+        return prefactor * split_sum(n + m, 2, spfinik_term)
 
     raise ValueError(f"unknown scalar form {form!r}")
 
 
-@dataclass(frozen=True)
-class _SPfinPayload:
-    u_values: tuple
-    values: tuple
-    c: Rat
-    mu: Rat
-    beta1: Rat
-    beta2: Rat
-    n: int
-    lam1: list
-    lam2: list
+def _uv_parts(u_set: SpectralSet, v_set: SpectralSet, mask: int) -> tuple:
+    """The u- and v-parts of a subset of the merged set u∪v, whose low bits
+    index u."""
+    n = len(u_set)
+    return (SpectralSet(mask_values(u_set.values, mask & ((1 << n) - 1))),
+            SpectralSet(mask_values(v_set.values, mask >> n)))
 
 
-def _spfin_range(payload: _SPfinPayload, lo: int, hi: int) -> Rat:
-    """Partial twisted-scalar-product sum over split ranks [lo, hi).
+def _independent_term(z, u1, v1, u2, v2, oracle: WeightOracle, c) -> Rat:
+    """Weights, f-products and the two z-deformed determinants of one term of
+    the independent-partition forms SCbe (z = 1) and SPfinIK (z = 1/mu)."""
+    term = prod_over(oracle.lambda2, u1) * prod_over(oracle.lambda2, v2)
+    term *= prod_over(oracle.lambda1, u2) * prod_over(oracle.lambda1, v1)
+    term *= set_product("f", u1, u2, c) * set_product("f", v2, v1, c)
+    term *= mod_izergin(z, v2, u2, c)
+    term *= conj_mod_izergin(z, v1, u1, c)
+    return term
 
-    The rank of a split is the bitmask of its second part, matching the
-    engine's enumeration order; exact addition makes any range partition
-    reduce to the identical total. Each term is multiplied out as an integer
-    numerator and denominator, and one rational is built per term.
+
+class _SPfinTerm:
+    """One term of the SPfin sum, for the split (mask1, mask2) of the merged
+    set. The term is multiplied out as an integer numerator and denominator,
+    and one rational is built per term. A module-level class, so that it
+    pickles into pool workers.
     """
-    tables = DetTables(payload.u_values, payload.values, payload.c)
-    k_plus, k_minus = tables.k_plus_pair, tables.k_minus_conj_pair
-    f_between = tables.f_between_pair
-    p = len(payload.values)
-    full = (1 << p) - 1
-    n = payload.n
-    mu = payload.mu
-    beta_pow = []
-    for l1 in range(p + 1):
-        w = rat_pow(-payload.beta1, n - l1) * rat_pow(-payload.beta2, n - p + l1)
-        beta_pow.append((w.numerator, w.denominator))
-    lam1 = [(x.numerator, x.denominator) for x in payload.lam1]
-    lam2 = [(x.numerator, x.denominator) for x in payload.lam2]
-    total = Rat(0)
-    for mask2 in range(lo, hi):
-        mask1 = full ^ mask2
+
+    def __init__(self, u_values, values, c, twist: TwistData, lam1, lam2):
+        self.tables = DetTables(u_values, values, c)
+        self.mu = twist.mu
+        n, p = len(u_values), len(values)
+        self.beta_pow = []
+        for l1 in range(p + 1):
+            w = rat_pow(-twist.beta1, n - l1) * rat_pow(-twist.beta2, n - p + l1)
+            self.beta_pow.append((w.numerator, w.denominator))
+        self.lam1 = [(x.numerator, x.denominator) for x in lam1]
+        self.lam2 = [(x.numerator, x.denominator) for x in lam2]
+
+    def __call__(self, mask1: int, mask2: int) -> Rat:
+        tables, mu = self.tables, self.mu
         idx1 = list(bits_of(mask1))
         idx2 = list(bits_of(mask2))
-        num, den = beta_pow[len(idx1)]
+        num, den = self.beta_pow[len(idx1)]
         for i in idx1:
-            a, b = lam2[i]
+            a, b = self.lam2[i]
             num *= a
             den *= b
         for i in idx2:
-            a, b = lam1[i]
+            a, b = self.lam1[i]
             num *= a
             den *= b
-        for a, b in (f_between(idx1, idx2), k_plus(mu, idx1), k_minus(mu, idx2)):
+        for a, b in (tables.f_between_pair(idx1, idx2),
+                     tables.k_plus_pair(mu, idx1),
+                     tables.k_minus_conj_pair(mu, idx2)):
             num *= a
             den *= b
-        total += Rat(num, den)
-    return total
+        return Rat(num, den)
 
 
 def eval_vacuum_average(w_set: SpectralSet, oracle: WeightOracle,
                         params, c) -> Rat:
     """Vacuum expectation of a product of twisted creation operators."""
-    twist = _twist_of(params)
-    if twist is None:
-        raise DomainError("the vacuum average requires twist parameters")
-    if twist.beta1 == 0 or twist.beta2 == 0:
-        raise DomainError("the vacuum average needs nonzero beta1 and beta2")
+    twist = _require_twist(params, "the vacuum average")
     c = Rat(c)
     p = len(w_set)
     values = w_set.values
     lam1 = [oracle.lambda1(x) for x in values]
     lam2 = [oracle.lambda2(x) for x in values]
-    total = Rat(0)
-    for mask1, mask2 in enumerate_splits(p, 2):
-        l1 = bin(mask1).count("1")
-        l2 = bin(mask2).count("1")
-        term = rat_pow(-twist.beta2, -l2) * rat_pow(-twist.beta1, -l1)
+
+    def average_term(mask1, mask2):
+        term = (rat_pow(-twist.beta2, -bin(mask2).count("1"))
+                * rat_pow(-twist.beta1, -bin(mask1).count("1")))
         for i in bits_of(mask1):
             term *= lam2[i]
         for i in bits_of(mask2):
             term *= lam1[i]
         term *= set_product("f", mask_values(values, mask1),
                             mask_values(values, mask2), c)
-        total += term
-    return rat_pow(1 - twist.mu, p) * total
+        return term
+
+    return rat_pow(1 - twist.mu, p) * split_sum(p, 2, average_term)

@@ -12,8 +12,7 @@ import time
 from .actions import WeightOracle, eval_scalar
 from .chain import ChainSpec
 from .report import digest
-from .scalars import rat, sample_generic, with_shifts
-from .suites import sample_twist
+from .scalars import rat, sample_generic, sample_twist, with_shifts
 
 
 def bench_sizes(max_size: int) -> list:

@@ -295,10 +295,6 @@ def dual_pairing(spec: ChainSpec, operator, state=None) -> Rat | list:
     return sum((row[k] * state[k] for k in range(len(state))), Rat(0))
 
 
-def states_equal(a, b) -> bool:
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-
 def gl2_random_matrix(rng) -> list:
     return [[Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
             for _ in range(2)]

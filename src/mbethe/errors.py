@@ -18,6 +18,12 @@ class PoleError(MbetheError):
         self.right = right
         super().__init__(f"pole of {kind} at ({left}, {right})")
 
+    def __reduce__(self):
+        # the default rebuilds from self.args (the message alone), which does
+        # not fit this __init__; a pool worker's error must unpickle in the
+        # parent, or the pool's result handler dies and the call hangs
+        return type(self), (self.kind, self.left, self.right)
+
 
 class ExhaustionError(MbetheError):
     """Generic-parameter sampling exceeded its retry budget."""

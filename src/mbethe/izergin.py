@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefined
 from .linalg import clear_denominators, det, det_int
-from .partitions import bits_of, enumerate_splits, mask_values
+from .partitions import bits_of, mask_values, split_sum
 from .ratfunc import rational_interpolate
 from .scalars import Rat, SpectralSet, is_generic, kernel_f, kernel_h, set_product
 
@@ -149,8 +149,7 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
     z, c = Rat(z), Rat(c)
     n, m = len(u_set), len(v_set)
     if side == "v-partitions":
-        total = Rat(0)
-        for mask1, mask2 in enumerate_splits(m, 2):
+        def v_term(mask1, mask2):
             v1 = mask_values(v_set.values, mask1)
             v2 = mask_values(v_set.values, mask2)
             term = rat_pow(-z, len(v2))
@@ -158,15 +157,16 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
                 term *= set_product("f", v1, u_set, c) * set_product("f", v2, v1, c)
             else:
                 term *= set_product("f", u_set, v1, c) * set_product("f", v1, v2, c)
-            total += term
-        return total
+            return term
+
+        return split_sum(m, 2, v_term)
     if side == "u-partitions":
         if z == 1 and m != n:
             raise VariantUndefined(
                 "u-partition expansion carries (1-z)^(m-n) and is undefined "
                 f"at z=1 with m={m}, n={n}")
-        total = Rat(0)
-        for mask1, mask2 in enumerate_splits(n, 2):
+
+        def u_term(mask1, mask2):
             u1 = mask_values(u_set.values, mask1)
             u2 = mask_values(u_set.values, mask2)
             term = rat_pow(-z, len(u1))
@@ -174,8 +174,9 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
                 term *= set_product("f", v_set, u2, c) * set_product("f", u2, u1, c)
             else:
                 term *= set_product("f", u2, v_set, c) * set_product("f", u1, u2, c)
-            total += term
-        return rat_pow(1 - z, m - n) * total
+            return term
+
+        return rat_pow(1 - z, m - n) * split_sum(n, 2, u_term)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -188,8 +189,8 @@ def izergin_convolution(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     """
     z2 = Rat(z2)
     fn = conj_mod_izergin if conjugated else mod_izergin
-    total = Rat(0)
-    for mask1, mask2 in enumerate_splits(len(xi_set), 2):
+
+    def conv_term(mask1, mask2):
         x1 = SpectralSet(mask_values(xi_set.values, mask1))
         x2 = SpectralSet(mask_values(xi_set.values, mask2))
         term = rat_pow(z2, len(x1))
@@ -198,8 +199,9 @@ def izergin_convolution(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
             term *= set_product("f", x1, x2, c) * set_product("f", x2, u_set, c)
         else:
             term *= set_product("f", x2, x1, c) * set_product("f", u_set, x2, c)
-        total += term
-    return total
+        return term
+
+    return split_sum(len(xi_set), 2, conv_term)
 
 
 def izergin_deformation_sum(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
@@ -210,8 +212,8 @@ def izergin_deformation_sum(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     """
     z1 = Rat(z1)
     fn = conj_mod_izergin if conjugated else mod_izergin
-    total = Rat(0)
-    for mask1, mask2 in enumerate_splits(len(v_set), 2):
+
+    def shift_term(mask1, mask2):
         v1 = SpectralSet(mask_values(v_set.values, mask1))
         v2 = mask_values(v_set.values, mask2)
         term = rat_pow(z1, len(v2)) * fn(z2, u_set, v1, c)
@@ -219,8 +221,9 @@ def izergin_deformation_sum(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
             term *= set_product("f", v2, v1, c)
         else:
             term *= set_product("f", v1, v2, c)
-        total += term
-    return total
+        return term
+
+    return split_sum(len(v_set), 2, shift_term)
 
 
 def residue_check(z, u_set: SpectralSet, v_set: SpectralSet, c,

@@ -142,10 +142,6 @@ def kron(a, b):
     return out
 
 
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def nullspace_vector(matrix, ncols):
     """One deterministic nonzero kernel vector of a rational matrix, or None.
 

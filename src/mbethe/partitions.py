@@ -1,4 +1,5 @@
-"""Ordered partitions of an index set into 2 or 3 labeled subsets.
+"""Ordered partitions of an index set into 2 or 3 labeled subsets, and the
+engine that sums a term over them.
 
 Splits are encoded as tuples of disjoint bitmasks covering a ground set and
 are streamed in a fixed deterministic order, so sums over partitions are
@@ -9,8 +10,10 @@ identical total).
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .errors import ConstraintError
 from .scalars import Rat, SpectralSet, kernel_f, kernel_g, kernel_h
@@ -51,6 +54,10 @@ def _subsets_ascending(universe: int, card: int | None) -> Iterator[int]:
     With a cardinality constraint, masks of that popcount are emitted in the
     same ascending order (Gosper's hack over a compacted universe).
     """
+    if card is None and universe & (universe + 1) == 0:
+        # bits 0..n-1: every mask is its own packed form
+        yield from range(universe + 1)
+        return
     bits = [b for b in range(universe.bit_length()) if universe >> b & 1]
     n = len(bits)
     if card is None:
@@ -82,7 +89,24 @@ def _unpack(packed: int, bits: list[int]) -> int:
     return mask
 
 
+def _checked_cards(n: int, parts: int, cards: Sequence[int] | None):
+    """`cards` as a tuple (or None), or ConstraintError for a bad split shape."""
+    if n > MAX_GROUND:
+        raise ConstraintError(f"ground set size {n} exceeds {MAX_GROUND}")
+    if parts not in (2, 3):
+        raise ConstraintError("only 2- or 3-part splits are supported")
+    if cards is not None:
+        cards = tuple(cards)
+        if len(cards) != parts:
+            raise ConstraintError("one cardinality per part is required")
+        if any(k < 0 for k in cards) or sum(cards) != n:
+            raise ConstraintError(
+                f"cardinalities {cards} do not sum to ground size {n}")
+    return cards
+
+
 def count_splits(n: int, parts: int, cards: Sequence[int] | None = None) -> int:
+    cards = _checked_cards(n, parts, cards)
     if cards is None:
         return parts ** n
     from math import comb
@@ -103,17 +127,7 @@ def enumerate_splits(ground: GroundSet | int, parts: int,
     (cards must sum to the ground size).
     """
     n = ground if isinstance(ground, int) else ground.size
-    if n > MAX_GROUND:
-        raise ConstraintError(f"ground set size {n} exceeds {MAX_GROUND}")
-    if parts not in (2, 3):
-        raise ConstraintError("only 2- or 3-part splits are supported")
-    if cards is not None:
-        cards = tuple(cards)
-        if len(cards) != parts:
-            raise ConstraintError("one cardinality per part is required")
-        if any(k < 0 for k in cards) or sum(cards) != n:
-            raise ConstraintError(
-                f"cardinalities {cards} do not sum to ground size {n}")
+    cards = _checked_cards(n, parts, cards)
     full = (1 << n) - 1
     if parts == 2:
         for m2 in _subsets_ascending(full, None if cards is None else cards[1]):
@@ -123,6 +137,47 @@ def enumerate_splits(ground: GroundSet | int, parts: int,
             rest = full ^ m2
             for m3 in _subsets_ascending(rest, None if cards is None else cards[2]):
                 yield (rest ^ m3, m2, m3)
+
+
+MIN_POOL_SPLITS = 64  # below this, starting a pool costs more than the sum
+
+
+def split_sum(p: int, parts: int, term: Callable, cards: Sequence[int] | None = None,
+              jobs: int = 1, keyed: bool = False):
+    """Exact sum of term(*split) over enumerate_splits(p, parts, cards).
+
+    With `keyed`, each term is added into a CoefficientMap under the split's
+    last mask, and the map is returned. With jobs > 1 and at least
+    MIN_POOL_SPLITS splits, the split ranks are cut into `jobs` contiguous
+    ranges and each range is summed in a pool worker, so `term` must then
+    pickle. Exact addition makes the result identical at every worker count.
+    """
+    count = count_splits(p, parts, cards)
+    if jobs <= 1 or count < MIN_POOL_SPLITS:
+        return _range_sum(p, parts, term, cards, keyed, 0, None)
+    jobs = min(jobs, count)
+    bounds = [count * k // jobs for k in range(jobs + 1)]
+    chunks = [(p, parts, term, cards, keyed, bounds[k], bounds[k + 1])
+              for k in range(jobs)]
+    with multiprocessing.Pool(jobs) as pool:
+        partials = pool.starmap(_range_sum, chunks)
+    if keyed:
+        return CoefficientMap(item for part in partials for item in part.items())
+    return sum(partials, Rat(0))
+
+
+def _range_sum(p, parts, term, cards, keyed, lo, hi):
+    """split_sum over the splits ranked lo..hi-1 in emission order."""
+    splits = islice(enumerate_splits(p, parts, cards), lo, hi)
+    if keyed:
+        out = CoefficientMap()
+        for split in splits:
+            out.add(split[-1], term(*split))
+        return out
+    total = Rat(0)
+    for split in splits:
+        total += term(*split)
+    return total
 
 
 def split_elements(split: Split, part: int, spectra: SpectralSet | Sequence,

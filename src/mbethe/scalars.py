@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 try:
     from gmpy2 import mpq as Rat
@@ -108,9 +108,6 @@ class SpectralSet:
 
     def union(self, other: "SpectralSet", label: str = "") -> "SpectralSet":
         return SpectralSet(self.values + other.values, label or self.label)
-
-    def subset(self, indices: Iterable[int], label: str = "") -> "SpectralSet":
-        return SpectralSet(tuple(self.values[i] for i in indices), label or self.label)
 
     @classmethod
     def generic(cls, values, c, context=(), label: str = "") -> "SpectralSet":
@@ -238,6 +235,17 @@ class ModelParams:
         """Exchange rho1 and rho2 (hence beta1 and beta2); mu is unchanged."""
         return ModelParams(self.c, self.rho2, self.rho1,
                            self.kappa_plus, self.kappa_minus)
+
+
+def sample_twist(seed: int, c, bound: int = 9) -> ModelParams:
+    """Random twist with nonzero rho's and finite, non-unit mu."""
+    rng = random.Random(seed)
+    while True:
+        vals = [Rat(rng.choice([-1, 1]) * rng.randint(1, bound),
+                    rng.randint(1, bound)) for _ in range(4)]
+        rho1, rho2, kp, km = vals
+        if rho1 * rho2 != kp * km:
+            return ModelParams(c, rho1, rho2, kp, km)
 
 
 # ---------------------------------------------------------------------------

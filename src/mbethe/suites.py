@@ -25,11 +25,11 @@ from .izergin import (DetTables, conj_mod_izergin, izergin_convolution,
                       mod_izergin, ordinary_izergin, rat_pow, residue_check)
 from .linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_scale, mat_sub
 from .partitions import (enumerate_splits, mask_values, pole_extraction_sum,
-                         single_extraction_sum)
+                         single_extraction_sum, split_sum)
 from .report import Recorder, digest
 from .scalars import (ModelParams, Rat, SpectralSet, TwistData, kernel_f,
                       kernel_g, rat, rat_str, sample_generic,
-                      sample_nonzero, set_product, with_shifts)
+                      sample_nonzero, sample_twist, set_product, with_shifts)
 
 DEFAULT_SIZES = {
     "izergin-laws": {
@@ -110,17 +110,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Shared sampling helpers
 # ---------------------------------------------------------------------------
-
-def sample_twist(seed: int, c, bound: int = 9) -> ModelParams:
-    """Random twist with nonzero rho's and finite, non-unit mu."""
-    rng = random.Random(seed)
-    while True:
-        vals = [Rat(rng.choice([-1, 1]) * rng.randint(1, bound),
-                    rng.randint(1, bound)) for _ in range(4)]
-        rho1, rho2, kp, km = vals
-        if rho1 * rho2 != kp * km:
-            return ModelParams(c, rho1, rho2, kp, km)
-
 
 def _spectra(seed, c, bound, counts, labels, extra_context=()):
     """Jointly generic sets (with +-c shifts in context) drawn one after another."""
@@ -382,19 +371,24 @@ def run_izergin_laws(cfg: RunConfig) -> list:
                                       [n, m, l], ["u", "v", "xi"])
                 params.append((us, vs, xs))
                 merged = us.union(vs, "uv")
-                plain = minus = Rat(0)
-                for m1, m2 in enumerate_splits(l, 2):
+
+                def plain(m1, m2):
                     x1 = SpectralSet(mask_values(xs.values, m1))
                     x2 = SpectralSet(mask_values(xs.values, m2))
-                    plain += (mod_izergin(1, us, x1.shifted(c), c)
-                              * mod_izergin(1, vs, x2.shifted(c), c)
-                              * set_product("f", x2, x1, c)
-                              / set_product("f", x2, us, c))
-                    minus += (conj_mod_izergin(1, us, x1.shifted(-c), c)
-                              * conj_mod_izergin(1, vs, x2.shifted(-c), c)
-                              * set_product("f", x1, x2, c)
-                              / set_product("f", us, x2, c))
-                lhs += [plain, minus]
+                    return (mod_izergin(1, us, x1.shifted(c), c)
+                            * mod_izergin(1, vs, x2.shifted(c), c)
+                            * set_product("f", x2, x1, c)
+                            / set_product("f", x2, us, c))
+
+                def minus(m1, m2):
+                    x1 = SpectralSet(mask_values(xs.values, m1))
+                    x2 = SpectralSet(mask_values(xs.values, m2))
+                    return (conj_mod_izergin(1, us, x1.shifted(-c), c)
+                            * conj_mod_izergin(1, vs, x2.shifted(-c), c)
+                            * set_product("f", x1, x2, c)
+                            / set_product("f", us, x2, c))
+
+                lhs += [split_sum(l, 2, plain), split_sum(l, 2, minus)]
                 rhs += [mod_izergin(1, merged, xs.shifted(c), c),
                         conj_mod_izergin(1, merged, xs.shifted(-c), c)]
         return digest(params), lhs, rhs, lhs == rhs
@@ -453,19 +447,22 @@ def _binomial_check(seed, c, bound, max_size):
     for p in range(1, max_size + 1):
         xs, = _spectra(rng.getrandbits(48), c, bound, [p], ["x"])
         params.append(xs)
-        alternating = Rat(0)
-        sums = {k: [Rat(0), Rat(0)] for k in range(p + 1)}
-        for m1, m2 in enumerate_splits(p, 2):
-            x1 = mask_values(xs.values, m1)
-            x2 = mask_values(xs.values, m2)
-            k = len(x1)
-            sums[k][0] += set_product("f", x2, x1, c)
-            sums[k][1] += set_product("f", x1, x2, c)
-            alternating += rat_pow(-1, len(x2)) * set_product("f", x2, x1, c)
+
+        def f21(m1, m2):
+            return set_product("f", mask_values(xs.values, m2),
+                               mask_values(xs.values, m1), c)
+
+        def f12(m1, m2):
+            return f21(m2, m1)
+
+        def alternating(m1, m2):
+            return rat_pow(-1, bin(m2).count("1")) * f21(m1, m2)
+
         for k in range(p + 1):
-            lhs += sums[k]
+            lhs += [split_sum(p, 2, f21, (k, p - k)),
+                    split_sum(p, 2, f12, (k, p - k))]
             rhs += [Rat(comb(p, k))] * 2
-        lhs.append(alternating)
+        lhs.append(split_sum(p, 2, alternating))
         rhs.append(Rat(0))
     return digest(params), lhs, rhs, lhs == rhs
 
@@ -707,27 +704,27 @@ def _action_vs_oracle(seed, cfg, kind: str, sites: int, n: int, m: int):
     return digest(spec.theta, us, vs), formula_state, direct, ok
 
 
+def _action_check(cfg, sz, kind: str, trial: int):
+    """One trial of an action suite: every (n, m) up to the maxima vs the oracle."""
+    def fn(seed):
+        sites = _cycle_sites(sz["sites"], trial)
+        lhs, rhs, ok = [], [], True
+        rng = random.Random(seed)
+        for n in range(0, sz["max_n"] + 1):
+            for m in range(0, sz["max_m"] + 1):
+                d, l, r, good = _action_vs_oracle(
+                    rng.getrandbits(48), cfg, kind, sites, n, m)
+                lhs.append(l)
+                rhs.append(r)
+                ok = ok and good
+        return digest(seed, sites), lhs, rhs, ok
+    return fn
+
+
 def run_aba_actions(cfg: RunConfig) -> list:
     rec = Recorder("aba-actions", cfg.seed)
     sz = cfg.suite_sizes("aba-actions")
     c = cfg.c
-
-    def make_action_check(kind):
-        def fn_factory(trial):
-            def fn(seed):
-                sites = _cycle_sites(sz["sites"], trial)
-                lhs, rhs, ok = [], [], True
-                rng = random.Random(seed)
-                for n in range(0, sz["max_n"] + 1):
-                    for m in range(0, sz["max_m"] + 1):
-                        d, l, r, good = _action_vs_oracle(
-                            rng.getrandbits(48), cfg, kind, sites, n, m)
-                        lhs.append(l)
-                        rhs.append(r)
-                        ok = ok and good
-                return digest(seed, sites), lhs, rhs, ok
-            return fn
-        return fn_factory
 
     def creation_merge(seed):
         rng = random.Random(seed)
@@ -781,11 +778,10 @@ def run_aba_actions(cfg: RunConfig) -> list:
     for kind, ident in (("t11", "actions/diagonal-action-one"),
                         ("t22", "actions/diagonal-action-two"),
                         ("t21", "actions/annihilation-action")):
-        factory = make_action_check(kind)
         for trial in range(sz["draws"]):
             rec.run(ident, trial,
                     {"sites": sz["sites"], "max_n": sz["max_n"],
-                     "max_m": sz["max_m"]}, factory(trial))
+                     "max_m": sz["max_m"]}, _action_check(cfg, sz, kind, trial))
     for trial in range(sz["draws"]):
         rec.run("actions/creation-merge", trial, {"sites": sz["sites"]},
                 creation_merge)
@@ -825,23 +821,6 @@ def run_maba_actions(cfg: RunConfig) -> list:
         return (digest(spec.theta, point), [g for g, _ in checks],
                 [w for _, w in checks], ok)
 
-    def make_action_check(kind):
-        def fn_factory(trial):
-            def fn(seed):
-                sites = _cycle_sites(sz["sites"], trial)
-                rng = random.Random(seed)
-                lhs, rhs, ok = [], [], True
-                for n in range(0, sz["max_n"] + 1):
-                    for m in range(0, sz["max_m"] + 1):
-                        d, l, r, good = _action_vs_oracle(
-                            rng.getrandbits(48), cfg, kind, sites, n, m)
-                        lhs.append(l)
-                        rhs.append(r)
-                        ok = ok and good
-                return digest(seed, sites), lhs, rhs, ok
-            return fn
-        return fn_factory
-
     def truncation(seed):
         """Terms whose consumed subset exceeds the action size vanish exactly."""
         rng = random.Random(seed)
@@ -874,11 +853,10 @@ def run_maba_actions(cfg: RunConfig) -> list:
     for kind, ident in (("nu11", "actions/twisted-diagonal-one"),
                         ("nu22", "actions/twisted-diagonal-two"),
                         ("nu21", "actions/twisted-annihilation")):
-        factory = make_action_check(kind)
         for trial in range(sz["draws"]):
             rec.run(ident, trial,
                     {"sites": sz["sites"], "max_n": sz["max_n"],
-                     "max_m": sz["max_m"]}, factory(trial))
+                     "max_m": sz["max_m"]}, _action_check(cfg, sz, kind, trial))
     for trial in range(sz["draws"]):
         rec.run("actions/cardinality-truncation", trial,
                 {"max_n": sz["max_n"], "max_m": sz["max_m"]}, truncation)

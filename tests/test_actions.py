@@ -223,6 +223,33 @@ class TestScalarForms:
         assert eval_scalar("SPfin", us, vs, oracle, TWIST, C, jobs=2) == serial
         assert eval_scalar("SPfin", us, vs, oracle, TWIST, C, jobs=5) == serial
 
+    def test_parallel_reduction_under_spawn(self, run_script):
+        # spawned workers import mbethe afresh, so the SPfin term must pickle
+        done = run_script("""
+import multiprocessing
+
+from mbethe.actions import WeightOracle, eval_scalar
+from mbethe.chain import ChainSpec
+from mbethe.scalars import ModelParams, Rat, sample_generic, with_shifts
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    c = Rat(1)
+    theta = sample_generic(3, seed=68, c=c, bound=30, label="theta")
+    oracle = WeightOracle.fundamental(ChainSpec(3, theta, c))
+    us = sample_generic(3, context=with_shifts(c, theta), seed=69, c=c,
+                        bound=30, label="u")
+    vs = sample_generic(4, context=with_shifts(c, theta, us), seed=70, c=c,
+                        bound=30, label="v")
+    twist = ModelParams(c, Rat(1, 2), Rat(2, 3), Rat(3), Rat(5, 2))
+    serial = eval_scalar("SPfin", us, vs, oracle, twist, c, jobs=1)
+    pooled = eval_scalar("SPfin", us, vs, oracle, twist, c, jobs=2)
+    print(serial != 0, (pooled.numerator, pooled.denominator)
+          == (serial.numerator, serial.denominator))
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "True"]
+
 
 class TestVacuumAverage:
     def test_empty(self):

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, reports, determinism, and a mutation smoke test."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 
 import mbethe.izergin
 from mbethe.cli import main
+from mbethe.report import strip_timing
+from mbethe.suites import SUITES
 from mbethe.errors import PoleError
 from mbethe.scalars import Rat
 
@@ -18,6 +21,29 @@ SMALL_SIZES = {
     "proof-steps": {"max_size": 3, "samples": 2},
     "phi-symmetry": {"max_n": 1, "max_m": 1, "draws": 1},
 }
+
+
+# Every suite at sizes that still run SCbe, SPfinIK, nu12, nu21, the vacuum
+# average and the three izergin partition sums.
+PINNED_SIZES = {
+    "izergin-laws": {"max_n": 3, "max_m": 3, "samples": 2, "equiv_max": 3,
+                     "equiv_samples": 1, "residue_max": 2, "residue_samples": 1,
+                     "conv_max": 2, "conv_len": 3},
+    "yangian-structure": {"sites": 2, "samples": 1, "struct_samples": 1,
+                          "mcr_max": 2, "mcr_samples": 1},
+    "aba-actions": {"sites": 3, "max_n": 2, "max_m": 3, "draws": 2,
+                    "scalar_max": 3},
+    "maba-actions": {"sites": 3, "max_n": 2, "max_m": 3, "draws": 2},
+    "scalar-products": {"sites": 3, "total_max": 4, "draws": 2, "avg_max": 3,
+                        "red_max": 3},
+    "phi-symmetry": {"max_n": 2, "max_m": 2, "draws": 2},
+    "proof-steps": {"max_size": 6, "samples": 2},
+}
+# sha256 of json.dumps(strip_timing(report), sort_keys=True) for that run at
+# seed 0, with report_path set to null; taken at commit 0926cdb, before the
+# partition sums moved onto partitions.split_sum.
+PINNED_REPORT_SHA256 = (
+    "9ea8ed42bf2679dce086983f869ae90bb6810dacbb225b396faf406890d3c38e")
 
 
 def write_config(tmp_path, **kwargs):
@@ -41,6 +67,16 @@ class TestVerify:
                             "params_digest", "status", "lhs", "rhs", "elapsed"}
         out = capsys.readouterr().out
         assert "proof-steps" in out
+
+    def test_report_is_pinned(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        cfg = write_config(tmp_path, seed=0, sizes=PINNED_SIZES)
+        assert main(["verify", "--config", cfg, "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["config"]["suites"] == list(SUITES)
+        report["config"]["report_path"] = None
+        text = json.dumps(strip_timing(report), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256
 
     def test_deterministic_records(self, tmp_path):
         cfg = write_config(tmp_path, suites=["proof-steps", "phi-symmetry"],

@@ -1,17 +1,27 @@
-"""Split enumeration, coefficient maps, and the closed proof-step sums."""
+"""Split enumeration, the partition-sum engine, coefficient maps, and the
+closed proof-step sums."""
 
+import pickle
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbethe.errors import ConstraintError
-from mbethe.partitions import (CoefficientMap, GroundSet, bits_of, count_splits,
-                               enumerate_splits, mask_values,
-                               pole_extraction_sum, single_extraction_sum,
-                               split_elements)
+from mbethe.errors import ConstraintError, MbetheError, PoleError
+from mbethe.partitions import (MIN_POOL_SPLITS, CoefficientMap, GroundSet,
+                               bits_of, count_splits, enumerate_splits,
+                               mask_values, pole_extraction_sum,
+                               single_extraction_sum, split_elements, split_sum)
 from mbethe.scalars import Rat, SpectralSet, sample_generic, set_product
+
+
+class MaskTerm:
+    """A picklable term whose value differs from split to split."""
+
+    def __call__(self, *split):
+        num = sum((k + 2) * mask for k, mask in enumerate(split))
+        return Rat(num + 1, split[-1] + 3)
 
 
 class TestEnumeration:
@@ -47,6 +57,17 @@ class TestEnumeration:
         with pytest.raises(ConstraintError):
             list(enumerate_splits(4, 2, cards=(1, 2, 1)))
 
+    def test_emission_order(self):
+        # ascending in the second mask, then in the third
+        for n in range(6):
+            full = (1 << n) - 1
+            assert list(enumerate_splits(n, 2)) == [(full ^ m2, m2)
+                                                    for m2 in range(full + 1)]
+            ranks = sorted((m2, m3) for m2 in range(full + 1)
+                           for m3 in range(full + 1) if m2 & m3 == 0)
+            assert list(enumerate_splits(n, 3)) == [(full ^ m2 ^ m3, m2, m3)
+                                                    for m2, m3 in ranks]
+
     @given(n=st.integers(0, 7), k=st.integers(0, 7))
     @settings(max_examples=40)
     def test_constrained_count(self, n, k):
@@ -57,6 +78,78 @@ class TestEnumeration:
         splits = list(enumerate_splits(n, 2, cards=(k, n - k)))
         assert len(splits) == comb(n, k) == count_splits(n, 2, (k, n - k))
         assert all(bin(m1).count("1") == k for m1, _ in splits)
+
+
+class TestSplitSum:
+    CASES = [(5, 2, None), (5, 2, (2, 3)), (4, 3, None), (5, 3, (1, 2, 2))]
+
+    @pytest.mark.parametrize("p, parts, cards", CASES)
+    def test_matches_plain_loop(self, p, parts, cards):
+        term = MaskTerm()
+        total, keyed = Rat(0), CoefficientMap()
+        for split in enumerate_splits(p, parts, cards):
+            total += term(*split)
+            keyed.add(split[-1], term(*split))
+        assert len(keyed) > 1
+        assert split_sum(p, parts, term, cards) == total
+        assert split_sum(p, parts, term, cards, keyed=True) == keyed
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_shape_is_constraint_error(self, jobs):
+        for parts, cards in ((2, (-1, 5)), (2, (1, 2)), (4, None)):
+            with pytest.raises(ConstraintError):
+                split_sum(4, parts, MaskTerm(), cards, jobs=jobs)
+
+    @pytest.mark.parametrize("p, parts, cards",
+                             [(7, 2, None), (4, 3, None), (9, 2, (4, 5))])
+    def test_jobs_bit_identical(self, p, parts, cards):
+        assert count_splits(p, parts, cards) >= MIN_POOL_SPLITS
+        serial = split_sum(p, parts, MaskTerm(), cards)
+        keyed = split_sum(p, parts, MaskTerm(), cards, keyed=True)
+        for jobs in (2, 3):
+            pooled = split_sum(p, parts, MaskTerm(), cards, jobs=jobs)
+            assert ((pooled.numerator, pooled.denominator)
+                    == (serial.numerator, serial.denominator))
+            assert split_sum(p, parts, MaskTerm(), cards, jobs=jobs,
+                             keyed=True).items() == keyed.items()
+
+    def test_worker_error_reaches_the_parent(self, run_script):
+        # the split with second mask 100 lies in the second worker's range
+        done = run_script("""
+from mbethe.errors import PoleError
+from mbethe.partitions import split_sum
+
+
+class PoleTerm:
+    def __call__(self, mask1, mask2):
+        if mask2 == 100:
+            raise PoleError("f", mask1, mask2)
+        return 1
+
+
+if __name__ == "__main__":
+    try:
+        split_sum(7, 2, PoleTerm(), jobs=2)
+    except PoleError as exc:
+        print("raised", exc.kind, exc.left, exc.right)
+""", timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "raised f 27 100"
+
+
+def _error_types(base=MbetheError):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _error_types(sub)
+
+
+@pytest.mark.parametrize("kind", list(_error_types()), ids=lambda k: k.__name__)
+def test_errors_survive_pickling(kind):
+    exc = PoleError("f", Rat(1, 2), 3) if kind is PoleError else kind("message")
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is kind
+    assert str(copy) == str(exc)
+    assert vars(copy) == vars(exc)
 
 
 class TestSplitElements:
