@@ -23,7 +23,8 @@ from .bench import bench_sizes, jobs_sweep, run_bench
 from .chain import ChainSpec, direct_scalar, twist_pair
 from .actions import WeightOracle, eval_scalar
 from .errors import CardinalityError, ConfigError, DomainError, MbetheError
-from .report import build_report, write_report
+from .partitions import MAX_GROUND
+from .report import build_report, machine_facts, write_report
 from .scalars import ModelParams, rat, rat_str, sample_generic, with_shifts
 from .suites import SUITES, RunConfig, run_suites
 
@@ -170,6 +171,7 @@ def cmd_scalar(args) -> int:
             "formula": rat_str(formula),
             "oracle": rat_str(oracle_value),
             "status": "pass" if verdict == "PASS" else "fail",
+            "machine": machine_facts(),
         }
         write_report(record, args.report)
     return 0 if verdict == "PASS" else 1
@@ -177,6 +179,11 @@ def cmd_scalar(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = args.exact_sizes if args.exact_sizes else bench_sizes(args.max_size)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    bad = [size for size in sizes if not 0 <= size <= MAX_GROUND]
+    if bad:
+        raise ConfigError(f"bench sizes must lie in 0..{MAX_GROUND}, got {bad}")
     sweep = jobs_sweep(args.jobs)
     result = run_bench(sizes, sweep, seed=args.seed)
     print(f"{'size':>4} {'splits':>7} {'jobs':>4} {'seconds':>9} "
@@ -188,7 +195,8 @@ def cmd_bench(args) -> int:
     print(f"consistent across worker counts: {result['consistent']}")
     if args.report:
         write_report({"command": "bench", "jobs_sweep": sweep,
-                      "sizes": list(sizes), **result}, args.report)
+                      "sizes": list(sizes), **result,
+                      "machine": machine_facts()}, args.report)
     return 0 if result["consistent"] else 1
 
 

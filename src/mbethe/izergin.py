@@ -16,7 +16,8 @@ from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefin
 from .linalg import clear_denominators, det, det_int
 from .partitions import bits_of, mask_values, split_sum
 from .ratfunc import rational_interpolate
-from .scalars import Rat, SpectralSet, is_generic, kernel_f, kernel_h, set_product
+from .scalars import (Rat, SpectralSet, diff_pair, h_pair, is_generic, kernel_f,
+                      set_product)
 
 __all__ = [
     "mod_izergin", "conj_mod_izergin", "ordinary_izergin",
@@ -36,10 +37,11 @@ def rat_pow(base, exp: int) -> Rat:
 
 
 def _inv_h(a, b, c) -> Rat:
-    hv = kernel_h(a, b, c)
-    if hv == 0:
+    """1 / h(a, b); raises PoleError where h = 0 (a - b = -c)."""
+    num, den = h_pair(*diff_pair(a, b), c.numerator, c.denominator)
+    if not num:
         raise PoleError("1/h", a, b)
-    return 1 / hv
+    return Rat(den, num)
 
 
 def mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
@@ -55,15 +57,13 @@ def mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
     n, m = len(u), len(v)
     if variant == "v-side":
         rows = []
-        for j in range(m):
-            base = Rat(1)
-            for ui in u:
-                base *= kernel_f(ui, v[j], c)
-            for t in range(m):
+        for j, vj in enumerate(v):
+            base = set_product("f", u, vj, c)
+            for t, vt in enumerate(v):
                 if t != j:
-                    base *= kernel_f(v[j], v[t], c)
-            rows.append([(-z if j == k else Rat(0)) + base * _inv_h(v[j], v[k], c)
-                         for k in range(m)])
+                    base *= kernel_f(vj, vt, c)
+            rows.append([base - z if j == k else base * _inv_h(vj, vk, c)
+                         for k, vk in enumerate(v)])
         return det(rows)
     if variant == "u-side":
         if z == 1 and m != n:
@@ -71,16 +71,14 @@ def mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
                 "u-side representation carries (1-z)^(m-n) and is undefined "
                 f"at z=1 with m={m}, n={n}; use the v-side")
         rows = []
-        for j in range(n):
-            diag = Rat(1)
-            for vk in v:
-                diag *= kernel_f(u[j], vk, c)
-            off = z
-            for t in range(n):
+        for j, uj in enumerate(u):
+            diag = set_product("f", uj, v, c)
+            off = -z
+            for t, ut in enumerate(u):
                 if t != j:
-                    off *= kernel_f(u[j], u[t], c)
-            rows.append([(diag if j == k else Rat(0)) - off * _inv_h(u[j], u[k], c)
-                         for k in range(n)])
+                    off *= kernel_f(uj, ut, c)
+            rows.append([diag + off if j == k else off * _inv_h(uj, uk, c)
+                         for k, uk in enumerate(u)])
         return rat_pow(1 - z, m - n) * det(rows)
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -97,15 +95,13 @@ def conj_mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
     n, m = len(u), len(v)
     if variant == "v-side":
         rows = []
-        for j in range(m):
-            base = Rat(1)
-            for ui in u:
-                base *= kernel_f(v[j], ui, c)
-            for t in range(m):
+        for j, vj in enumerate(v):
+            base = set_product("f", vj, u, c)
+            for t, vt in enumerate(v):
                 if t != j:
-                    base *= kernel_f(v[t], v[j], c)
-            rows.append([(-z if j == k else Rat(0)) + base * _inv_h(v[k], v[j], c)
-                         for k in range(m)])
+                    base *= kernel_f(vt, vj, c)
+            rows.append([base - z if j == k else base * _inv_h(vk, vj, c)
+                         for k, vk in enumerate(v)])
         return det(rows)
     if variant == "u-side":
         if z == 1 and m != n:
@@ -113,16 +109,14 @@ def conj_mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
                 "u-side representation carries (1-z)^(m-n) and is undefined "
                 f"at z=1 with m={m}, n={n}; use the v-side")
         rows = []
-        for j in range(n):
-            diag = Rat(1)
-            for vk in v:
-                diag *= kernel_f(vk, u[j], c)
-            off = z
-            for t in range(n):
+        for j, uj in enumerate(u):
+            diag = set_product("f", v, uj, c)
+            off = -z
+            for t, ut in enumerate(u):
                 if t != j:
-                    off *= kernel_f(u[t], u[j], c)
-            rows.append([(diag if j == k else Rat(0)) - off * _inv_h(u[k], u[j], c)
-                         for k in range(n)])
+                    off *= kernel_f(ut, uj, c)
+            rows.append([diag + off if j == k else off * _inv_h(uk, uj, c)
+                         for k, uk in enumerate(u)])
         return rat_pow(1 - z, m - n) * det(rows)
     raise ValueError(f"unknown variant {variant!r}")
 

@@ -16,22 +16,24 @@ from .scalars import Rat
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover
+except ImportError:  # gmpy2 is optional (the `gmpy2` extra)
     mpz = int
 
 
 def det(matrix) -> Rat:
-    """Determinant of a square rational matrix; the 0x0 determinant is 1."""
+    """Determinant of a square matrix of rationals or ints; the 0x0
+    determinant is 1."""
     n = len(matrix)
     for row in matrix:
         assert len(row) == n, "matrix must be square"
-    rows, dens = clear_denominators([[Rat(x) for x in row] for row in matrix])
+    rows, dens = clear_denominators(matrix)
     return Rat(det_int(rows), prod(dens))
 
 
 def clear_denominators(matrix):
     """Each row of a rational matrix as integers over the lcm of the row's
-    denominators: returns (integer rows, row denominators)."""
+    denominators: returns (integer rows, row denominators). Entries may be
+    rationals or ints; only their numerator and denominator are read."""
     rows, dens = [], []
     for row in matrix:
         lcm = 1

@@ -1,15 +1,19 @@
 """Machine-readable run reports.
 
 A report is one JSON object with a `records` array (append-ordered
-deterministically by suite, identity, trial) and a `summary` object. Rationals
-serialize as 'p/q' strings; larger objects (vectors, coefficient maps, value
-grids) appear as sha256 digests of their canonical serialization.
+deterministically by suite, identity, trial), a `summary` object and a
+`machine` block naming the rational backend, Python version and core count
+the run used. Rationals serialize as 'p/q' strings; larger objects (vectors,
+coefficient maps, value grids) appear as sha256 digests of their canonical
+serialization.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 
@@ -110,6 +114,18 @@ class Recorder:
         return record
 
 
+def machine_facts() -> dict:
+    """The machine facts a run's timings depend on: the module that provides
+    `Rat`, the Python version and the number of usable cores."""
+    if hasattr(os, "sched_getaffinity"):
+        nproc = len(os.sched_getaffinity(0))
+    else:
+        nproc = os.cpu_count()
+    return {"rational_backend": Rat.__module__,
+            "python": platform.python_version(),
+            "nproc": nproc}
+
+
 def build_report(config_json: dict, records: list) -> dict:
     summary_suites: dict = {}
     passed = failed = 0
@@ -131,6 +147,7 @@ def build_report(config_json: dict, records: list) -> dict:
             "suites": summary_suites,
             "exit_code": 0 if failed == 0 else 1,
         },
+        "machine": machine_facts(),
     }
 
 
@@ -141,8 +158,10 @@ def write_report(report: dict, path: str) -> None:
 
 
 def strip_timing(report: dict) -> dict:
-    """Copy of a report with elapsed fields zeroed (reproducibility compares)."""
+    """Copy of a report with elapsed fields zeroed and the machine block
+    dropped, since both depend on the machine (reproducibility compares)."""
     clone = json.loads(json.dumps(report))
+    clone.pop("machine", None)
     for rec in clone.get("records", []):
         rec["elapsed"] = 0.0
     return clone

@@ -14,7 +14,7 @@ from typing import Callable, Sequence, Union
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the `gmpy2` extra)
     from fractions import Fraction as Rat
 
 from .errors import DomainError, ExhaustionError, PoleError
@@ -44,27 +44,60 @@ def rat_str(value) -> str:
 # Rational kernels
 # ---------------------------------------------------------------------------
 
+def _rat(x) -> Rat:
+    return x if isinstance(x, Rat) else Rat(x)
+
+
+def diff_pair(u, v) -> tuple:
+    """u - v as an unreduced integer pair (numerator, positive denominator)."""
+    u, v = _rat(u), _rat(v)
+    return (u.numerator * v.denominator - v.numerator * u.denominator,
+            u.denominator * v.denominator)
+
+
+# Each kernel's formula, on d = u - v = dn/dd and c = cn/cd (dd, cd > 0), as
+# an unreduced (numerator, denominator) pair. f and g have a pole at d = 0,
+# where the denominator is 0; h is a polynomial in d.
+
+def f_pair(dn, dd, cn, cd) -> tuple:
+    """f = (d + c) / d."""
+    return dn * cd + cn * dd, dn * cd
+
+
+def g_pair(dn, dd, cn, cd) -> tuple:
+    """g = c / d."""
+    return cn * dd, cd * dn
+
+
+def h_pair(dn, dd, cn, cd) -> tuple:
+    """h = (d + c) / c."""
+    return dn * cd + cn * dd, dd * cn
+
+
+def _kernel(kind: str, u, v, c) -> Rat:
+    c = _rat(c)
+    num, den = _PAIRS[kind](*diff_pair(u, v), c.numerator, c.denominator)
+    if not den and kind != "h":
+        raise PoleError(kind, u, v)
+    return Rat(num, den)
+
+
 def kernel_g(u, v, c) -> Rat:
     """c / (u - v); raises PoleError when u = v."""
-    d = Rat(u) - Rat(v)
-    if d == 0:
-        raise PoleError("g", u, v)
-    return Rat(c) / d
+    return _kernel("g", u, v, c)
 
 
 def kernel_f(u, v, c) -> Rat:
     """(u - v + c) / (u - v); raises PoleError when u = v."""
-    d = Rat(u) - Rat(v)
-    if d == 0:
-        raise PoleError("f", u, v)
-    return (d + Rat(c)) / d
+    return _kernel("f", u, v, c)
 
 
 def kernel_h(u, v, c) -> Rat:
     """(u - v + c) / c; total (no pole in u, v)."""
-    return (Rat(u) - Rat(v) + Rat(c)) / Rat(c)
+    return _kernel("h", u, v, c)
 
 
+_PAIRS: dict[str, Callable] = {"g": g_pair, "f": f_pair, "h": h_pair}
 _KERNELS: dict[str, Callable] = {"g": kernel_g, "f": kernel_f, "h": kernel_h}
 
 
@@ -84,7 +117,8 @@ class SpectralSet:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Rat(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(
+            v if isinstance(v, Rat) else Rat(v) for v in self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -130,8 +164,8 @@ def _as_values(side) -> tuple:
     if isinstance(side, SpectralSet):
         return side.values
     if isinstance(side, (tuple, list)):
-        return tuple(Rat(v) for v in side)
-    return (Rat(side),)
+        return tuple(v if isinstance(v, Rat) else Rat(v) for v in side)
+    return (_rat(side),)
 
 
 def set_product(kind: str, left, right, c) -> Rat:
@@ -139,7 +173,9 @@ def set_product(kind: str, left, right, c) -> Rat:
 
     Either side may be a scalar, a SpectralSet, a tuple, or None/empty. The
     product over an empty side is 1 (so a double product with one empty set is
-    1). A PoleError raised by the kernel identifies the offending pair.
+    1). A PoleError identifies the offending pair. The kernel products are
+    taken on integer numerators and denominators, with one rational built
+    for the result.
 
     Kinds 'lambda1' and 'lambda2' evaluate a vacuum-weight product over `left`
     (`right` must be empty); `c` then carries the weight oracle instead of the
@@ -150,12 +186,21 @@ def set_product(kind: str, left, right, c) -> Rat:
         if _as_values(right):
             raise DomainError("weight products take a single set")
         return prod_over(getattr(c, kind), left)
-    fn = _KERNELS[kind]
-    out = ONE
+    pair = _PAIRS[kind]
+    c = _rat(c)
+    cn, cd = c.numerator, c.denominator
+    # u - v as in diff_pair, from parts read once per value
+    rights = [(b, b.numerator, b.denominator) for b in _as_values(right)]
+    num = den = 1
     for a in _as_values(left):
-        for b in _as_values(right):
-            out *= fn(a, b, c)
-    return out
+        an, ad = a.numerator, a.denominator
+        for b, bn, bd in rights:
+            pn, pd = pair(an * bd - bn * ad, ad * bd, cn, cd)
+            if not pd and kind != "h":
+                raise PoleError(kind, a, b)
+            num *= pn
+            den *= pd
+    return Rat(num, den)
 
 
 def prod_over(fn: Callable, values) -> Rat:
@@ -261,17 +306,27 @@ def _flatten_context(context) -> list:
     return out
 
 
+def _separated(values, p, q, cn, cd) -> bool:
+    """True when p/q (q > 0) differs from each (numerator, denominator) pair
+    in `values` by neither 0 nor +-c, where |c| = cn/cd."""
+    for vn, vd in values:
+        dn = abs(p * vd - vn * q)
+        if not dn or dn * cd == cn * q * vd:
+            return False
+    return True
+
+
 def is_generic(c, *sets) -> bool:
     """True when no two parameters across all sets differ by 0, +c, or -c."""
-    vals = []
+    c = _rat(c)
+    cn, cd = abs(c.numerator), c.denominator
+    seen: list = []
     for s in sets:
-        vals.extend(_as_values(s))
-    c = Rat(c)
-    bad = {ZERO, c, -c}
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] - vals[j] in bad:
+        for v in _as_values(s):
+            p, q = v.numerator, v.denominator
+            if not _separated(seen, p, q, cn, cd):
                 return False
+            seen.append((p, q))
     return True
 
 
@@ -305,10 +360,10 @@ def sample_generic(count: int, context=None, seed: int = 0,
     """
     if bound < 1:
         raise DomainError("bound must be >= 1")
-    c = Rat(c)
+    c = _rat(c)
+    cn, cd = abs(c.numerator), c.denominator
     rng = random.Random(seed)
-    ctx = _flatten_context(context)
-    bad = {ZERO, c, -c}
+    taken = [(v.numerator, v.denominator) for v in _flatten_context(context)]
     picked: list = []
     attempts = 0
     while len(picked) < count:
@@ -317,9 +372,10 @@ def sample_generic(count: int, context=None, seed: int = 0,
                 f"could not sample {count} generic rationals within "
                 f"{_RETRY_BUDGET} attempts (bound={bound})")
         attempts += 1
-        cand = Rat(rng.randint(-bound, bound), rng.randint(1, bound))
-        if all(cand - other not in bad for other in ctx + picked):
-            picked.append(cand)
+        p, q = rng.randint(-bound, bound), rng.randint(1, bound)
+        if _separated(taken, p, q, cn, cd):
+            picked.append(Rat(p, q))
+            taken.append((p, q))
     return SpectralSet(tuple(picked), label)
 
 

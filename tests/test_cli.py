@@ -1,7 +1,9 @@
 """CLI behavior: exit codes, reports, determinism, and a mutation smoke test."""
 
 import hashlib
+import importlib.util
 import json
+import platform
 import subprocess
 import sys
 
@@ -177,6 +179,45 @@ class TestBench:
         digests = {r["value_digest"] for r in rows}
         assert len(digests) == 1
         assert all(r["identical_to_serial"] for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["--size", "4", "--jobs", "-3"],
+        ["--size", "4", "--jobs", "0"],
+        ["--size", "-1"],
+        ["--size", "4", "--size", "64"],
+        ["--max-size", "64"],
+    ])
+    def test_bad_input_is_config_error(self, argv, capsys):
+        assert main(["bench", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "speedup" not in captured.out
+
+
+class TestMachineBlock:
+    def expect_machine(self, block):
+        assert block["rational_backend"] == Rat.__module__
+        if importlib.util.find_spec("gmpy2") is None:
+            assert block["rational_backend"] == "fractions"
+        assert block["python"] == platform.python_version()
+        assert isinstance(block["nproc"], int) and block["nproc"] >= 1
+
+    def test_every_report_names_the_backend(self, tmp_path):
+        verify = tmp_path / "verify.json"
+        cfg = write_config(tmp_path, suites=["proof-steps"],
+                           sizes={"proof-steps": SMALL_SIZES["proof-steps"]})
+        assert main(["verify", "--config", cfg, "--report", str(verify)]) == 0
+        scalar = tmp_path / "scalar.json"
+        assert main(["scalar", "--n", "1", "--m", "1", "--sites", "1",
+                     "--report", str(scalar)]) == 0
+        bench = tmp_path / "bench.json"
+        assert main(["bench", "--size", "4", "--jobs", "1",
+                     "--report", str(bench)]) == 0
+        for path in (verify, scalar, bench):
+            self.expect_machine(json.loads(path.read_text())["machine"])
+        report = json.loads(verify.read_text())
+        assert "machine" not in strip_timing(report)
+        assert "machine" in report  # strip_timing works on a copy
 
 
 def test_entry_point_subprocess():

@@ -2,6 +2,8 @@
 law suite at small sizes, and the residue machinery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbethe.errors import CardinalityError, VariantUndefined
 from mbethe.izergin import (DetTables, conj_mod_izergin, izergin_convolution,
@@ -277,3 +279,39 @@ class TestDetTables:
                 right = SpectralSet(mask_values(xs.values, right_mask))
                 assert (tables.f_between(left_mask, right_mask)
                         == set_product("f", left, right, C))
+
+
+class TestIndependentRoutesAgree:
+    """The v-side and u-side determinants, both partition expansions, the
+    integer tables of DetTables and the conjugated determinant are separate
+    code; at generic points they must give the same value."""
+
+    @given(n=st.integers(0, 4), m=st.integers(0, 4), seed=st.integers(0, 2**20),
+           c=st.sampled_from([Rat(1), Rat(-1), Rat(2, 3), Rat(-5, 2)]),
+           z=st.sampled_from([Rat(0), Rat(1), Rat(-7, 5)]))
+    @settings(max_examples=200, deadline=None)
+    def test_routes_agree(self, n, m, seed, c, z):
+        us, vs = spectra(seed, [n, m], c=c)
+        want = mod_izergin(z, us, vs, c)
+        want_conj = conj_mod_izergin(z, us, vs, c)
+        if z == 1 and m != n:
+            for fn in (mod_izergin, conj_mod_izergin):
+                with pytest.raises(VariantUndefined):
+                    fn(z, us, vs, c, variant="u-side")
+            with pytest.raises(VariantUndefined):
+                izergin_partition_sum(z, us, vs, c, side="u-partitions")
+        else:
+            assert mod_izergin(z, us, vs, c, variant="u-side") == want
+            assert conj_mod_izergin(z, us, vs, c, variant="u-side") == want_conj
+            for conj, value in ((False, want), (True, want_conj)):
+                assert izergin_partition_sum(z, us, vs, c, side="u-partitions",
+                                             conjugated=conj) == value
+        for conj, value in ((False, want), (True, want_conj)):
+            assert izergin_partition_sum(z, us, vs, c, side="v-partitions",
+                                         conjugated=conj) == value
+        assert want_conj == mod_izergin(z, us, vs, -c)
+        plus = DetTables(us.values, vs.shifted(-c).values, c)
+        minus = DetTables(us.values, vs.shifted(c).values, c)
+        full = (1 << m) - 1
+        assert plus.k_plus(z, full) == want
+        assert minus.k_minus_conj(z, full) == want_conj

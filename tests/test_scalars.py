@@ -1,10 +1,14 @@
 """Kernel functions, set products, twist parameters, and generic sampling."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbethe.errors import DomainError, ExhaustionError, PoleError
+from mbethe.izergin import _inv_h
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData, is_generic,
                             kernel_f, kernel_g, kernel_h, rat, rat_str,
                             sample_generic, set_product, with_shifts)
@@ -189,3 +193,204 @@ class TestSampling:
             SpectralSet.generic([Rat(3, 2)], c=1, context=(ctx,))  # differs by c
         with pytest.raises(DomainError):
             SpectralSet.generic([2, 2], c=1)  # repeated value
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against plain-Fraction reference formulas
+# ---------------------------------------------------------------------------
+
+def ref_g(u, v, c):
+    d = Fraction(u) - Fraction(v)
+    if d == 0:
+        raise PoleError("g", u, v)
+    return Fraction(c) / d
+
+
+def ref_f(u, v, c):
+    d = Fraction(u) - Fraction(v)
+    if d == 0:
+        raise PoleError("f", u, v)
+    return (d + Fraction(c)) / d
+
+
+def ref_h(u, v, c):
+    return (Fraction(u) - Fraction(v) + Fraction(c)) / Fraction(c)
+
+
+def ref_inv_h(a, b, c):
+    hv = ref_h(a, b, c)
+    if hv == 0:
+        raise PoleError("1/h", a, b)
+    return 1 / hv
+
+
+REFERENCE = {"f": ref_f, "g": ref_g, "h": ref_h}
+FAST = {"f": kernel_f, "g": kernel_g, "h": kernel_h}
+
+
+def ref_values(side):
+    if side is None:
+        return ()
+    if isinstance(side, (SpectralSet, tuple, list)):
+        return tuple(Fraction(v) for v in side)
+    return (Fraction(side),)
+
+
+def ref_set_product(kind, left, right, c):
+    out = Fraction(1)
+    for a in ref_values(left):
+        for b in ref_values(right):
+            out *= REFERENCE[kind](a, b, c)
+    return out
+
+
+def outcome(fn, *args):
+    """A value as its exact (numerator, denominator), or a pole as its kind
+    and pair: equal outcomes mean the same value bit for bit or the same error."""
+    try:
+        value = fn(*args)
+    except PoleError as exc:
+        return ("pole", exc.kind, exc.left, exc.right)
+    return ("value", type(value), int(value.numerator), int(value.denominator))
+
+
+def reference_outcome(fn, *args):
+    kind, *rest = outcome(fn, *args)
+    if kind == "value":
+        rest[0] = Rat  # the reference computes in Fraction; the type is Rat's
+    return (kind, *rest)
+
+
+# A small pool, so that u = v and u - v = -c come up often.
+POOL = [Fraction(x) for x in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 3),
+                              Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 3))]
+pool_values = st.sampled_from(POOL)
+pool_constants = st.sampled_from([Fraction(x) for x in (
+    1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-5, 6))])
+
+
+def as_form(x, form):
+    """x as a Rat, an int (when integral) or a 'p/q' string."""
+    if form == "int" and x.denominator == 1:
+        return int(x)
+    if form == "str":
+        return f"{x.numerator}/{x.denominator}"
+    return Rat(x)
+
+
+forms = st.sampled_from(["rat", "int", "str"])
+
+
+@st.composite
+def sides(draw):
+    """One side of a set product in each accepted shape."""
+    shape = draw(st.sampled_from(["scalar", "tuple", "list", "set", "none",
+                                  "empty"]))
+    if shape == "none":
+        return None
+    if shape == "empty":
+        return draw(st.sampled_from([(), [], SpectralSet(())]))
+    if shape == "scalar":
+        return as_form(draw(pool_values), draw(forms))
+    values = draw(st.lists(pool_values, max_size=4))
+    if shape == "set":
+        return SpectralSet(tuple(Rat(v) for v in values))
+    out = [as_form(v, draw(forms)) for v in values]
+    return tuple(out) if shape == "tuple" else out
+
+
+class TestIntegerKernelsMatchReference:
+    @given(u=pool_values, v=pool_values, c=pool_constants,
+           uf=forms, vf=forms, cf=forms, kind=st.sampled_from("fgh"))
+    @settings(max_examples=400, deadline=None)
+    def test_kernels(self, u, v, c, uf, vf, cf, kind):
+        args = (as_form(u, uf), as_form(v, vf), as_form(c, cf))
+        assert outcome(FAST[kind], *args) == reference_outcome(REFERENCE[kind], *args)
+
+    @given(left=sides(), right=sides(), c=pool_constants, cf=forms,
+           kind=st.sampled_from("fgh"))
+    @settings(max_examples=400, deadline=None)
+    def test_set_products(self, left, right, c, cf, kind):
+        c = as_form(c, cf)
+        assert (outcome(set_product, kind, left, right, c)
+                == reference_outcome(ref_set_product, kind, left, right, c))
+
+    @given(a=pool_values, b=pool_values, c=pool_constants)
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_h(self, a, b, c):
+        a, b, c = Rat(a), Rat(b), Rat(c)
+        assert outcome(_inv_h, a, b, c) == reference_outcome(ref_inv_h, a, b, c)
+
+    @pytest.mark.parametrize("kind", ["f", "g"])
+    def test_pole_names_the_pair(self, kind):
+        for u, v in ((2, 2), ("1/2", "1/2"), (Rat(-7, 3), Rat(-7, 3))):
+            with pytest.raises(PoleError) as err:
+                FAST[kind](u, v, 1)
+            assert (err.value.kind, err.value.left, err.value.right) == (kind, u, v)
+        with pytest.raises(PoleError) as err:
+            set_product(kind, [1, "5"], (Rat(7), 5), "-3/2")
+        assert (err.value.kind, err.value.left, err.value.right) == (kind, 5, 5)
+
+    def test_inverse_h_pole(self):
+        c = Rat(-3, 2)
+        with pytest.raises(PoleError) as err:
+            _inv_h(Rat(1, 3), Rat(1, 3) + c, c)
+        assert (err.value.kind, err.value.left, err.value.right) == (
+            "1/h", Rat(1, 3), Rat(1, 3) + c)
+
+    def test_f_vanishes_at_minus_c(self):
+        for c in (Rat(1), Rat(-2, 3)):
+            u = Rat(5, 4)
+            assert kernel_f(u, u + c, c) == 0
+            assert set_product("f", (u, 3), u + c, c) == 0
+            assert outcome(kernel_f, u, u + c, c) == ("value", Rat, 0, 1)
+
+
+def ref_sample_generic(count, context, seed, bound, c):
+    """The rejection loop of sample_generic, on Fractions."""
+    c = Fraction(c)
+    rng = random.Random(seed)
+    ctx = [Fraction(v) for item in context for v in item]
+    bad = {0, c, -c}
+    picked = []
+    for _ in range(2000):
+        if len(picked) == count:
+            return picked
+        cand = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        if all(cand - other not in bad for other in ctx + picked):
+            picked.append(cand)
+    if len(picked) == count:
+        return picked
+    raise ExhaustionError("reference exhausted")
+
+
+def ref_is_generic(c, values):
+    bad = {0, Fraction(c), -Fraction(c)}
+    return all(a - b not in bad
+               for i, a in enumerate(values) for b in values[i + 1:])
+
+
+class TestSamplingMatchesReference:
+    @given(seed=st.integers(0, 2**32), count=st.integers(0, 6),
+           bound=st.integers(1, 12), c=pool_constants,
+           ctx_seed=st.integers(0, 2**16), ctx_size=st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_same_draws(self, seed, count, bound, c, ctx_seed, ctx_size):
+        base = sample_generic(ctx_size, seed=ctx_seed, bound=9, c=c)
+        context = with_shifts(c, base)
+        try:
+            want = ref_sample_generic(count, context, seed, bound, c)
+        except ExhaustionError:
+            with pytest.raises(ExhaustionError):
+                sample_generic(count, context=context, seed=seed, bound=bound, c=c)
+            return
+        got = sample_generic(count, context=context, seed=seed, bound=bound, c=c)
+        assert [(v.numerator, v.denominator) for v in got] == [
+            (v.numerator, v.denominator) for v in want]
+
+    @given(values=st.lists(pool_values, max_size=6), c=pool_constants,
+           split=st.integers(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_genericity_scan(self, values, c, split):
+        sets = (SpectralSet(tuple(values[:split])), tuple(values[split:]))
+        assert is_generic(c, *sets) == ref_is_generic(c, values)
