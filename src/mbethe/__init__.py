@@ -18,8 +18,7 @@ from .errors import (CapabilityError, CardinalityError, ConfigError,
 from .izergin import (conj_mod_izergin, izergin_convolution,
                       izergin_deformation_sum, izergin_partition_sum,
                       mod_izergin, ordinary_izergin, residue_check)
-from .partitions import (CoefficientMap, GroundSet, enumerate_splits,
-                         split_elements)
+from .partitions import CoefficientMap, GroundSet, enumerate_splits
 from .ratfunc import RationalFunction, rational_interpolate
 from .scalars import (ModelParams, Rat, SpectralSet, TwistData, kernel_f,
                       kernel_g, kernel_h, rat, rat_str, sample_generic,

@@ -26,7 +26,7 @@ from .errors import CardinalityError, ConfigError, DomainError, MbetheError
 from .partitions import MAX_GROUND
 from .report import build_report, machine_facts, write_report
 from .scalars import ModelParams, rat, rat_str, sample_generic, with_shifts
-from .suites import SUITES, RunConfig, run_suites
+from .suites import SUITES, RunConfig, config_number, run_suites
 
 SCALAR_FORMS = ("SCe", "SCbe", "SPfin", "SPfinIK")
 
@@ -99,12 +99,12 @@ def cmd_verify(args) -> int:
         return file_values.get(file_key, default)
 
     cfg = RunConfig(
-        suites=tuple(pick(args.suites, "suites", tuple(SUITES))),
-        seed=int(pick(args.seed, "seed", 0)),
-        c=rat(pick(args.c, "c", 1)),
-        bound=int(pick(args.bound, "bound", 30)),
+        suites=pick(args.suites, "suites", tuple(SUITES)),
+        seed=pick(args.seed, "seed", 0),
+        c=pick(args.c, "c", 1),
+        bound=pick(args.bound, "bound", 30),
         sizes=file_values.get("sizes", {}),
-        jobs=int(pick(args.jobs, "parallelism", 1)),
+        jobs=pick(args.jobs, "parallelism", 1),
         report_path=pick(args.report, "report_path", None),
     )
     records = run_suites(cfg)
@@ -127,12 +127,12 @@ def cmd_verify(args) -> int:
 def cmd_scalar(args) -> int:
     if args.n < 0 or args.m < 0:
         raise ConfigError("--n and --m must be nonnegative")
-    c = rat(args.c)
+    c, rho1, rho2, kp, km = (config_number(rat, getattr(args, key), f"--{key}")
+                             for key in ("c", "rho1", "rho2", "kp", "km"))
     theta = sample_generic(args.sites, seed=args.seed ^ 0x7E7A, bound=args.bound,
                            c=c, label="theta")
     spec = ChainSpec(args.sites, theta, c)
-    params = ModelParams(c, rat(args.rho1), rat(args.rho2),
-                         rat(args.kp), rat(args.km))
+    params = ModelParams(c, rho1, rho2, kp, km)
     oracle = WeightOracle.fundamental(spec)
     us = sample_generic(args.n, context=with_shifts(c, theta),
                         seed=args.seed + 1, bound=args.bound, c=c, label="u")

@@ -429,23 +429,15 @@ class DetTables:
                 den *= fd[j]
         return num, den
 
-    def k_plus(self, z, mask: int, idx=None) -> Rat:
+    def k_plus(self, z, mask: int) -> Rat:
         """K^(z)(u | xi_S + c) for the subset S given as a bitmask."""
-        if idx is None:
-            idx = list(bits_of(mask))
-        return Rat(*self.k_plus_pair(z, idx))
+        return Rat(*self.k_plus_pair(z, list(bits_of(mask))))
 
-    def k_minus_conj(self, z, mask: int, idx=None) -> Rat:
+    def k_minus_conj(self, z, mask: int) -> Rat:
         """Conjugated K-bar^(z)(u | xi_S - c) for the subset S."""
-        if idx is None:
-            idx = list(bits_of(mask))
-        return Rat(*self.k_minus_conj_pair(z, idx))
+        return Rat(*self.k_minus_conj_pair(z, list(bits_of(mask))))
 
-    def f_between(self, mask_left: int, mask_right: int,
-                  idx_left=None, idx_right=None) -> Rat:
+    def f_between(self, mask_left: int, mask_right: int) -> Rat:
         """f(xi_L, xi_R) for two disjoint subset masks (shift-invariant)."""
-        if idx_left is None:
-            idx_left = list(bits_of(mask_left))
-        if idx_right is None:
-            idx_right = list(bits_of(mask_right))
-        return Rat(*self.f_between_pair(idx_left, idx_right))
+        return Rat(*self.f_between_pair(list(bits_of(mask_left)),
+                                        list(bits_of(mask_right))))

@@ -180,27 +180,6 @@ def _range_sum(p, parts, term, cards, keyed, lo, hi):
     return total
 
 
-def split_elements(split: Split, part: int, spectra: SpectralSet | Sequence,
-                   ground: GroundSet | None = None) -> SpectralSet:
-    """Resolve one part's bitmask back to parameter values.
-
-    `spectra` is either the single SpectralSet whose indices the ground set
-    uses directly, or the ordered source sets matching a GroundSet built via
-    GroundSet.from_sets.
-    """
-    mask = split[part]
-    if isinstance(spectra, SpectralSet):
-        vals = tuple(spectra[b] for b in bits_of(mask))
-        return SpectralSet(vals, spectra.label)
-    assert ground is not None, "ground set required to resolve multiple sources"
-    by_label = {s.label or "x": s for s in spectra}
-    vals = []
-    for b in bits_of(mask):
-        label, idx = ground.origin[b]
-        vals.append(by_label[label][idx])
-    return SpectralSet(tuple(vals))
-
-
 def bits_of(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask

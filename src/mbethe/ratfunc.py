@@ -73,10 +73,6 @@ class RationalFunction:
             raise PoleError("rational-function", x, x)
         return poly_eval(self.num, x) / d
 
-    def degree(self) -> tuple[int, int]:
-        return (len(self.num) - 1 if self.num else -1,
-                len(self.den) - 1 if self.den else -1)
-
 
 def rational_interpolate(samples, degree_bound: int) -> RationalFunction:
     """Recover p/q with deg p, deg q <= degree_bound from exact samples.

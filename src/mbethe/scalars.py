@@ -143,20 +143,6 @@ class SpectralSet:
     def union(self, other: "SpectralSet", label: str = "") -> "SpectralSet":
         return SpectralSet(self.values + other.values, label or self.label)
 
-    @classmethod
-    def generic(cls, values, c, context=(), label: str = "") -> "SpectralSet":
-        """Construct with the genericity guarantee against a context.
-
-        Raises DomainError if any two parameters across the new set and the
-        context differ by 0, +c, or -c.
-        """
-        out = cls(tuple(values), label)
-        if not is_generic(c, out, *(context if isinstance(context, (tuple, list))
-                                    else (context,))):
-            raise DomainError(
-                f"values {out.values} are not generic against the context")
-        return out
-
 
 def _as_values(side) -> tuple:
     if side is None:
@@ -175,17 +161,9 @@ def set_product(kind: str, left, right, c) -> Rat:
     product over an empty side is 1 (so a double product with one empty set is
     1). A PoleError identifies the offending pair. The kernel products are
     taken on integer numerators and denominators, with one rational built
-    for the result.
-
-    Kinds 'lambda1' and 'lambda2' evaluate a vacuum-weight product over `left`
-    (`right` must be empty); `c` then carries the weight oracle instead of the
-    kernel constant. Products of operator entries over a set live with the
+    for the result. Products of operator entries over a set live with the
     chain module (apply_entry_product), which extends the same convention.
     """
-    if kind in ("lambda1", "lambda2"):
-        if _as_values(right):
-            raise DomainError("weight products take a single set")
-        return prod_over(getattr(c, kind), left)
     pair = _PAIRS[kind]
     c = _rat(c)
     cn, cd = c.numerator, c.denominator

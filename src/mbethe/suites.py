@@ -56,6 +56,21 @@ DEFAULT_SIZES = {
 }
 
 
+def config_number(parse, value, name: str):
+    """`value` from a flag or a config file, read by `parse` (int or rat);
+    a ConfigError naming it when it is not such a number. JSON booleans,
+    and floats that the parse would round, are not numbers here."""
+    try:
+        number = parse(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        number = None
+    if (number is None or isinstance(value, bool)
+            or isinstance(value, float) and number != value):
+        kind = "an integer" if parse is int else "a rational p/q"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return number
+
+
 @dataclass
 class RunConfig:
     """Batch-run configuration; `sizes` holds per-suite overrides."""
@@ -69,8 +84,13 @@ class RunConfig:
     report_path: str | None = None
 
     def __post_init__(self):
-        self.c = rat(self.c)
+        if not isinstance(self.suites, (list, tuple)):
+            raise ConfigError(f"suites must be a list, got {self.suites!r}")
         self.suites = tuple(self.suites)
+        self.seed = config_number(int, self.seed, "seed")
+        self.c = config_number(rat, self.c, "c")
+        self.bound = config_number(int, self.bound, "bound")
+        self.jobs = config_number(int, self.jobs, "jobs")
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown}; "
@@ -81,13 +101,21 @@ class RunConfig:
             raise ConfigError("bound must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if not isinstance(self.report_path, (str, type(None))):
+            raise ConfigError(
+                f"report_path must be a path, got {self.report_path!r}")
+        if not isinstance(self.sizes, dict):
+            raise ConfigError("sizes must map suite names to size overrides")
         for suite, overrides in self.sizes.items():
             if suite not in DEFAULT_SIZES:
                 raise ConfigError(f"size overrides for unknown suite {suite!r}")
+            if not isinstance(overrides, dict):
+                raise ConfigError(f"size overrides for {suite} must be an object")
             bad = set(overrides) - set(DEFAULT_SIZES[suite])
             if bad:
                 raise ConfigError(f"unknown size keys for {suite}: {sorted(bad)}")
-            if any(int(v) < 1 for v in overrides.values()):
+            if any(config_number(int, v, f"sizes.{suite}.{key}") < 1
+                   for key, v in overrides.items()):
                 raise ConfigError("size overrides must be positive")
 
     def suite_sizes(self, suite: str) -> dict:
@@ -162,18 +190,30 @@ def run_izergin_laws(cfg: RunConfig) -> list:
         rec.run("izergin/representation-equivalence", trial,
                 {"max_n": sz["equiv_max"], "max_m": sz["equiv_max"]}, equivalence)
 
-    def conj_is_negated_c(seed):
-        rng = random.Random(seed)
-        lhs, rhs, params = [], [], []
-        for n in range(0, nmax + 1):
-            for m in range(0, mmax + 1):
-                us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
-                                  [n, m], ["u", "v"])
-                z = sample_nonzero(rng.getrandbits(48), 9)
-                params.append((us, vs, z))
-                lhs.append(conj_mod_izergin(z, us, vs, c))
-                rhs.append(mod_izergin(z, us, vs, -c))
-        return digest(params), lhs, rhs, lhs == rhs
+    def grid(law, exclude=(), extra=False, low=0, high=(nmax, mmax)):
+        """Check a law at every (n, m) in low..high: draw u, v (and, with
+        `extra`, one more value w), then z avoiding `exclude`; the law
+        yields the (lhs, rhs) pairs it compares there."""
+        def check(seed):
+            rng = random.Random(seed)
+            lhs, rhs, params = [], [], []
+            for n in range(low, high[0] + 1):
+                for m in range(low, high[1] + 1):
+                    sets = _spectra(rng.getrandbits(48), c, cfg.bound,
+                                    [n, m, 1] if extra else [n, m],
+                                    ["u", "v", "w"])
+                    if extra:
+                        sets[2] = sets[2][0]
+                    z = sample_nonzero(rng.getrandbits(48), 9, exclude=exclude)
+                    params.append((*sets, z))
+                    for left, right in law(*sets, z):
+                        lhs.append(left)
+                        rhs.append(right)
+            return digest(params), lhs, rhs, lhs == rhs
+        return check
+
+    def conj_is_negated_c(us, vs, z):
+        yield conj_mod_izergin(z, us, vs, c), mod_izergin(z, us, vs, -c)
 
     def empty_set_values(seed):
         rng = random.Random(seed)
@@ -230,117 +270,42 @@ def run_izergin_laws(cfg: RunConfig) -> list:
             rhs.append(conj_mod_izergin(1, us, vs, c))
         return digest(params), lhs, rhs, lhs == rhs
 
-    def shift_transfer(seed):
-        rng = random.Random(seed)
-        lhs, rhs, params = [], [], []
-        for n in range(0, nmax + 1):
-            for m in range(0, mmax + 1):
-                us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
-                                  [n, m], ["u", "v"])
-                z = sample_nonzero(rng.getrandbits(48), 9)
-                params.append((us, vs, z))
-                lhs.append(mod_izergin(z, us.shifted(-c), vs, c))
-                rhs.append(mod_izergin(z, us, vs.shifted(c), c))
-                lhs.append(conj_mod_izergin(z, us.shifted(-c), vs, c))
-                rhs.append(conj_mod_izergin(z, us, vs.shifted(c), c))
-        return digest(params), lhs, rhs, lhs == rhs
+    def shift_transfer(us, vs, z):
+        for fn in (mod_izergin, conj_mod_izergin):
+            yield fn(z, us.shifted(-c), vs, c), fn(z, us, vs.shifted(c), c)
 
-    def negation(seed):
-        rng = random.Random(seed)
-        lhs, rhs, params = [], [], []
-        for n in range(0, nmax + 1):
-            for m in range(0, mmax + 1):
-                us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
-                                  [n, m], ["u", "v"])
-                z = sample_nonzero(rng.getrandbits(48), 9)
-                params.append((us, vs, z))
-                lhs.append(mod_izergin(z, us.negated(), vs.negated(), c))
-                rhs.append(conj_mod_izergin(z, us, vs, c))
-        return digest(params), lhs, rhs, lhs == rhs
+    def negation(us, vs, z):
+        yield (mod_izergin(z, us.negated(), vs.negated(), c),
+               conj_mod_izergin(z, us, vs, c))
 
-    def pair_reduction(seed):
-        rng = random.Random(seed)
-        lhs, rhs, params = [], [], []
-        for n in range(0, nmax + 1):
-            for m in range(0, mmax + 1):
-                us, vs, wres = _spectra(rng.getrandbits(48), c, cfg.bound,
-                                        [n, m, 1], ["u", "v", "w"])
-                w = wres[0]
-                z = sample_nonzero(rng.getrandbits(48), 9)
-                params.append((us, vs, w, z))
-                lhs.append(mod_izergin(
-                    z, SpectralSet(us.values + (w - c,)),
-                    SpectralSet(vs.values + (w,)), c))
-                rhs.append(-z * mod_izergin(z, us, vs, c))
-                lhs.append(conj_mod_izergin(
-                    z, SpectralSet(us.values + (w + c,)),
-                    SpectralSet(vs.values + (w,)), c))
-                rhs.append(-z * conj_mod_izergin(z, us, vs, c))
-        return digest(params), lhs, rhs, lhs == rhs
+    def pair_reduction(us, vs, w, z):
+        for fn, shift in ((mod_izergin, -c), (conj_mod_izergin, c)):
+            yield (fn(z, SpectralSet(us.values + (w + shift,)),
+                      SpectralSet(vs.values + (w,)), c),
+                   -z * fn(z, us, vs, c))
 
-    def transposition(seed):
-        rng = random.Random(seed)
-        lhs, rhs, params = [], [], []
-        for n in range(0, nmax + 1):
-            for m in range(0, mmax + 1):
-                us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
-                                  [n, m], ["u", "v"])
-                z = sample_nonzero(rng.getrandbits(48), 9, exclude=(1,))
-                params.append((us, vs, z))
-                lhs.append(conj_mod_izergin(z, us, vs, c))
-                rhs.append(rat_pow(1 - z, m - n) * mod_izergin(z, vs, us, c))
-        return digest(params), lhs, rhs, lhs == rhs
+    def transposition(us, vs, z):
+        yield (conj_mod_izergin(z, us, vs, c),
+               rat_pow(1 - z, len(vs) - len(us)) * mod_izergin(z, vs, us, c))
 
-    def inversion(seed):
-        rng = random.Random(seed)
-        lhs, rhs, params = [], [], []
-        for n in range(0, nmax + 1):
-            for m in range(0, mmax + 1):
-                us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
-                                  [n, m], ["u", "v"])
-                z = sample_nonzero(rng.getrandbits(48), 9, exclude=(1,))
-                params.append((us, vs, z))
-                scale = rat_pow(-z, n) * rat_pow(1 - z, m - n)
-                lhs.append(mod_izergin(z, us, vs.shifted(c), c))
-                rhs.append(scale / set_product("f", vs, us, c)
-                           * mod_izergin(1 / z, vs, us, c))
-                lhs.append(conj_mod_izergin(z, us, vs.shifted(-c), c))
-                rhs.append(scale / set_product("f", us, vs, c)
-                           * conj_mod_izergin(1 / z, vs, us, c))
-        return digest(params), lhs, rhs, lhs == rhs
+    def inversion(us, vs, z):
+        scale = rat_pow(-z, len(us)) * rat_pow(1 - z, len(vs) - len(us))
+        yield (mod_izergin(z, us, vs.shifted(c), c),
+               scale / set_product("f", vs, us, c) * mod_izergin(1 / z, vs, us, c))
+        yield (conj_mod_izergin(z, us, vs.shifted(-c), c),
+               scale / set_product("f", us, vs, c)
+               * conj_mod_izergin(1 / z, vs, us, c))
 
-    def partition_expansion(seed):
-        rng = random.Random(seed)
-        lhs, rhs, params = [], [], []
-        for n in range(0, nmax + 1):
-            for m in range(0, mmax + 1):
-                us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
-                                  [n, m], ["u", "v"])
-                z = sample_nonzero(rng.getrandbits(48), 9, exclude=(1,))
-                params.append((us, vs, z))
-                for conj in (False, True):
-                    fn = conj_mod_izergin if conj else mod_izergin
-                    want = fn(z, us, vs, c)
-                    for side in ("v-partitions", "u-partitions"):
-                        lhs.append(izergin_partition_sum(
-                            z, us, vs, c, side=side, conjugated=conj))
-                        rhs.append(want)
-        return digest(params), lhs, rhs, lhs == rhs
+    def partition_expansion(us, vs, z):
+        for fn, conj in ((mod_izergin, False), (conj_mod_izergin, True)):
+            want = fn(z, us, vs, c)
+            for side in ("v-partitions", "u-partitions"):
+                yield (izergin_partition_sum(z, us, vs, c, side=side,
+                                             conjugated=conj), want)
 
-    def residue(seed):
-        rng = random.Random(seed)
-        lhs, rhs, params = [], [], []
-        for n in range(1, sz["residue_max"] + 1):
-            for m in range(1, sz["residue_max"] + 1):
-                us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
-                                  [n, m], ["u", "v"])
-                z = sample_nonzero(rng.getrandbits(48), 9)
-                params.append((us, vs, z))
-                for conj in (False, True):
-                    limit, predicted = residue_check(z, us, vs, c, conjugated=conj)
-                    lhs.append(limit)
-                    rhs.append(predicted)
-        return digest(params), lhs, rhs, lhs == rhs
+    def residue(us, vs, z):
+        for conj in (False, True):
+            yield residue_check(z, us, vs, c, conjugated=conj)
 
     def convolution(seed):
         rng = random.Random(seed)
@@ -414,17 +379,18 @@ def run_izergin_laws(cfg: RunConfig) -> list:
         return _binomial_check(seed, c, cfg.bound, max(nmax, mmax) + 3)
 
     named = [
-        ("izergin/conjugate-is-negated-c", conj_is_negated_c),
+        ("izergin/conjugate-is-negated-c", grid(conj_is_negated_c)),
         ("izergin/empty-set-values", empty_set_values),
         ("izergin/single-row-closed-forms", single_row_forms),
         ("izergin/unit-deformation-vanishing", unit_vanishing),
         ("izergin/ordinary-limit", ordinary_limit),
-        ("izergin/shift-transfer", shift_transfer),
-        ("izergin/negation-conjugation", negation),
-        ("izergin/paired-argument-reduction", pair_reduction),
-        ("izergin/transposition", transposition),
-        ("izergin/inversion", inversion),
-        ("izergin/partition-sum-expansion", partition_expansion),
+        ("izergin/shift-transfer", grid(shift_transfer)),
+        ("izergin/negation-conjugation", grid(negation)),
+        ("izergin/paired-argument-reduction", grid(pair_reduction, extra=True)),
+        ("izergin/transposition", grid(transposition, exclude=(1,))),
+        ("izergin/inversion", grid(inversion, exclude=(1,))),
+        ("izergin/partition-sum-expansion",
+         grid(partition_expansion, exclude=(1,))),
         ("izergin/product-convolution", convolution),
         ("izergin/shifted-unit-convolution", shifted_unit_convolution),
         ("izergin/deformation-difference-sum", deformation_sum),
@@ -433,9 +399,11 @@ def run_izergin_laws(cfg: RunConfig) -> list:
     for ident, fn in named:
         for trial in range(samples):
             rec.run(ident, trial, {"max_n": nmax, "max_m": mmax}, fn)
+    rmax = sz["residue_max"]
     for trial in range(sz["residue_samples"]):
         rec.run("izergin/residue-at-collision", trial,
-                {"max_n": sz["residue_max"], "max_m": sz["residue_max"]}, residue)
+                {"max_n": rmax, "max_m": rmax},
+                grid(residue, low=1, high=(rmax, rmax)))
     return rec.records
 
 
@@ -470,10 +438,6 @@ def _binomial_check(seed, c, bound, max_size):
 # ---------------------------------------------------------------------------
 # Suite: yangian-structure
 # ---------------------------------------------------------------------------
-
-def _t_blocks(spec: ChainSpec, x):
-    return build_monodromy(spec, x)
-
 
 def _nu_blocks(spec: ChainSpec, params: ModelParams, x):
     return [[modified_entry(spec, params, i, j, x) for j in (1, 2)]
@@ -548,7 +512,7 @@ def run_yangian_structure(cfg: RunConfig) -> list:
                            extra_context=with_shifts(c, spec.theta))
             u, v = uv.values
             if family == "t":
-                mu_, mv_ = _t_blocks(spec, u), _t_blocks(spec, v)
+                mu_, mv_ = build_monodromy(spec, u), build_monodromy(spec, v)
             else:
                 mu_, mv_ = (_nu_blocks(spec, params, u),
                             _nu_blocks(spec, params, v))
@@ -576,7 +540,7 @@ def run_yangian_structure(cfg: RunConfig) -> list:
                            extra_context=with_shifts(c, spec.theta))
             u, v = uv.values
             if family == "t":
-                A, B = _t_blocks(spec, u), _t_blocks(spec, v)
+                A, B = build_monodromy(spec, u), build_monodromy(spec, v)
             else:
                 A, B = (_nu_blocks(spec, params, u),
                         _nu_blocks(spec, params, v))
@@ -699,25 +663,18 @@ def _action_vs_oracle(seed, cfg, kind: str, sites: int, n: int, m: int):
     formula_state = result.materialize(spec, params)
     family = "t12" if kind.startswith("t") else "nu12"
     direct = apply_entry_product(spec, params, family, vs, vacuum_state(spec))
-    direct = apply_entry_product(spec, params, kind, us, direct)
-    ok = formula_state == direct
-    return digest(spec.theta, us, vs), formula_state, direct, ok
+    return formula_state, apply_entry_product(spec, params, kind, us, direct)
 
 
 def _action_check(cfg, sz, kind: str, trial: int):
     """One trial of an action suite: every (n, m) up to the maxima vs the oracle."""
     def fn(seed):
         sites = _cycle_sites(sz["sites"], trial)
-        lhs, rhs, ok = [], [], True
         rng = random.Random(seed)
-        for n in range(0, sz["max_n"] + 1):
-            for m in range(0, sz["max_m"] + 1):
-                d, l, r, good = _action_vs_oracle(
-                    rng.getrandbits(48), cfg, kind, sites, n, m)
-                lhs.append(l)
-                rhs.append(r)
-                ok = ok and good
-        return digest(seed, sites), lhs, rhs, ok
+        lhs, rhs = zip(*(
+            _action_vs_oracle(rng.getrandbits(48), cfg, kind, sites, n, m)
+            for n in range(0, sz["max_n"] + 1) for m in range(0, sz["max_m"] + 1)))
+        return digest(seed, sites), lhs, rhs, lhs == rhs
     return fn
 
 
@@ -745,7 +702,7 @@ def run_aba_actions(cfg: RunConfig) -> list:
 
     def plain_scalar(seed):
         rng = random.Random(seed)
-        lhs, rhs, ok = [], [], True
+        lhs, rhs = [], []
         for n in range(0, sz["scalar_max"] + 1):
             sites = _cycle_sites(sz["sites"], n)
             spec = _chain(rng.getrandbits(48), c, cfg.bound, sites)
@@ -754,26 +711,21 @@ def run_aba_actions(cfg: RunConfig) -> list:
                               [n, n], ["u", "v"],
                               extra_context=with_shifts(c, spec.theta))
             want = direct_scalar(spec, None, "t21", us, "t12", vs)
-            got_e = eval_scalar("SCe", us, vs, oracle, None, c)
-            got_b = eval_scalar("SCbe", us, vs, oracle, None, c)
-            lhs += [got_e, got_b]
+            lhs += [eval_scalar("SCe", us, vs, oracle, None, c),
+                    eval_scalar("SCbe", us, vs, oracle, None, c)]
             rhs += [want, want]
-            ok = ok and got_e == want and got_b == want
-        return digest(seed), lhs, rhs, ok
+        return digest(seed), lhs, rhs, lhs == rhs
 
     def scalar_forms_random_weights(seed):
         rng = random.Random(seed)
         oracle = WeightOracle.random_seeded(rng.getrandbits(32))
-        lhs, rhs, ok = [], [], True
+        lhs, rhs = [], []
         for n in range(0, sz["scalar_max"] + 1):
             us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
                               [n, n], ["u", "v"])
-            a = eval_scalar("SCe", us, vs, oracle, None, c)
-            b = eval_scalar("SCbe", us, vs, oracle, None, c)
-            lhs.append(a)
-            rhs.append(b)
-            ok = ok and a == b
-        return digest(seed), lhs, rhs, ok
+            lhs.append(eval_scalar("SCe", us, vs, oracle, None, c))
+            rhs.append(eval_scalar("SCbe", us, vs, oracle, None, c))
+        return digest(seed), lhs, rhs, lhs == rhs
 
     for kind, ident in (("t11", "actions/diagonal-action-one"),
                         ("t22", "actions/diagonal-action-two"),
@@ -838,14 +790,10 @@ def run_maba_actions(cfg: RunConfig) -> list:
 
     def creation_reduction(seed):
         rng = random.Random(seed)
-        lhs, rhs, ok = [], [], True
-        for sites, n, m in ((2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2)):
-            d, l, r, good = _action_vs_oracle(rng.getrandbits(48), cfg,
-                                              "nu12", sites, n, m)
-            lhs.append(l)
-            rhs.append(r)
-            ok = ok and good
-        return digest(seed), lhs, rhs, ok
+        lhs, rhs = zip(*(
+            _action_vs_oracle(rng.getrandbits(48), cfg, "nu12", sites, n, m)
+            for sites, n, m in ((2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2))))
+        return digest(seed), lhs, rhs, lhs == rhs
 
     for trial in range(sz["draws"]):
         rec.run("actions/single-twisted-actions", trial,
@@ -877,7 +825,7 @@ def run_scalar_products(cfg: RunConfig) -> list:
         def twisted(seed):
             rng = random.Random(seed)
             sites = _cycle_sites(sz["sites"], trial)
-            lhs, rhs, ok = [], [], True
+            lhs, rhs = [], []
             for total in range(0, sz["total_max"] + 1):
                 for n in range(0, total + 1):
                     m = total - n
@@ -888,37 +836,31 @@ def run_scalar_products(cfg: RunConfig) -> list:
                     us, vs = _spectra(sub ^ 0xACE, c, cfg.bound, [n, m],
                                       ["u", "v"],
                                       extra_context=with_shifts(c, spec.theta))
-                    formula = eval_scalar("SPfin", us, vs, oracle, params, c,
-                                          jobs=cfg.jobs)
-                    want = direct_scalar(spec, params, "nu21", us, "nu12", vs)
-                    lhs.append(formula)
-                    rhs.append(want)
-                    ok = ok and formula == want
-            return digest(seed, sites), lhs, rhs, ok
+                    lhs.append(eval_scalar("SPfin", us, vs, oracle, params, c,
+                                           jobs=cfg.jobs))
+                    rhs.append(direct_scalar(spec, params, "nu21", us, "nu12", vs))
+            return digest(seed, sites), lhs, rhs, lhs == rhs
         return twisted
 
     def independent_form(seed):
         rng = random.Random(seed)
         oracle = WeightOracle.random_seeded(rng.getrandbits(32))
         params = sample_twist(rng.getrandbits(48), c)
-        lhs, rhs, ok = [], [], True
+        lhs, rhs = [], []
         for total in range(0, sz["total_max"] + 1):
             for n in range(0, total + 1):
                 m = total - n
                 us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
                                   [n, m], ["u", "v"])
-                a = eval_scalar("SPfin", us, vs, oracle, params, c)
-                b = eval_scalar("SPfinIK", us, vs, oracle, params, c)
-                lhs.append(a)
-                rhs.append(b)
-                ok = ok and a == b
-        return digest(seed), lhs, rhs, ok
+                lhs.append(eval_scalar("SPfin", us, vs, oracle, params, c))
+                rhs.append(eval_scalar("SPfinIK", us, vs, oracle, params, c))
+        return digest(seed), lhs, rhs, lhs == rhs
 
     def make_vacuum_average(trial):
         def vacuum_average(seed):
             rng = random.Random(seed)
             sites = _cycle_sites(sz["sites"], trial)
-            lhs, rhs, ok = [], [], True
+            lhs, rhs = [], []
             for p in range(0, sz["avg_max"] + 1):
                 sub = rng.getrandbits(48)
                 spec = _chain(sub, c, cfg.bound, sites)
@@ -926,31 +868,25 @@ def run_scalar_products(cfg: RunConfig) -> list:
                 oracle = WeightOracle.fundamental(spec)
                 ws, = _spectra(sub ^ 0xACE, c, cfg.bound, [p], ["w"],
                                extra_context=with_shifts(c, spec.theta))
-                formula = eval_vacuum_average(ws, oracle, params, c)
-                want = direct_scalar(spec, params, "nu12", ws, "nu12",
-                                     SpectralSet((), "v"))
-                lhs.append(formula)
-                rhs.append(want)
-                ok = ok and formula == want
-            return digest(seed, sites), lhs, rhs, ok
+                lhs.append(eval_vacuum_average(ws, oracle, params, c))
+                rhs.append(direct_scalar(spec, params, "nu12", ws, "nu12",
+                                         SpectralSet((), "v")))
+            return digest(seed, sites), lhs, rhs, lhs == rhs
         return vacuum_average
 
     def unit_twist_reduction(seed):
         rng = random.Random(seed)
         oracle = WeightOracle.random_seeded(rng.getrandbits(32))
-        lhs, rhs, ok = [], [], True
+        lhs, rhs = [], []
         for n in range(0, sz["red_max"] + 1):
             us, vs = _spectra(rng.getrandbits(48), c, cfg.bound,
                               [n, n], ["u", "v"])
             beta1 = sample_nonzero(rng.getrandbits(48), 9)
             beta2 = sample_nonzero(rng.getrandbits(48) ^ 1, 9)
             twist = TwistData(beta1, beta2, Rat(1))
-            a = eval_scalar("SPfin", us, vs, oracle, twist, c)
-            b = eval_scalar("SCe", us, vs, oracle, None, c)
-            lhs.append(a)
-            rhs.append(b)
-            ok = ok and a == b
-        return digest(seed), lhs, rhs, ok
+            lhs.append(eval_scalar("SPfin", us, vs, oracle, twist, c))
+            rhs.append(eval_scalar("SCe", us, vs, oracle, None, c))
+        return digest(seed), lhs, rhs, lhs == rhs
 
     for trial in range(sz["draws"]):
         rec.run("scalar/twisted-scalar-product", trial,
@@ -1031,34 +967,28 @@ def run_proof_steps(cfg: RunConfig) -> list:
     sz = cfg.suite_sizes("proof-steps")
     c = cfg.c
 
-    def extraction(seed):
-        rng = random.Random(seed)
-        lhs = []
-        for p in range(1, sz["max_size"] + 1):
-            ws, = _spectra(rng.getrandbits(48), c, cfg.bound, [p], ["w"])
-            pivot = ws[rng.randrange(p)]
-            lhs.append(single_extraction_sum(pivot, ws, c))
-        rhs = [Rat(1)] * len(lhs)
-        return digest(seed), lhs, rhs, lhs == rhs
-
-    def pole_extraction(seed):
-        rng = random.Random(seed)
-        lhs = []
-        for p in range(1, sz["max_size"] + 1):
-            ws, = _spectra(rng.getrandbits(48), c, cfg.bound, [p], ["w"])
-            pivot = ws[rng.randrange(p)]
-            lhs.append(pole_extraction_sum(ws, pivot, c))
-        rhs = [Rat(1)] * len(lhs)
-        return digest(seed), lhs, rhs, lhs == rhs
+    def extraction(total):
+        """Each extraction sum over a drawn set and a random pivot in it is 1."""
+        def check(seed):
+            rng = random.Random(seed)
+            lhs = []
+            for p in range(1, sz["max_size"] + 1):
+                ws, = _spectra(rng.getrandbits(48), c, cfg.bound, [p], ["w"])
+                lhs.append(total(ws, ws[rng.randrange(p)]))
+            rhs = [Rat(1)] * len(lhs)
+            return digest(seed), lhs, rhs, lhs == rhs
+        return check
 
     def binomial(seed):
         return _binomial_check(seed, c, cfg.bound, sz["max_size"])
 
     for trial in range(sz["samples"]):
         rec.run("proof/single-extraction-sum", trial,
-                {"max_size": sz["max_size"]}, extraction)
+                {"max_size": sz["max_size"]},
+                extraction(lambda ws, x: single_extraction_sum(x, ws, c)))
         rec.run("proof/pole-extraction-sum", trial,
-                {"max_size": sz["max_size"]}, pole_extraction)
+                {"max_size": sz["max_size"]},
+                extraction(lambda ws, x: pole_extraction_sum(ws, x, c)))
         rec.run("proof/binomial-partition-sums", trial,
                 {"max_size": sz["max_size"]}, binomial)
     return rec.records

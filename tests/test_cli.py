@@ -116,6 +116,33 @@ class TestVerify:
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--c", "abc"],
+        ["--c", "1/0"],
+    ])
+    def test_malformed_flag_is_config_error(self, argv, capsys):
+        assert main(["verify", "--suite", "proof-steps", *argv]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [
+        {"seed": "abc"},
+        {"seed": 2.7},
+        {"bound": True},
+        {"c": "2/x"},
+        {"report_path": 7},
+        {"sizes": {"proof-steps": {"samples": "x"}}},
+        {"sizes": {"proof-steps": [1]}},
+        {"sizes": [1]},
+        {"suites": "proof-steps"},
+    ])
+    def test_malformed_config_is_config_error(self, values, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"suites": ["proof-steps"], **values})
+        assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "unknown suites" not in captured.err  # not read letter by letter
+        assert "passed" not in captured.out
+
     def test_tampered_kernel_fails_with_named_identity(self, tmp_path,
                                                        monkeypatch, capsys):
         true_f = mbethe.izergin.kernel_f
@@ -157,6 +184,19 @@ class TestScalar:
     def test_unequal_cardinalities_for_plain_form(self):
         assert main(["scalar", "--n", "1", "--m", "2", "--sites", "2",
                      "--form", "SCe"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--c", "abc"],
+        ["--c", "1/0"],
+        ["--rho1", "x"],
+        ["--km", "3/0"],
+    ])
+    def test_malformed_number_is_config_error(self, argv, capsys):
+        assert main(["scalar", "--n", "1", "--m", "1", "--sites", "1",
+                     *argv]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "verdict" not in captured.out
 
     def test_singular_prefactor_is_domain_error(self, capsys):
         rc = main(["scalar", "--n", "1", "--m", "2", "--sites", "2",

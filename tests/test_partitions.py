@@ -12,7 +12,7 @@ from mbethe.errors import ConstraintError, MbetheError, PoleError
 from mbethe.partitions import (MIN_POOL_SPLITS, CoefficientMap, GroundSet,
                                bits_of, count_splits, enumerate_splits,
                                mask_values, pole_extraction_sum,
-                               single_extraction_sum, split_elements, split_sum)
+                               single_extraction_sum, split_sum)
 from mbethe.scalars import Rat, SpectralSet, sample_generic, set_product
 
 
@@ -155,15 +155,17 @@ def test_errors_survive_pickling(kind):
 class TestSplitElements:
     def test_empty_part(self):
         s = SpectralSet([1, 2], "u")
-        out = split_elements((0, 3), 0, s)
-        assert len(out) == 0
+        assert mask_values(s.values, 0) == ()
 
     def test_multi_source_resolution(self):
+        # A ground set from (u, v) indexes u's values, then v's.
         u = SpectralSet([10, 11], "u")
         v = SpectralSet([20, 21], "v")
         ground = GroundSet.from_sets(u, v)
-        got = split_elements((0b0001, 0b1110), 1, (u, v), ground)
-        assert got.values == (Rat(11), Rat(20), Rat(21))
+        split = (0b0001, 0b1110)
+        assert ground.tags(split[1]) == ["u[1]", "v[0]", "v[1]"]
+        got = mask_values(u.union(v).values, split[1])
+        assert got == (Rat(11), Rat(20), Rat(21))
 
     def test_round_trip(self):
         u = SpectralSet([3, 5, 8], "u")
@@ -171,8 +173,8 @@ class TestSplitElements:
         seen = 0
         for split in enumerate_splits(ground, 2):
             merged = []
-            for part in range(2):
-                merged.extend(split_elements(split, part, u).values)
+            for mask in split:
+                merged.extend(mask_values(u.values, mask))
             assert sorted(merged) == sorted(u.values)
             seen += 1
         assert seen == 8

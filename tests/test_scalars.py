@@ -116,20 +116,6 @@ class TestSetProduct:
             set_product("f", (1, 5), (5, 7), 1)
         assert (err.value.left, err.value.right) == (Rat(5), Rat(5))
 
-    def test_weight_product_kinds(self):
-        class Weights:
-            def lambda1(self, u):
-                return Rat(u) + 1
-
-            def lambda2(self, u):
-                return 2 * Rat(u)
-
-        w = Weights()
-        assert set_product("lambda1", (1, 2, 3), None, w) == 2 * 3 * 4
-        assert set_product("lambda2", (), None, w) == 1
-        with pytest.raises(DomainError):
-            set_product("lambda1", (1,), (2,), w)
-
 
 class TestModelParams:
     def test_derived_values(self):
@@ -184,15 +170,6 @@ class TestSampling:
     def test_bad_bound(self):
         with pytest.raises(DomainError):
             sample_generic(1, bound=0)
-
-    def test_checked_generic_constructor(self):
-        ctx = SpectralSet([Rat(1, 2)])
-        s = SpectralSet.generic([Rat(5), Rat(7)], c=1, context=(ctx,))
-        assert s.values == (Rat(5), Rat(7))
-        with pytest.raises(DomainError):
-            SpectralSet.generic([Rat(3, 2)], c=1, context=(ctx,))  # differs by c
-        with pytest.raises(DomainError):
-            SpectralSet.generic([2, 2], c=1)  # repeated value
 
 
 # ---------------------------------------------------------------------------
