@@ -9,8 +9,12 @@ is reproducible bit for bit.
 
 Dense operators are built only where an operator-level identity is checked
 (small N). State-level work goes through an auxiliary-space sweep that applies
-a monodromy entry to a vector in O(N * 2^N) scalar operations, which is what
-makes vector and scalar-product comparisons cheap at N = 5, 6.
+a monodromy entry to a vector in O(N * 2^N) integer operations, which is what
+makes vector and scalar-product comparisons cheap at N = 5, 6. The sweep
+clears the state to integers over one denominator, updates each pair of basis
+states that differ at one site in place, and builds one rational per entry at
+the end. A twisted entry nu_ij is one sweep started from the auxiliary vector
+B0 e_j and read out along the row mu * e_i^T A0.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .linalg import zeros
-from .scalars import ModelParams, Rat, SpectralSet, kernel_h
+from .linalg import clear_denominators, zeros
+from .scalars import ZERO, ModelParams, Rat, SpectralSet, kernel_h
 
 MAX_SITES = 10
 
@@ -54,6 +58,8 @@ def vacuum_state(spec: ChainSpec) -> list:
 
 def r_matrix(u, c):
     """4x4 R-matrix (u/c) * identity + permutation on C^2 (x) C^2."""
+    if Rat(c) == 0:
+        raise DomainError(f"r_matrix needs a nonzero c, got c = {c}")
     x = Rat(u) / Rat(c)
     r = [[Rat(0)] * 4 for _ in range(4)]
     perm = {0: 0, 1: 2, 2: 1, 3: 3}
@@ -94,80 +100,117 @@ def embed_two(mat4, dims, a, b):
 # Monodromy entries via the auxiliary-space sweep
 # ---------------------------------------------------------------------------
 
-def _e_apply(vec, site: int, p: int, q: int, dim: int) -> list:
-    """Apply the local unit matrix E_pq (1 = up, 2 = down) at a site."""
-    out = [Rat(0)] * dim
-    bit = 1 << site
-    want = (q - 1) * bit
-    put = (p - 1) * bit
-    for b in range(dim):
-        if b & bit == want and vec[b] != 0:
-            out[(b & ~bit) | put] = vec[b]
-    return out
+UNIT_ROWS = ((1, 0), (0, 1))
+_KINDS = tuple(f"{family}{i}{j}" for family in ("t", "nu")
+              for i in (1, 2) for j in (1, 2))
 
 
-def monodromy_columns(spec: ChainSpec, u, psi, aux_col: int) -> tuple[list, list]:
-    """(T_1j psi, T_2j psi) for the auxiliary column j in {1, 2}.
+def _entry(kind: str) -> tuple[str, int, int]:
+    """(family, i, j) of a monodromy entry name such as 't12' or 'nu21'."""
+    if kind not in _KINDS:
+        raise DomainError(f"unknown monodromy entry {kind!r}; "
+                          f"expected one of {', '.join(_KINDS)}")
+    return kind[:-2], int(kind[-2]), int(kind[-1])
 
-    The site factor at spectral offset x contributes (x/c) * id + permutation,
-    which in auxiliary components reads W'_1 = (x/c) W_1 + E11 W_1 + E21 W_2
-    and W'_2 = (x/c) W_2 + E12 W_1 + E22 W_2.
+
+def _check_state(spec: ChainSpec, kind: str, psi) -> None:
+    if len(psi) != spec.dim:
+        raise DomainError(f"{kind} got a state of length {len(psi)}, expected "
+                          f"{spec.dim} for a {spec.sites}-site chain")
+
+
+def monodromy_columns(spec: ChainSpec, u, psi, aux, rows) -> list:
+    """Auxiliary components of T(u) applied to aux (x) psi, one per row.
+
+    The sweep starts from the auxiliary vector aux = (a1, a2), so it yields
+    W_i = sum_j T_ij(u) a_j psi, and each row (r1, r2) gives the chain vector
+    r1 W1 + r2 W2. With aux the j-th unit vector and rows UNIT_ROWS this is
+    (T_1j psi, T_2j psi).
+
+    The site factor at spectral offset x = (u - theta)/c = p/q contributes
+    x * id + permutation, which in auxiliary components reads
+    W1' = x W1 + E11 W1 + E21 W2 and W2' = x W2 + E12 W1 + E22 W2. W1 and W2
+    are kept as integers over one denominator D, multiplied through by q at
+    each site: W1' = p W1 + q (E11 W1 + E21 W2), the same for W2, and
+    D' = q D. One rational is built per returned entry, at the end.
     """
     dim = spec.dim
-    w1 = list(psi) if aux_col == 1 else [Rat(0)] * dim
-    w2 = list(psi) if aux_col == 2 else [Rat(0)] * dim
+    (start, (a1, a2)), (den, aux_den) = clear_denominators([psi, aux])
+    w1 = [a1 * x for x in start]
+    w2 = [a2 * x for x in start]
+    den *= aux_den
     u = Rat(u)
     for site in range(spec.sites):
         ratio = (u - spec.theta[site]) / spec.c
-        e11w1 = _e_apply(w1, site, 1, 1, dim)
-        e21w2 = _e_apply(w2, site, 2, 1, dim)
-        e12w1 = _e_apply(w1, site, 1, 2, dim)
-        e22w2 = _e_apply(w2, site, 2, 2, dim)
-        w1, w2 = ([ratio * a + b + cc for a, b, cc in zip(w1, e11w1, e21w2)],
-                  [ratio * a + b + cc for a, b, cc in zip(w2, e12w1, e22w2)])
-    return w1, w2
+        p, q = int(ratio.numerator), int(ratio.denominator)
+        pq = p + q
+        bit = 1 << site
+        # lo has this site's spin up and hi = lo | bit has it down: E11 and
+        # E22 keep the spin, E21 lowers it and E12 raises it
+        for base in range(0, dim, bit << 1):
+            for lo in range(base, base + bit):
+                hi = lo | bit
+                x1, x2, y1, y2 = w1[lo], w2[lo], w1[hi], w2[hi]
+                w1[lo] = pq * x1
+                w1[hi] = p * y1 + q * x2
+                w2[lo] = p * x2 + q * y1
+                w2[hi] = pq * y2
+        den *= q
+    out = []
+    for (r1, r2), row_den in zip(*clear_denominators(rows)):
+        total = den * row_den
+        sums = [r1 * x + r2 * y for x, y in zip(w1, w2)]
+        out.append([Rat(s, total) if s else ZERO for s in sums])
+    return out
+
+
+def _twisted_frame(params: ModelParams) -> tuple:
+    """(columns of B0, rows of mu * A0): the auxiliary vectors and rows of
+    the twisted entries."""
+    pair = twist_pair(params)
+    return (tuple(zip(*pair.b0)),
+            tuple(tuple(pair.mu * a for a in row) for row in pair.a0))
 
 
 def apply_t(spec: ChainSpec, i: int, j: int, u, psi) -> list:
     """t_ij(u) applied to a state, matrix-free."""
-    return monodromy_columns(spec, u, psi, j)[i - 1]
+    kind = f"t{i}{j}"
+    _entry(kind)
+    _check_state(spec, kind, psi)
+    return monodromy_columns(spec, u, psi, UNIT_ROWS[j - 1],
+                             (UNIT_ROWS[i - 1],))[0]
 
 
 def apply_nu(spec: ChainSpec, params: ModelParams, i: int, j: int, u, psi) -> list:
-    """Twisted entry nu_ij(u) = mu * (A0 T(u) B0)_ij applied to a state."""
-    pair = twist_pair(params)
-    a0, b0, mu = pair.a0, pair.b0, pair.mu
-    cols = {}
-    for col in (1, 2):
-        if b0[col - 1][j - 1] != 0:
-            t1, t2 = monodromy_columns(spec, u, psi, col)
-            cols[col] = (t1, t2)
-    out = [Rat(0)] * spec.dim
-    for bcol, (t1, t2) in cols.items():
-        wb = b0[bcol - 1][j - 1]
-        for arow, tvec in ((1, t1), (2, t2)):
-            weight = mu * a0[i - 1][arow - 1] * wb
-            if weight == 0:
-                continue
-            for idx, val in enumerate(tvec):
-                if val != 0:
-                    out[idx] += weight * val
-    return out
+    """Twisted entry nu_ij(u) = mu * (A0 T(u) B0)_ij applied to a state.
+
+    T(u) is linear in the auxiliary vector, so one sweep from B0 e_j, read
+    out along the row mu * e_i^T A0, gives the entry.
+    """
+    kind = f"nu{i}{j}"
+    _entry(kind)
+    _check_state(spec, kind, psi)
+    aux, rows = _twisted_frame(params)
+    return monodromy_columns(spec, u, psi, aux[j - 1], (rows[i - 1],))[0]
 
 
-def build_monodromy(spec: ChainSpec, u):
-    """Dense 2x2 block decomposition [[t11, t12], [t21, t22]] of T(u)."""
+def build_monodromy(spec: ChainSpec, u, params: ModelParams | None = None):
+    """Dense 2x2 block decomposition [[t11, t12], [t21, t22]] of T(u); with
+    twist params, of mu * A0 T(u) B0, that is [[nu11, nu12], [nu21, nu22]]."""
+    aux, rows = UNIT_ROWS, UNIT_ROWS
+    if params is not None:
+        aux, rows = _twisted_frame(params)
     dim = spec.dim
     blocks = [[zeros(dim) for _ in range(2)] for _ in range(2)]
     for b in range(dim):
-        basis = [Rat(0)] * dim
-        basis[b] = Rat(1)
-        for j in (1, 2):
-            rows = monodromy_columns(spec, u, basis, j)
-            for i in (1, 2):
-                col = rows[i - 1]
+        basis = [0] * dim
+        basis[b] = 1
+        for j in (0, 1):
+            for i, col in enumerate(monodromy_columns(spec, u, basis, aux[j],
+                                                      rows)):
+                block = blocks[i][j]
                 for r in range(dim):
-                    blocks[i - 1][j - 1][r][b] = col[r]
+                    block[r][b] = col[r]
     return blocks
 
 
@@ -219,50 +262,26 @@ def twist_pair(params: ModelParams) -> TwistPair:
 
 def modified_entry(spec: ChainSpec, params: ModelParams, i: int, j: int, u):
     """Dense nu_ij(u) = mu * (A0 T(u) B0)_ij."""
-    pair = twist_pair(params)
-    t = build_monodromy(spec, u)
-    dim = spec.dim
-    out = zeros(dim)
-    for a in range(2):
-        for b in range(2):
-            weight = pair.mu * pair.a0[i - 1][a] * pair.b0[b][j - 1]
-            if weight == 0:
-                continue
-            block = t[a][b]
-            for r in range(dim):
-                row = block[r]
-                orow = out[r]
-                for cidx in range(dim):
-                    if row[cidx] != 0:
-                        orow[cidx] += weight * row[cidx]
-    return out
+    return build_monodromy(spec, u, params)[i - 1][j - 1]
 
 
 # ---------------------------------------------------------------------------
 # States and scalar products
 # ---------------------------------------------------------------------------
 
-_APPLIERS = {
-    "t11": lambda spec, params, u, psi: apply_t(spec, 1, 1, u, psi),
-    "t12": lambda spec, params, u, psi: apply_t(spec, 1, 2, u, psi),
-    "t21": lambda spec, params, u, psi: apply_t(spec, 2, 1, u, psi),
-    "t22": lambda spec, params, u, psi: apply_t(spec, 2, 2, u, psi),
-    "nu11": lambda spec, params, u, psi: apply_nu(spec, params, 1, 1, u, psi),
-    "nu12": lambda spec, params, u, psi: apply_nu(spec, params, 1, 2, u, psi),
-    "nu21": lambda spec, params, u, psi: apply_nu(spec, params, 2, 1, u, psi),
-    "nu22": lambda spec, params, u, psi: apply_nu(spec, params, 2, 2, u, psi),
-}
-
-
 def apply_entry_product(spec: ChainSpec, params: ModelParams | None, kind: str,
                         args: SpectralSet, psi) -> list:
     """Apply the product of one monodromy entry over a parameter set."""
-    if kind.startswith("nu") and params is None:
+    family, i, j = _entry(kind)
+    if family == "nu" and params is None:
         raise DomainError(f"{kind} requires twist parameters")
-    fn = _APPLIERS[kind]
+    _check_state(spec, kind, psi)
     out = psi
     for w in reversed(args.values):
-        out = fn(spec, params, w, out)
+        if family == "nu":
+            out = apply_nu(spec, params, i, j, w, out)
+        else:
+            out = apply_t(spec, i, j, w, out)
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .scalars import Rat
+from .scalars import ZERO, Rat
 
 try:
     from gmpy2 import mpz
@@ -85,17 +85,29 @@ def det_int(rows):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    """Exact product a b: Gustavson's row-wise product on integers.
+
+    Each row of a is cleared to integers over the lcm of its denominators,
+    and each column of b over its own. The nonzero entries of a row of a
+    then meet only the nonzero entries of the matching rows of b, so a zero
+    in either factor costs nothing, and one rational is built per nonzero
+    entry of the product. A right factor with no rows has no column count,
+    so its product has no columns.
+    """
+    cols = len(b[0]) if b else 0
+    bcols, col_dens = clear_denominators(list(zip(*b)))
+    nonzero = [[(j, col[k]) for j, col in enumerate(bcols) if col[k]]
+               for k in range(len(b))]
+    arows, row_dens = clear_denominators(a)
     out = []
-    for i in range(rows):
-        arow = a[i]
-        orow = []
-        for j in range(cols):
-            acc = Rat(0)
-            for k in range(inner):
-                acc += arow[k] * b[k][j]
-            orow.append(acc)
-        out.append(orow)
+    for arow, row_den in zip(arows, row_dens):
+        acc = [0] * cols
+        for x, brow in zip(arow, nonzero, strict=True):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append([Rat(s, row_den * d) if s else ZERO
+                    for s, d in zip(acc, col_dens)])
     return out
 
 

@@ -17,7 +17,7 @@ from .actions import (ActionRequest, WeightOracle, eval_action, eval_request,
                       eval_scalar, eval_vacuum_average, phi_transform)
 from .chain import (ChainSpec, apply_entry_product, apply_nu,
                     build_monodromy, direct_scalar, embed_two,
-                    gl2_random_matrix, modified_entry, r_matrix,
+                    gl2_random_matrix, r_matrix,
                     vacuum_state, vacuum_weights)
 from .errors import ConfigError
 from .izergin import (DetTables, conj_mod_izergin, izergin_convolution,
@@ -27,7 +27,7 @@ from .linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_scale, mat_sub
 from .partitions import (enumerate_splits, mask_values, pole_extraction_sum,
                          single_extraction_sum, split_sum)
 from .report import Recorder, digest
-from .scalars import (ModelParams, Rat, SpectralSet, TwistData, kernel_f,
+from .scalars import (Rat, SpectralSet, TwistData, kernel_f,
                       kernel_g, rat, rat_str, sample_generic,
                       sample_nonzero, sample_twist, set_product, with_shifts)
 
@@ -439,11 +439,6 @@ def _binomial_check(seed, c, bound, max_size):
 # Suite: yangian-structure
 # ---------------------------------------------------------------------------
 
-def _nu_blocks(spec: ChainSpec, params: ModelParams, x):
-    return [[modified_entry(spec, params, i, j, x) for j in (1, 2)]
-            for i in (1, 2)]
-
-
 def run_yangian_structure(cfg: RunConfig) -> list:
     rec = Recorder("yangian-structure", cfg.seed)
     sz = cfg.suite_sizes("yangian-structure")
@@ -511,11 +506,9 @@ def run_yangian_structure(cfg: RunConfig) -> list:
             uv, = _spectra(rng.getrandbits(48) ^ 1, c, cfg.bound, [2], ["uv"],
                            extra_context=with_shifts(c, spec.theta))
             u, v = uv.values
-            if family == "t":
-                mu_, mv_ = build_monodromy(spec, u), build_monodromy(spec, v)
-            else:
-                mu_, mv_ = (_nu_blocks(spec, params, u),
-                            _nu_blocks(spec, params, v))
+            twist = params if family == "nu" else None
+            mu_ = build_monodromy(spec, u, twist)
+            mv_ = build_monodromy(spec, v, twist)
             g = kernel_g(u, v, c)
             for i in range(2):
                 for j in range(2):
@@ -539,11 +532,8 @@ def run_yangian_structure(cfg: RunConfig) -> list:
             uv, = _spectra(rng.getrandbits(48) ^ 1, c, cfg.bound, [2], ["uv"],
                            extra_context=with_shifts(c, spec.theta))
             u, v = uv.values
-            if family == "t":
-                A, B = build_monodromy(spec, u), build_monodromy(spec, v)
-            else:
-                A, B = (_nu_blocks(spec, params, u),
-                        _nu_blocks(spec, params, v))
+            twist = params if family == "nu" else None
+            A, B = build_monodromy(spec, u, twist), build_monodromy(spec, v, twist)
             fvu = kernel_f(v, u, c)
             fuv = kernel_f(u, v, c)
             guv = kernel_g(u, v, c)
@@ -576,11 +566,13 @@ def run_yangian_structure(cfg: RunConfig) -> list:
             spec = _chain(rng.getrandbits(48), c, cfg.bound, sz["sites"])
             params = sample_twist(rng.getrandbits(48), c)
             dim = spec.dim
+            twist = params if family == "nu" else None
+            blocks = {}   # one dense monodromy per spectral point
 
             def entry(i, j, x):
-                if family == "t":
-                    return build_monodromy(spec, x)[i - 1][j - 1]
-                return modified_entry(spec, params, i, j, x)
+                if x not in blocks:
+                    blocks[x] = build_monodromy(spec, x, twist)
+                return blocks[x][i - 1][j - 1]
 
             def prodop(i, j, vals):
                 out = identity(dim)

@@ -1,6 +1,8 @@
 """Multiple-action and scalar-product evaluators against the chain oracle."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mbethe.actions import (ActionRequest, WeightOracle, eval_action,
                             eval_request, eval_scalar, eval_vacuum_average,
@@ -249,6 +251,37 @@ if __name__ == "__main__":
 """)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["True", "True"]
+
+
+nonzero_rats = st.builds(Rat, st.integers(-9, 9).filter(bool),
+                         st.integers(1, 9))
+
+
+class TestScalarFormsProperty:
+    # rho1, rho2 != 0 keeps mu away from 1, where SPfinIK is undefined;
+    # rho1 + rho2 != 0 keeps beta1 != -beta2, where the product can vanish
+    @given(sites=st.integers(1, 4), seed=st.integers(0, 2**20),
+           c=nonzero_rats, rho1=nonzero_rats, rho2=nonzero_rats,
+           kappa_plus=nonzero_rats, kappa_minus=nonzero_rats)
+    @settings(max_examples=6, deadline=None)
+    def test_forms_agree_with_oracle(self, sites, seed, c, rho1, rho2,
+                                     kappa_plus, kappa_minus):
+        assume(rho1 * rho2 != kappa_plus * kappa_minus and rho1 + rho2 != 0)
+        params = ModelParams(c, rho1, rho2, kappa_plus, kappa_minus)
+        theta = sample_generic(sites, seed=seed, c=c, bound=30, label="theta")
+        spec = ChainSpec(sites, theta, c)
+        oracle = WeightOracle.fundamental(spec)
+        context = with_shifts(c, theta)
+        for n in range(7):
+            us = sample_generic(n, context=context, seed=seed + 1, c=c,
+                                bound=30, label="u")
+            for m in range(7 - n):
+                vs = sample_generic(m, context=context + with_shifts(c, us),
+                                    seed=seed + 2 + m, c=c, bound=30, label="v")
+                direct = direct_scalar(spec, params, "nu21", us, "nu12", vs)
+                assert direct != 0
+                assert eval_scalar("SPfin", us, vs, oracle, params, c) == direct
+                assert eval_scalar("SPfinIK", us, vs, oracle, params, c) == direct
 
 
 class TestVacuumAverage:

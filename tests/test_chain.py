@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from mbethe.chain import (ChainSpec, apply_entry_product, apply_nu, apply_t,
+from mbethe.chain import (UNIT_ROWS, ChainSpec, apply_nu, apply_t,
                           bethe_state, build_monodromy, direct_scalar,
                           dual_pairing, embed_two, gl2_random_matrix,
-                          modified_entry, r_matrix, twist_pair, vacuum_state,
-                          vacuum_weights)
+                          modified_entry, monodromy_columns, r_matrix,
+                          twist_pair, vacuum_state, vacuum_weights)
 from mbethe.errors import DomainError
-from mbethe.linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_vec
+from mbethe.linalg import (identity, kron, mat_add, mat_eq, mat_mul,
+                           mat_scale, mat_vec, zeros)
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, kernel_g, kernel_h,
                             sample_generic, with_shifts)
 
@@ -28,6 +29,74 @@ def points(spec, count, seed):
 
 
 TWIST = ModelParams(C, Rat(1, 2), Rat(2, 3), Rat(3), Rat(5, 2))
+
+
+# Plain-Fraction reference for the auxiliary-space sweep: every local unit
+# matrix E_pq is applied as its own full-length vector, and each site update
+# is done in rationals.
+
+def _e_apply_ref(vec, site, p, q, dim):
+    out = [Rat(0)] * dim
+    bit = 1 << site
+    for b in range(dim):
+        if b & bit == (q - 1) * bit and vec[b] != 0:
+            out[(b & ~bit) | (p - 1) * bit] = vec[b]
+    return out
+
+
+def reference_columns(spec, u, psi, aux_col):
+    dim = spec.dim
+    w1 = list(psi) if aux_col == 1 else [Rat(0)] * dim
+    w2 = list(psi) if aux_col == 2 else [Rat(0)] * dim
+    for site in range(spec.sites):
+        ratio = (Rat(u) - spec.theta[site]) / spec.c
+        e11w1 = _e_apply_ref(w1, site, 1, 1, dim)
+        e21w2 = _e_apply_ref(w2, site, 2, 1, dim)
+        e12w1 = _e_apply_ref(w1, site, 1, 2, dim)
+        e22w2 = _e_apply_ref(w2, site, 2, 2, dim)
+        w1, w2 = ([ratio * a + b + cc for a, b, cc in zip(w1, e11w1, e21w2)],
+                  [ratio * a + b + cc for a, b, cc in zip(w2, e12w1, e22w2)])
+    return w1, w2
+
+
+def reference_blocks(spec, u):
+    dim = spec.dim
+    blocks = [[zeros(dim) for _ in range(2)] for _ in range(2)]
+    for b in range(dim):
+        basis = [Rat(int(r == b)) for r in range(dim)]
+        for j in (1, 2):
+            for i, col in enumerate(reference_columns(spec, u, basis, j)):
+                for r in range(dim):
+                    blocks[i][j - 1][r][b] = col[r]
+    return blocks
+
+
+def reference_nu(spec, params, u):
+    """Dense mu * A0 T(u) B0 from the reference blocks, entry by entry."""
+    pair = twist_pair(params)
+    t = reference_blocks(spec, u)
+    out = [[zeros(spec.dim) for _ in range(2)] for _ in range(2)]
+    for i in range(2):
+        for j in range(2):
+            for a in range(2):
+                for b in range(2):
+                    weight = pair.mu * pair.a0[i][a] * pair.b0[b][j]
+                    out[i][j] = mat_add(out[i][j], mat_scale(weight, t[a][b]))
+    return out
+
+
+def mixed_state(rng, dim):
+    """Mostly zeros; the rest with denominators from 1 to 12 and both signs."""
+    return [Rat(0) if rng.random() < 0.6
+            else Rat(rng.randint(-9, 9), rng.randint(1, 12))
+            for _ in range(dim)]
+
+
+def same_bits(got, want):
+    return (len(got) == len(want)
+            and all(type(x) is Rat and x.numerator == y.numerator
+                    and x.denominator == y.denominator
+                    for x, y in zip(got, want)))
 
 
 class TestRMatrix:
@@ -137,6 +206,78 @@ class TestMonodromy:
         for i in (1, 2):
             for j in (1, 2):
                 assert mat_vec(t[i - 1][j - 1], state) == apply_t(spec, i, j, u, state)
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("c", [C, Rat(-3, 2)])
+    def test_unit_columns(self, c):
+        rng = random.Random(17)
+        for sites in range(1, 7):
+            spec = chain(sites, 70 + sites, c)
+            for trial in range(3):
+                u = points(spec, 1, 80 + 10 * sites + trial)[0]
+                psi = mixed_state(rng, spec.dim)
+                for aux_col in (1, 2):
+                    got = monodromy_columns(spec, u, psi, UNIT_ROWS[aux_col - 1],
+                                            UNIT_ROWS)
+                    want = reference_columns(spec, u, psi, aux_col)
+                    assert len(got) == 2
+                    assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_single_entries(self):
+        rng = random.Random(18)
+        for sites in (1, 3, 6):
+            spec = chain(sites, 90 + sites)
+            u = points(spec, 1, 95 + sites)[0]
+            psi = mixed_state(rng, spec.dim)
+            for i in (1, 2):
+                for j in (1, 2):
+                    want = reference_columns(spec, u, psi, j)[i - 1]
+                    assert same_bits(apply_t(spec, i, j, u, psi), want)
+
+    @pytest.mark.parametrize("c", [C, Rat(-3, 2)])
+    def test_twisted_entries_match_dense(self, c):
+        rng = random.Random(19)
+        params = ModelParams(c, Rat(1, 2), Rat(2, 3), Rat(3), Rat(5, 2))
+        for sites in (1, 2, 3):
+            spec = chain(sites, 100 + sites, c)
+            u = points(spec, 1, 110 + sites)[0]
+            dense = reference_nu(spec, params, u)
+            psi = mixed_state(rng, spec.dim)
+            blocks = build_monodromy(spec, u, params)
+            for i in (1, 2):
+                for j in (1, 2):
+                    want = mat_vec(dense[i - 1][j - 1], psi)
+                    assert same_bits(apply_nu(spec, params, i, j, u, psi), want)
+                    assert mat_eq(blocks[i - 1][j - 1], dense[i - 1][j - 1])
+
+    def test_dense_monodromy(self):
+        for sites in (1, 2, 3):
+            spec = chain(sites, 120 + sites)
+            u = points(spec, 1, 125 + sites)[0]
+            assert build_monodromy(spec, u) == reference_blocks(spec, u)
+
+
+class TestBadInput:
+    def test_state_too_long(self):
+        spec = chain(2, 130)
+        with pytest.raises(DomainError, match=r"t11 .*length 5, expected 4"):
+            apply_t(spec, 1, 1, Rat(1, 3), [Rat(1)] * 5)
+
+    def test_state_too_short(self):
+        spec = chain(2, 131)
+        with pytest.raises(DomainError, match=r"nu12 .*length 3, expected 4"):
+            apply_nu(spec, TWIST, 1, 2, Rat(1, 3), [Rat(1)] * 3)
+
+    def test_unknown_entry(self):
+        spec = chain(2, 132)
+        empty = SpectralSet(())
+        with pytest.raises(DomainError, match="'t13'"):
+            direct_scalar(spec, None, "t13", empty, "t12", empty)
+
+    def test_r_matrix_zero_c(self):
+        with pytest.raises(DomainError, match="nonzero c"):
+            r_matrix(Rat(1, 2), 0)
 
 
 class TestTwist:

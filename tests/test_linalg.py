@@ -63,3 +63,39 @@ def test_mat_mul_identity():
     rng = random.Random(9)
     m = [[Rat(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)]
     assert mat_eq(mat_mul(m, identity(4)), m)
+
+
+def reference_mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Rat(0))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def sparse_matrix(rng, rows, cols, zero_share):
+    return [[Rat(0) if rng.random() < zero_share
+             else Rat(rng.randint(-9, 9), rng.randint(1, 9))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_mat_mul_matches_triple_loop():
+    rng = random.Random(11)
+    for trial in range(60):
+        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        share = (0.0, 0.5, 0.8, 0.95, 1.0)[trial % 5]
+        a = sparse_matrix(rng, n, k, share)
+        b = sparse_matrix(rng, k, m, share)
+        got = mat_mul(a, b)
+        want = reference_mat_mul(a, b)
+        assert got == want
+        assert all(type(x) is Rat for row in got for x in row)
+
+
+def test_mat_mul_all_zero_and_empty():
+    rng = random.Random(12)
+    zero = [[Rat(0)] * 3 for _ in range(2)]
+    b = sparse_matrix(rng, 3, 4, 0.3)
+    assert mat_mul(zero, b) == [[Rat(0)] * 4 for _ in range(2)]
+    assert mat_mul(b, [[Rat(0)] * 2 for _ in range(4)]) == [[Rat(0)] * 2] * 3
+    # a right factor with no rows carries no column count
+    assert mat_mul([[]], []) == reference_mat_mul([[]], []) == [[]]
+    assert mat_mul([], b) == []
