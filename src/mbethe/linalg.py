@@ -24,8 +24,9 @@ def det(matrix) -> Rat:
     """Determinant of a square matrix of rationals or ints; the 0x0
     determinant is 1."""
     n = len(matrix)
-    for row in matrix:
-        assert len(row) == n, "matrix must be square"
+    if any(len(row) != n for row in matrix):
+        raise ValueError(f"det needs a square matrix, got {n} rows of lengths "
+                         f"{sorted({len(row) for row in matrix})}")
     rows, dens = clear_denominators(matrix)
     return Rat(det_int(rows), prod(dens))
 
@@ -159,38 +160,38 @@ def kron(a, b):
 def nullspace_vector(matrix, ncols):
     """One deterministic nonzero kernel vector of a rational matrix, or None.
 
-    Gaussian elimination with first-nonzero pivoting; the first free column is
-    set to 1 and bound variables are back-substituted.
+    The vector is the one the reduced echelon form fixes under
+    first-nonzero pivoting: its first free column f is 1, every other free
+    column 0, and each bound entry -R[r][f]. Columns 0..f-1 all hold pivots,
+    so elimination stops at f. It runs fraction-free on integer rows
+    (Gauss-Jordan with Bareiss' exact division by the previous pivot):
+    after each step every pivot equals the latest one, p, so R[r][f] is the
+    integer entry at (r, f) over p, and each entry of the vector is built as
+    one rational.
     """
-    rows = [[Rat(x) for x in row] for row in matrix]
+    rows, _ = clear_denominators(matrix)
     nrows = len(rows)
-    pivots: list[tuple[int, int]] = []
-    r = 0
+    prev = 1
     for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                piv = i
-                break
+        # rows 0..col-1 hold the pivots of columns 0..col-1
+        piv = next((i for i in range(col, nrows) if rows[i][col]), None)
         if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
             break
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(ncols) if c not in pivot_cols), None)
-    if free is None:
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = rows[col]
+        pivot = pivot_row[col]
+        rest = range(col + 1, ncols)
+        for i, row in enumerate(rows):
+            if i != col:
+                lead = row[col]
+                for j in rest:
+                    row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
+                row[col] = 0
+        prev = pivot
+    else:
         return None
     vec = [Rat(0)] * ncols
-    vec[free] = Rat(1)
-    for r, col in pivots:
-        vec[col] = -rows[r][free]
+    vec[col] = Rat(1)
+    for r in range(col):
+        vec[r] = Rat(-rows[r][col], prev)
     return vec

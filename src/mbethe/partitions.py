@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
-from .errors import ConstraintError
+from .errors import ConstraintError, PoleError
 from .scalars import Rat, SpectralSet, kernel_f, kernel_g, kernel_h
 
 MAX_GROUND = 63  # bitmask encoding cap; desk experiments stay far below
@@ -241,12 +241,16 @@ class CoefficientMap:
 # ---------------------------------------------------------------------------
 
 def single_extraction_sum(u, wset: SpectralSet, c) -> Rat:
-    """Sum over singleton extractions of f(rest, x) / h(u, x); equals 1 for u in wset."""
+    """Sum over singleton extractions of f(rest, x) / h(u, x); equals 1 for
+    u in wset. Raises PoleError where h(u, x) = 0 (u - x = -c)."""
     vals = wset.values
     total = Rat(0)
     for k in range(len(vals)):
         x = vals[k]
-        term = 1 / kernel_h(u, x, c)
+        h = kernel_h(u, x, c)
+        if not h:
+            raise PoleError("1/h", u, x)
+        term = 1 / h
         for j, y in enumerate(vals):
             if j != k:
                 term *= kernel_f(y, x, c)

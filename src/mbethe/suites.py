@@ -20,12 +20,12 @@ from .chain import (ChainSpec, apply_entry_product, apply_nu,
                     gl2_random_matrix, r_matrix,
                     vacuum_state, vacuum_weights)
 from .errors import ConfigError
-from .izergin import (DetTables, conj_mod_izergin, izergin_convolution,
+from .izergin import (DetTables, FTable, conj_mod_izergin, izergin_convolution,
                       izergin_deformation_sum, izergin_partition_sum,
                       mod_izergin, ordinary_izergin, rat_pow, residue_check)
 from .linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_scale, mat_sub
-from .partitions import (enumerate_splits, mask_values, pole_extraction_sum,
-                         single_extraction_sum, split_sum)
+from .partitions import (bits_of, enumerate_splits, mask_values,
+                         pole_extraction_sum, single_extraction_sum, split_sum)
 from .report import Recorder, digest
 from .scalars import (Rat, SpectralSet, TwistData, kernel_f,
                       kernel_g, rat, rat_str, sample_generic,
@@ -331,29 +331,12 @@ def run_izergin_laws(cfg: RunConfig) -> list:
         lhs, rhs, params = [], [], []
         for n in range(0, sz["conv_max"] + 1):
             for m in range(0, sz["conv_max"] + 1):
-                l = sz["conv_len"]
                 us, vs, xs = _spectra(rng.getrandbits(48), c, cfg.bound,
-                                      [n, m, l], ["u", "v", "xi"])
+                                      [n, m, sz["conv_len"]], ["u", "v", "xi"])
                 params.append((us, vs, xs))
                 merged = us.union(vs, "uv")
-
-                def plain(m1, m2):
-                    x1 = SpectralSet(mask_values(xs.values, m1))
-                    x2 = SpectralSet(mask_values(xs.values, m2))
-                    return (mod_izergin(1, us, x1.shifted(c), c)
-                            * mod_izergin(1, vs, x2.shifted(c), c)
-                            * set_product("f", x2, x1, c)
-                            / set_product("f", x2, us, c))
-
-                def minus(m1, m2):
-                    x1 = SpectralSet(mask_values(xs.values, m1))
-                    x2 = SpectralSet(mask_values(xs.values, m2))
-                    return (conj_mod_izergin(1, us, x1.shifted(-c), c)
-                            * conj_mod_izergin(1, vs, x2.shifted(-c), c)
-                            * set_product("f", x1, x2, c)
-                            / set_product("f", us, x2, c))
-
-                lhs += [split_sum(l, 2, plain), split_sum(l, 2, minus)]
+                lhs += [shifted_unit_sum(us, vs, xs, c),
+                        shifted_unit_sum(us, vs, xs, c, conjugated=True)]
                 rhs += [mod_izergin(1, merged, xs.shifted(c), c),
                         conj_mod_izergin(1, merged, xs.shifted(-c), c)]
         return digest(params), lhs, rhs, lhs == rhs
@@ -407,24 +390,59 @@ def run_izergin_laws(cfg: RunConfig) -> list:
     return rec.records
 
 
+def shifted_unit_sum(us, vs, xs, c, conjugated: bool = False) -> Rat:
+    """Sum over splits of xs of K^(1)(us | x1 + c) K^(1)(vs | x2 + c)
+    f(x2, x1) / f(x2, us); conjugated, of K-bar^(1)(us | x1 - c)
+    K-bar^(1)(vs | x2 - c) f(x1, x2) / f(us, x2). Either equals the same
+    determinant on the merged set {us, vs}. The determinants come from
+    DetTables and the f weights from kernel tables, built once per sum."""
+    left = DetTables(us.values, xs.values, c)
+    right = DetTables(vs.values, xs.values, c)
+    n = len(us)
+    if conjugated:
+        to_u = FTable(c, us.values, xs.values)
+
+        def term(m1, m2):
+            x1, x2 = list(bits_of(m1)), list(bits_of(m2))
+            an, ad = left.k_minus_conj_pair(1, x1)
+            bn, bd = right.k_minus_conj_pair(1, x2)
+            fn, fd = left.f_between_pair(x1, x2)
+            gn, gd = to_u.pair(range(n), x2)
+            return Rat(an * bn * fn * gd, ad * bd * fd * gn)
+    else:
+        to_u = FTable(c, xs.values, us.values)
+
+        def term(m1, m2):
+            x1, x2 = list(bits_of(m1)), list(bits_of(m2))
+            an, ad = left.k_plus_pair(1, x1)
+            bn, bd = right.k_plus_pair(1, x2)
+            fn, fd = left.f_between_pair(x2, x1)
+            gn, gd = to_u.pair(x2, range(n))
+            return Rat(an * bn * fn * gd, ad * bd * fd * gn)
+
+    return split_sum(len(xs), 2, term)
+
+
 def _binomial_check(seed, c, bound, max_size):
-    """Constrained sums of f weights count subsets; alternating sums vanish."""
+    """Constrained sums of f weights count subsets; alternating sums vanish.
+    The f weights of each ground set come from one kernel table."""
     from math import comb
     rng = random.Random(seed)
     lhs, rhs, params = [], [], []
     for p in range(1, max_size + 1):
         xs, = _spectra(rng.getrandbits(48), c, bound, [p], ["x"])
         params.append(xs)
+        table = FTable(c, xs.values)
 
         def f21(m1, m2):
-            return set_product("f", mask_values(xs.values, m2),
-                               mask_values(xs.values, m1), c)
+            return Rat(*table.pair(list(bits_of(m2)), list(bits_of(m1))))
 
         def f12(m1, m2):
             return f21(m2, m1)
 
         def alternating(m1, m2):
-            return rat_pow(-1, bin(m2).count("1")) * f21(m1, m2)
+            num, den = table.pair(list(bits_of(m2)), list(bits_of(m1)))
+            return Rat(-num if bin(m2).count("1") % 2 else num, den)
 
         for k in range(p + 1):
             lhs += [split_sum(p, 2, f21, (k, p - k)),

@@ -10,7 +10,7 @@ from mbethe.izergin import (DetTables, conj_mod_izergin, izergin_convolution,
                             izergin_deformation_sum, izergin_partition_sum,
                             mod_izergin, ordinary_izergin, rat_pow,
                             residue_check)
-from mbethe.partitions import enumerate_splits, mask_values
+from mbethe.partitions import bits_of, enumerate_splits, mask_values
 from mbethe.scalars import (Rat, SpectralSet, kernel_g, sample_generic,
                             set_product, with_shifts)
 
@@ -269,6 +269,42 @@ class TestDetTables:
                         z, us, sub.shifted(C), C)
                     assert tables.k_minus_conj(z, mask) == conj_mod_izergin(
                         z, us, sub.shifted(-C), C)
+
+    @pytest.mark.parametrize("c", [C, Rat(-3, 2)])
+    def test_every_shift(self, c):
+        """K(u | xi_S + s), K-bar(u | xi_S - s), f(u, xi_S + s) and
+        f(xi_S - s, u) at s in {0, c, -c}, against the direct routes."""
+        us, xs = spectra(35, [2, 5], c=c)
+        for s in (Rat(0), c, -c):
+            tables = DetTables(us.values, xs.values, c, shift=s)
+            for mask in range(1 << len(xs)):
+                sub = SpectralSet(mask_values(xs.values, mask))
+                idx = list(bits_of(mask))
+                for z in (Rat(1), Rat(-7, 4)):
+                    assert tables.k_plus(z, mask) == mod_izergin(
+                        z, us, sub.shifted(s), c)
+                    assert tables.k_minus_conj(z, mask) == conj_mod_izergin(
+                        z, us, sub.shifted(-s), c)
+                assert Rat(*tables.f_u_pair(idx)) == set_product(
+                    "f", us, sub.shifted(s), c)
+                assert Rat(*tables.f_u_conj_pair(idx)) == set_product(
+                    "f", sub.shifted(-s), us, c)
+
+    @pytest.mark.parametrize("u_values", [(Rat(1, 3), Rat(1, 3)),
+                                          (Rat(1, 3), Rat(4, 3))])
+    def test_colliding_left_set(self, u_values):
+        """Two values of u with f or 1/h at a pole between them: every
+        subset takes the ground-indexed rows, the only ones defined."""
+        _, xs = spectra(36, [0, 5])
+        us = SpectralSet(u_values)
+        tables = DetTables(us.values, xs.values, C)
+        for mask in range(1 << len(xs)):
+            sub = SpectralSet(mask_values(xs.values, mask))
+            for z in (Rat(1), Rat(-7, 4)):
+                assert tables.k_plus(z, mask) == mod_izergin(
+                    z, us, sub.shifted(C), C)
+                assert tables.k_minus_conj(z, mask) == conj_mod_izergin(
+                    z, us, sub.shifted(-C), C)
 
     def test_f_between(self):
         for size in (4, 8):

@@ -240,6 +240,12 @@ class TestClosedSums:
             ws = sample_generic(p, seed=300 + p, c=c, bound=40)
             assert single_extraction_sum(ws[0], ws, c) == 1
 
+    def test_single_extraction_pole_names_the_pair(self):
+        # h(0, 1) = (0 - 1 + 1) / 1 = 0
+        with pytest.raises(PoleError) as err:
+            single_extraction_sum(0, SpectralSet((1, 5)), 1)
+        assert (err.value.kind, err.value.left, err.value.right) == ("1/h", 0, 1)
+
     def test_pole_extraction_sum(self):
         c = Rat(2)
         for p in range(1, 9):
