@@ -14,7 +14,8 @@ from typing import Callable, Optional
 
 from .chain import ChainSpec, apply_entry_product, vacuum_state
 from .errors import CapabilityError, CardinalityError, DomainError
-from .izergin import DetTables, conj_mod_izergin, mod_izergin, rat_pow
+from .izergin import (DetTables, conj_mod_izergin, mod_izergin, rat_pow,
+                      subset_pair, subset_products)
 from .partitions import (CoefficientMap, GroundSet, bits_of, mask_values,
                          split_sum)
 from .scalars import (ModelParams, Rat, SpectralSet, TwistData, kernel_h,
@@ -416,7 +417,8 @@ def _independent_term(z, u1, v1, u2, v2, oracle: WeightOracle, c) -> Rat:
 class _SPfinTerm:
     """One term of the SPfin sum, for the split (mask1, mask2) of the merged
     set. The term is multiplied out as an integer numerator and denominator,
-    and one rational is built per term. A module-level class, so that it
+    and one rational is built per term; the weight products over a part are
+    read from subset-product tables. A module-level class, so that it
     pickles into pool workers.
     """
 
@@ -428,25 +430,19 @@ class _SPfinTerm:
         for l1 in range(p + 1):
             w = rat_pow(-twist.beta1, n - l1) * rat_pow(-twist.beta2, n - p + l1)
             self.beta_pow.append((w.numerator, w.denominator))
-        self.lam1 = [(x.numerator, x.denominator) for x in lam1]
-        self.lam2 = [(x.numerator, x.denominator) for x in lam2]
+        half = self.tables.half
+        self.lam1, self.lam2 = (
+            subset_products([x.numerator for x in lam], [x.denominator for x in lam],
+                            half) for lam in (lam1, lam2))
 
     def __call__(self, mask1: int, mask2: int) -> Rat:
-        tables, mu = self.tables, self.mu
-        idx1 = list(bits_of(mask1))
-        idx2 = list(bits_of(mask2))
-        num, den = self.beta_pow[len(idx1)]
-        for i in idx1:
-            a, b = self.lam2[i]
-            num *= a
-            den *= b
-        for i in idx2:
-            a, b = self.lam1[i]
-            num *= a
-            den *= b
-        for a, b in (tables.f_between_pair(idx1, idx2),
-                     tables.k_plus_pair(mu, idx1),
-                     tables.k_minus_conj_pair(mu, idx2)):
+        tables, mu, half = self.tables, self.mu, self.tables.half
+        num, den = self.beta_pow[mask1.bit_count()]
+        for a, b in (subset_pair(self.lam2, mask1, half),
+                     subset_pair(self.lam1, mask2, half),
+                     tables.f_between_pair(mask1, mask2),
+                     tables.k_plus_pair(mu, mask1),
+                     tables.k_minus_conj_pair(mu, mask2)):
             num *= a
             den *= b
         return Rat(num, den)

@@ -1,8 +1,10 @@
 """Timing harness for the twisted scalar-product partition sum.
 
-Runs the formula only (no chain oracle), sweeping worker counts; exact
-rational reduction makes the result bit-identical at every parallelism level,
-which the harness asserts and records.
+Times the formula only, sweeping worker counts; exact rational reduction
+makes the result bit-identical at every parallelism level, which the harness
+asserts and records. Each size's value is also compared, untimed, with the
+chain oracle on the 3-site chain, and a value of 0 is flagged, so that a
+timing row cannot stand for a wrong or vacuous sum.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import time
 
 from .actions import WeightOracle, eval_scalar
-from .chain import ChainSpec
+from .chain import ChainSpec, direct_scalar
 from .report import digest
 from .scalars import rat, sample_generic, sample_twist, with_shifts
 
@@ -31,7 +33,8 @@ def jobs_sweep(max_jobs: int) -> list:
 
 
 def run_bench(sizes, jobs_list, seed: int = 0, c=1, bound: int = 30) -> dict:
-    """Time the twisted scalar product at each size for each worker count."""
+    """Time the twisted scalar product at each size for each worker count,
+    and check each value against the chain oracle."""
     c = rat(c)
     rows = []
     consistent = True
@@ -47,6 +50,7 @@ def run_bench(sizes, jobs_list, seed: int = 0, c=1, bound: int = 30) -> dict:
         vs = sample_generic(size - n, context=with_shifts(c, theta, us),
                             seed=seed + 2, bound=bound, c=c, label="v")
         splits = 1 << size
+        want = direct_scalar(spec, params, "nu21", us, "nu12", vs)
         reference = None
         base_seconds = None
         for jobs in jobs_list:
@@ -67,5 +71,7 @@ def run_bench(sizes, jobs_list, seed: int = 0, c=1, bound: int = 30) -> dict:
                 "speedup": round(base_seconds / seconds, 3),
                 "value_digest": digest(value),
                 "identical_to_serial": value == reference,
+                "oracle_match": value == want,
+                "value_is_zero": value == 0,
             })
     return {"rows": rows, "consistent": consistent}

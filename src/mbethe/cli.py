@@ -187,17 +187,20 @@ def cmd_bench(args) -> int:
     sweep = jobs_sweep(args.jobs)
     result = run_bench(sizes, sweep, seed=args.seed)
     print(f"{'size':>4} {'splits':>7} {'jobs':>4} {'seconds':>9} "
-          f"{'splits/s':>10} {'speedup':>8}  identical")
+          f"{'splits/s':>10} {'speedup':>8}  identical  oracle  zero")
     for row in result["rows"]:
         print(f"{row['size']:>4} {row['splits']:>7} {row['jobs']:>4} "
               f"{row['seconds']:>9.3f} {row['splits_per_sec']:>10.1f} "
-              f"{row['speedup']:>8.3f}  {row['identical_to_serial']}")
+              f"{row['speedup']:>8.3f}  {str(row['identical_to_serial']):<9}  "
+              f"{str(row['oracle_match']):<6}  {row['value_is_zero']}")
     print(f"consistent across worker counts: {result['consistent']}")
+    matched = all(row["oracle_match"] for row in result["rows"])
+    print(f"every value matches the chain oracle: {matched}")
     if args.report:
         write_report({"command": "bench", "jobs_sweep": sweep,
                       "sizes": list(sizes), **result,
                       "machine": machine_facts()}, args.report)
-    return 0 if result["consistent"] else 1
+    return 0 if result["consistent"] and matched else 1
 
 
 def main(argv=None) -> int:

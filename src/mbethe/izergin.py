@@ -16,7 +16,8 @@ from math import gcd, lcm
 from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefined
 # det is no longer called here, but stays bound as izergin.det: the tracer
 # in perfbench/ wraps it under this name.
-from .linalg import clear_denominators, det, det_int  # noqa: F401
+from .linalg import (clear_denominators, det, det_int,  # noqa: F401
+                     fold_minors, principal_minors)
 from .partitions import bits_of, split_sum
 from .ratfunc import rational_interpolate
 from .scalars import (Rat, SpectralSet, f_pair, h_pair, is_generic, kernel_f,
@@ -26,6 +27,7 @@ __all__ = [
     "mod_izergin", "conj_mod_izergin", "ordinary_izergin",
     "izergin_partition_sum", "izergin_convolution", "izergin_deformation_sum",
     "residue_check", "rational_interpolate", "rat_pow", "DetTables", "FTable",
+    "subset_products", "subset_pair",
 ]
 
 
@@ -272,13 +274,12 @@ def izergin_convolution(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
         k_left, k_right = left.k_plus_pair, right.k_plus_pair
 
     def conv_term(mask1, mask2):
-        x1, x2 = list(bits_of(mask1)), list(bits_of(mask2))
         if conjugated:   # f(x1, x2) f(x2, u)
-            weights = left.f_between_pair(x1, x2), left.f_u_conj_pair(x2)
+            weights = left.f_between_pair(mask1, mask2), left.f_u_conj_pair(mask2)
         else:            # f(x2, x1) f(u, x2)
-            weights = left.f_between_pair(x2, x1), left.f_u_pair(x2)
-        return _term(z2.numerator, z2.denominator, len(x1), k_left(z1, x1),
-                     k_right(z2, x2), *weights)
+            weights = left.f_between_pair(mask2, mask1), left.f_u_pair(mask2)
+        return _term(z2.numerator, z2.denominator, mask1.bit_count(),
+                     k_left(z1, mask1), k_right(z2, mask2), *weights)
 
     return split_sum(len(xi_set), 2, conv_term)
 
@@ -295,10 +296,10 @@ def izergin_deformation_sum(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     k = tables.k_minus_conj_pair if conjugated else tables.k_plus_pair
 
     def shift_term(mask1, mask2):
-        v1, v2 = list(bits_of(mask1)), list(bits_of(mask2))
-        weight = (tables.f_between_pair(v2, v1) if conjugated
-                  else tables.f_between_pair(v1, v2))
-        return _term(z1.numerator, z1.denominator, len(v2), k(z2, v1), weight)
+        weight = (tables.f_between_pair(mask2, mask1) if conjugated
+                  else tables.f_between_pair(mask1, mask2))
+        return _term(z1.numerator, z1.denominator, mask2.bit_count(),
+                     k(z2, mask1), weight)
 
     return split_sum(len(v_set), 2, shift_term)
 
@@ -385,22 +386,56 @@ class FTable:
         return num, den
 
 
-class _Side:
-    """Integer kernel tables behind one of the two determinants of DetTables.
+def subset_products(nums, dens, half: int) -> tuple:
+    """Products of a row of integer (numerator, denominator) factors over
+    every subset of its indices, kept as two half tables.
 
-    Every kernel value is stored as the numerator and denominator of its
-    reduced fraction, so products over a subset are plain integer products.
-    Index j runs over the ground set and i over the left set u; for the
-    conjugated side every table is transposed, so that both determinants
-    share one row assembly.
+    Returns (lo_num, hi_num, lo_den, hi_den): lo_* hold the products over
+    the subsets of the factors below `half`, indexed by their bitmask, and
+    hi_* the products over the subsets of the rest, indexed by the mask
+    shifted down by `half`. The product over a mask S is then one lookup
+    pair and one multiplication (`subset_pair`). Only the grouping of the
+    factors differs from a loop over S, so the integers are the same.
+    """
+    return (_products(nums[:half]), _products(nums[half:]),
+            _products(dens[:half]), _products(dens[half:]))
+
+
+def _products(factors) -> list:
+    """The product over every subset of factors, indexed by the subset's
+    bitmask."""
+    out = [1]
+    for x in factors:
+        out += [y * x for y in out]
+    return out
+
+
+def subset_pair(table, mask: int, half: int) -> tuple:
+    """The product over the mask of a `subset_products` table, as an
+    unreduced (numerator, denominator) pair."""
+    ln, hn, ld, hd = table
+    lo, hi = mask & ((1 << half) - 1), mask >> half
+    return ln[lo] * hn[hi], ld[lo] * hd[hi]
+
+
+class _Side:
+    """Integer tables behind one of the two determinants of DetTables.
+
+    Every kernel value is the numerator and denominator of its reduced
+    fraction, and every product over a subset of the ground set is read
+    from `subset_products` tables. Index j runs over the ground set and i
+    over the left set u; for the conjugated side every table is transposed
+    (`conjugated`), so that both determinants share one row assembly. The
+    u-indexed parts are built on the first subset that takes them: sums at
+    z = 1 never do.
     """
 
-    def __init__(self, fu, fpair, h, uoff):
-        self.fu_num, self.fu_den = fu      # f(u_i, xi_t + s) or f(xi_t - s, u_i)
-        self.f_num, self.f_den = fpair     # f(xi_j, xi_t); 1 at t = j
+    def __init__(self, u, c, conjugated, fu, f_rows, h, half):
+        self.u, self.c, self.conjugated, self.half = u, c, conjugated, half
+        self.fu = fu               # f(u_i, xi_t + s) or f(xi_t - s, u_i)
         # the row factor f(u-set, xi_j + s), or f(xi_j - s, u-set)
         self.row_num, self.row_den = [], []
-        for j in range(len(fpair[0])):
+        for j in range(len(f_rows)):
             num = den = 1
             for fn, fd in zip(*fu):
                 num *= fn[j]
@@ -408,28 +443,78 @@ class _Side:
             g = gcd(num, den)
             self.row_num.append(num // g)
             self.row_den.append(den // g)
+        # row j of the ground-indexed determinant is the row factor of xi_j
+        # times the product of f_rows[j], f(xi_j, xi_t) over t (1 at t = j)
+        self.f_rows = f_rows
         self.h_rows, self.h_den = h  # 1/h(xi_j, xi_k), or its transpose
-        self.uoff = uoff  # u-indexed off-diagonal parts, or None
         self.zcache: dict = {}
 
-    def scaled_off(self, z):
-        """z * uoff as integer rows and row denominators, plus the
+    @cached_property
+    def row(self):
+        """The row factors, as one subset-product table."""
+        return subset_products(self.row_num, self.row_den, self.half)
+
+    @cached_property
+    def u_rows(self):
+        """Row i of the u-indexed determinant: f(u_i, xi_t + s) over t."""
+        return [subset_products(fn, fd, self.half) for fn, fd in zip(*self.fu)]
+
+    @cached_property
+    def uoff(self):
+        """The u-indexed off-diagonal parts f(u_j, u-rest) / h(u_j, u_k), or
+        their conjugates; None where two values of u collide (f or 1/h has a
+        pole between them), since only the ground-indexed rows are defined
+        there."""
+        c, u = self.c, self.u
+
+        def oriented(a, b):
+            return (b, a) if self.conjugated else (a, b)
+
+        rows = []
+        try:
+            for j, uj in enumerate(u):
+                comp = Rat(1)
+                for t, ut in enumerate(u):
+                    if t != j:
+                        comp *= kernel_f(*oriented(uj, ut), c)
+                rows.append([comp * _inv_h(*oriented(uj, uk), c) for uk in u])
+        except PoleError:
+            return None
+        return rows
+
+    def off_minors(self, z):
+        """For the deformation z: the row denominators of z * uoff as
+        integer rows, the principal minors of minus those rows, and the
         numerator and denominator of 1 - z; cached per deformation value."""
         key = (z.numerator, z.denominator)
         hit = self.zcache.get(key)
         if hit is None:
-            off = clear_denominators([[z * x for x in row] for row in self.uoff])
-            hit = (*off, z.denominator - z.numerator, z.denominator)
+            rows, dens = clear_denominators([[z * x for x in row]
+                                             for row in self.uoff])
+            minors = principal_minors([[-x for x in row] for row in rows])
+            hit = (dens, minors, z.denominator - z.numerator, z.denominator)
             self.zcache[key] = hit
         return hit
 
-    def row_pair(self, idx) -> tuple:
-        """Product of the row factors over idx, as an unreduced pair."""
-        num = den = 1
-        for j in idx:
-            num *= self.row_num[j]
-            den *= self.row_den[j]
-        return num, den
+
+def _reduced(num, den) -> tuple:
+    """num / den in lowest terms with a positive denominator, the numerator
+    and denominator a rational would hold."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _cleared(rows):
+    """Rows of reduced integer pairs as integer rows over one denominator
+    per row, the lcm of the row's denominators (as clear_denominators)."""
+    out, dens = [], []
+    for row in rows:
+        common = lcm(*[d for _, d in row])
+        out.append([n * (common // d) for n, d in row])
+        dens.append(common)
+    return out, dens
 
 
 def _ints(table):
@@ -454,13 +539,22 @@ class DetTables:
     kernels of shifted pairs reduce to unshifted ones because f and h depend
     only on argument differences.
 
-    The kernels are kept as integer (numerator, denominator) tables. Each
-    determinant row is assembled from them directly as integers over one
-    denominator per row, with no gcd per entry, and the integer matrix goes
-    to `linalg.det_int`. The `*_pair` methods return the unreduced
-    (numerator, denominator) of a value, so that a partition sum can multiply
-    a whole term in integers and build one rational per term; `k_plus`,
-    `k_minus_conj` and `f_between` return the reduced rational.
+    Subsets are bitmasks over the ground set. Every product over a subset
+    is read from `subset_products` tables, one pair of half tables per row
+    of factors, split at `half`: f(xi_j, xi_S) for the rows of K, which
+    also gives f(xi_L, xi_R), f(xi_S, xi_j) for the rows of K-bar, the
+    u-indexed rows and the row factors f(u, xi_S + s). A subset S with
+    #S <= #u takes the ground-indexed rows, assembled as integers over one
+    denominator per row and eliminated by `linalg.det_int`. A larger S at
+    z != 1 takes the u-indexed rows a_j e_j + b_j A_j, where only a_j and
+    b_j depend on S: the principal minors of A are computed once per
+    deformation value, and `linalg.fold_minors` sums them against a and b.
+    Both routes give the same integers as eliminating the rows. The
+    `*_pair` methods return the unreduced (numerator, denominator) of a
+    value, so that a partition sum can multiply a whole term in integers
+    and build one rational per term; `k_plus`, `k_minus_conj` and
+    `f_between` return the reduced rational. The deformation z is an int
+    or a rational, built once by the caller.
     """
 
     def __init__(self, u_values, ground_values, c, shift=None):
@@ -470,17 +564,44 @@ class DetTables:
         self._s = self.c if shift is None else Rat(shift)
         self.size = len(self._g)
         self.n_left = len(self._u)
+        self.half = self.size // 2
+        self._low = (1 << self.half) - 1
         self._f = FTable(self.c, self._g)
-        hinv = [[_inv_h(a, b, self.c) for b in self._g] for a in self._g]
+        g, cn, cd = _parts(self._g), self.c.numerator, self.c.denominator
+        hinv = [[_reduced(*_inv_h_pair(a, b, cn, cd)) for b in g] for a in g]
         # 1/h(xi_j, xi_k) as integer rows over one denominator per row, for
         # each half (the conjugated half reads the transpose)
-        self._h = (clear_denominators(hinv),
-                   clear_denominators(list(zip(*hinv))))
+        self._h = _cleared(hinv), _cleared(list(zip(*hinv)))
+
+    @cached_property
+    def _idx(self):
+        """The ground indices in each subset of either half: the indices of
+        the mask S are low[S & low mask] + high[S >> half]."""
+        out = []
+        for bits in (range(self.half), range(self.half, self.size)):
+            lists = [[]]
+            for b in bits:
+                lists += [x + [b] for x in lists]
+            out.append(lists)
+        return out
+
+    @cached_property
+    def _f_rows(self):
+        """f(xi_i, xi_t) over t, one subset-product table per i."""
+        return [subset_products(fn, fd, self.half)
+                for fn, fd in zip(self._f.num, self._f.den)]
+
+    @cached_property
+    def _f_cols(self):
+        """f(xi_t, xi_j) over t, one subset-product table per j."""
+        return [subset_products(fn, fd, self.half)
+                for fn, fd in zip(*_transposed((self._f.num, self._f.den)))]
 
     def __getstate__(self):
-        """Both halves are built before pickling, so that each pool worker
-        receives the tables instead of building its own."""
-        _ = self._plus, self._minus
+        """Both halves and the index lists are built before pickling, so
+        that each pool worker receives those tables instead of building its
+        own; the u-indexed parts are built where first used."""
+        _ = self._plus, self._minus, self._idx
         return self.__dict__
 
     # Each determinant's tables are built on its first use: a sum that
@@ -489,75 +610,48 @@ class DetTables:
     @cached_property
     def _plus(self) -> _Side:
         fu = FTable(self.c, self._u, [x + self._s for x in self._g])
-        return _Side((fu.num, fu.den), (self._f.num, self._f.den), self._h[0],
-                     self._u_off(conjugated=False))
+        return _Side(self._u, self.c, False, (fu.num, fu.den), self._f_rows,
+                     self._h[0], self.half)
 
     @cached_property
     def _minus(self) -> _Side:
         fu = FTable(self.c, [x - self._s for x in self._g], self._u)
-        return _Side(_transposed((fu.num, fu.den)),
-                     _transposed((self._f.num, self._f.den)), self._h[1],
-                     self._u_off(conjugated=True))
+        return _Side(self._u, self.c, True, _transposed((fu.num, fu.den)),
+                     self._f_cols, self._h[1], self.half)
 
-    def _u_off(self, conjugated: bool):
-        """The u-indexed off-diagonal parts f(u_j, u-rest) / h(u_j, u_k), or
-        their conjugates; None where two values of u collide (f or 1/h has a
-        pole between them), since only the ground-indexed rows are defined
-        there."""
-        c, u = self.c, self._u
+    def _k_pair(self, side: _Side, z, mask: int):
+        """(numerator, denominator) of the determinant over the subset mask.
 
-        def oriented(a, b):
-            return (b, a) if conjugated else (a, b)
-
-        rows = []
-        try:
-            for j, uj in enumerate(u):
-                comp = Rat(1)
-                for t, ut in enumerate(u):
-                    if t != j:
-                        comp *= kernel_f(*oriented(uj, ut), c)
-                rows.append([comp * _inv_h(*oriented(uj, uk), c) for uk in u])
-        except PoleError:
-            return None
-        return rows
-
-    def _k_pair(self, side: _Side, z, idx):
-        """(numerator, denominator) of the determinant over the subset idx.
-
-        Each row is its rational row times one integer, the product of the
-        subset product's denominator and a fixed row denominator. Only the
-        subset product is reduced, by one gcd per row; that keeps the
-        entries small for the elimination without a gcd per entry.
+        Each row's subset product is reduced by one gcd; that keeps the
+        integers small without a gcd per entry. On the ground-indexed route
+        each row is its rational row times one integer, the product of that
+        reduced denominator and a fixed row denominator.
         """
         n = self.n_left
-        s = len(idx)
-        rows = []
+        s = mask.bit_count()
+        lo, hi = mask & self._low, mask >> self.half
         if s > n and z != 1 and side.uoff is not None:
-            # u-indexed representation: fixed size n, cheaper for large S
-            off, off_den, pre_num, pre_den = side.scaled_off(z)
+            # u-indexed representation: fixed size n, folded from the minors
+            off_den, minors, pre_num, pre_den = side.off_minors(z)
             num, den = pre_num ** (s - n), pre_den ** (s - n)
-            for j in range(n):
-                dn = dd = 1
-                fn, fd = side.fu_num[j], side.fu_den[j]
-                for t in idx:
-                    dn *= fn[t]
-                    dd *= fd[t]
+            diag, scale = [], []
+            for (ln, hn, ld, hd), od in zip(side.u_rows, off_den):
+                dn = ln[lo] * hn[hi]
+                dd = ld[lo] * hd[hi]
                 g = gcd(dn, dd)
-                dn //= g
                 dd //= g
-                row = [-dd * x for x in off[j]]
-                row[j] += dn * off_den[j]
-                rows.append(row)
-                den *= dd * off_den[j]
-            return num * det_int(rows), den
+                diag.append(dn // g * od)
+                scale.append(dd)
+                den *= dd * od
+            return num * fold_minors(minors, diag, scale), den
         zn, zd = z.numerator, z.denominator
+        idx = self._idx[0][lo] + self._idx[1][hi]
+        rows = []
         den = 1
         for pos, j in enumerate(idx):
-            bn, bd = side.row_num[j], side.row_den[j]
-            fn, fd = side.f_num[j], side.f_den[j]
-            for t in idx:
-                bn *= fn[t]
-                bd *= fd[t]
+            ln, hn, ld, hd = side.f_rows[j]
+            bn = side.row_num[j] * ln[lo] * hn[hi]
+            bd = side.row_den[j] * ld[lo] * hd[hi]
             g = gcd(bn, bd)
             bn = bn // g * zd
             bd //= g
@@ -568,36 +662,42 @@ class DetTables:
             den *= zd * bd * hden
         return det_int(rows), den
 
-    def k_plus_pair(self, z, idx):
+    def k_plus_pair(self, z, mask: int):
         """K^(z)(u | xi_S + s) as an unreduced (numerator, denominator) pair,
-        for the subset S given as a list of ground indices."""
-        return self._k_pair(self._plus, Rat(z), idx)
+        for the subset S given as a bitmask."""
+        return self._k_pair(self._plus, z, mask)
 
-    def k_minus_conj_pair(self, z, idx):
+    def k_minus_conj_pair(self, z, mask: int):
         """Conjugated K-bar^(z)(u | xi_S - s) as an unreduced pair."""
-        return self._k_pair(self._minus, Rat(z), idx)
+        return self._k_pair(self._minus, z, mask)
 
-    def f_between_pair(self, idx_left, idx_right):
+    def f_between_pair(self, mask_left: int, mask_right: int):
         """f(xi_L, xi_R) as an unreduced (numerator, denominator) pair."""
-        return self._f.pair(idx_left, idx_right)
+        lo, hi = mask_right & self._low, mask_right >> self.half
+        low, high = self._idx
+        num = den = 1
+        for i in low[mask_left & self._low] + high[mask_left >> self.half]:
+            ln, hn, ld, hd = self._f_rows[i]
+            num *= ln[lo] * hn[hi]
+            den *= ld[lo] * hd[hi]
+        return num, den
 
-    def f_u_pair(self, idx):
+    def f_u_pair(self, mask: int):
         """f(u, xi_S + s) as an unreduced pair."""
-        return self._plus.row_pair(idx)
+        return subset_pair(self._plus.row, mask, self.half)
 
-    def f_u_conj_pair(self, idx):
+    def f_u_conj_pair(self, mask: int):
         """f(xi_S - s, u) as an unreduced pair."""
-        return self._minus.row_pair(idx)
+        return subset_pair(self._minus.row, mask, self.half)
 
     def k_plus(self, z, mask: int) -> Rat:
         """K^(z)(u | xi_S + s) for the subset S given as a bitmask."""
-        return Rat(*self.k_plus_pair(z, list(bits_of(mask))))
+        return Rat(*self.k_plus_pair(z, mask))
 
     def k_minus_conj(self, z, mask: int) -> Rat:
         """Conjugated K-bar^(z)(u | xi_S - s) for the subset S."""
-        return Rat(*self.k_minus_conj_pair(z, list(bits_of(mask))))
+        return Rat(*self.k_minus_conj_pair(z, mask))
 
     def f_between(self, mask_left: int, mask_right: int) -> Rat:
         """f(xi_L, xi_R) for two disjoint subset masks (shift-invariant)."""
-        return Rat(*self.f_between_pair(list(bits_of(mask_left)),
-                                        list(bits_of(mask_right))))
+        return Rat(*self.f_between_pair(mask_left, mask_right))

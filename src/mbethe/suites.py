@@ -403,21 +403,19 @@ def shifted_unit_sum(us, vs, xs, c, conjugated: bool = False) -> Rat:
         to_u = FTable(c, us.values, xs.values)
 
         def term(m1, m2):
-            x1, x2 = list(bits_of(m1)), list(bits_of(m2))
-            an, ad = left.k_minus_conj_pair(1, x1)
-            bn, bd = right.k_minus_conj_pair(1, x2)
-            fn, fd = left.f_between_pair(x1, x2)
-            gn, gd = to_u.pair(range(n), x2)
+            an, ad = left.k_minus_conj_pair(1, m1)
+            bn, bd = right.k_minus_conj_pair(1, m2)
+            fn, fd = left.f_between_pair(m1, m2)
+            gn, gd = to_u.pair(range(n), list(bits_of(m2)))
             return Rat(an * bn * fn * gd, ad * bd * fd * gn)
     else:
         to_u = FTable(c, xs.values, us.values)
 
         def term(m1, m2):
-            x1, x2 = list(bits_of(m1)), list(bits_of(m2))
-            an, ad = left.k_plus_pair(1, x1)
-            bn, bd = right.k_plus_pair(1, x2)
-            fn, fd = left.f_between_pair(x2, x1)
-            gn, gd = to_u.pair(x2, range(n))
+            an, ad = left.k_plus_pair(1, m1)
+            bn, bd = right.k_plus_pair(1, m2)
+            fn, fd = left.f_between_pair(m2, m1)
+            gn, gd = to_u.pair(list(bits_of(m2)), range(n))
             return Rat(an * bn * fn * gd, ad * bd * fd * gn)
 
     return split_sum(len(xs), 2, term)

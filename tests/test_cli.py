@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import mbethe.bench
 import mbethe.izergin
 from mbethe.cli import main
 from mbethe.report import strip_timing
@@ -219,6 +220,20 @@ class TestBench:
         digests = {r["value_digest"] for r in rows}
         assert len(digests) == 1
         assert all(r["identical_to_serial"] for r in rows)
+        assert all(r["oracle_match"] is True for r in rows)
+        assert all(r["value_is_zero"] is False for r in rows)
+
+    def test_value_off_the_oracle_fails(self, monkeypatch, capsys):
+        true_eval = mbethe.bench.eval_scalar
+
+        def off_by_one(*args, **kwargs):
+            return true_eval(*args, **kwargs) + 1
+
+        monkeypatch.setattr(mbethe.bench, "eval_scalar", off_by_one)
+        result = mbethe.bench.run_bench([6], [1])
+        assert [r["oracle_match"] for r in result["rows"]] == [False]
+        assert main(["bench", "--size", "6", "--jobs", "1"]) == 1
+        assert "matches the chain oracle: False" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["--size", "4", "--jobs", "-3"],

@@ -1,6 +1,8 @@
 """Deformed determinants: closed forms, representation equivalence, the full
 law suite at small sizes, and the residue machinery."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,9 @@ from mbethe.izergin import (DetTables, conj_mod_izergin, izergin_convolution,
                             izergin_deformation_sum, izergin_partition_sum,
                             mod_izergin, ordinary_izergin, rat_pow,
                             residue_check)
-from mbethe.partitions import bits_of, enumerate_splits, mask_values
+from mbethe.partitions import enumerate_splits, mask_values
 from mbethe.scalars import (Rat, SpectralSet, kernel_g, sample_generic,
-                            set_product, with_shifts)
+                            sample_twist, set_product, with_shifts)
 
 C = Rat(1)
 
@@ -270,6 +272,42 @@ class TestDetTables:
                     assert tables.k_minus_conj(z, mask) == conj_mod_izergin(
                         z, us, sub.shifted(-C), C)
 
+    def test_spfin_shape(self):
+        """Five left values over a ground set of ten at shift c, the shape of
+        the SPfin sums at n + m = 10: every mask takes the ground-indexed
+        rows (#S <= 5) or the folded u-indexed ones (#S > 5 at z != 1)."""
+        us, xs = spectra(37, [5, 10])
+        mu = sample_twist(37, C).mu
+        tables = DetTables(us.values, xs.values, C)
+        for z in (mu, Rat(0), Rat(1), Rat(-7, 4)):
+            for mask in range(1 << len(xs)):
+                sub = SpectralSet(mask_values(xs.values, mask))
+                assert tables.k_plus(z, mask) == mod_izergin(
+                    z, us, sub.shifted(C), C)
+                assert tables.k_minus_conj(z, mask) == conj_mod_izergin(
+                    z, us, sub.shifted(-C), C)
+
+    def test_pickled_tables_give_same_pairs(self):
+        """A DetTables sent to a pool worker gives the same pairs, whether or
+        not a deformation was evaluated before pickling."""
+        us, xs = spectra(38, [5, 10])
+        mu = sample_twist(38, C).mu
+        tables = DetTables(us.values, xs.values, C)
+        fresh = pickle.loads(pickle.dumps(tables))
+        tables.k_plus_pair(mu, (1 << 10) - 1)
+        used = pickle.loads(pickle.dumps(tables))
+        full = (1 << 10) - 1
+        for copy in (fresh, used):
+            for mask in range(1 << 10):
+                for z in (mu, Rat(-7, 4)):
+                    assert copy.k_plus_pair(z, mask) == tables.k_plus_pair(z, mask)
+                    assert (copy.k_minus_conj_pair(z, mask)
+                            == tables.k_minus_conj_pair(z, mask))
+                assert copy.f_u_pair(mask) == tables.f_u_pair(mask)
+                assert copy.f_u_conj_pair(mask) == tables.f_u_conj_pair(mask)
+                assert (copy.f_between_pair(full ^ mask, mask)
+                        == tables.f_between_pair(full ^ mask, mask))
+
     @pytest.mark.parametrize("c", [C, Rat(-3, 2)])
     def test_every_shift(self, c):
         """K(u | xi_S + s), K-bar(u | xi_S - s), f(u, xi_S + s) and
@@ -279,15 +317,14 @@ class TestDetTables:
             tables = DetTables(us.values, xs.values, c, shift=s)
             for mask in range(1 << len(xs)):
                 sub = SpectralSet(mask_values(xs.values, mask))
-                idx = list(bits_of(mask))
                 for z in (Rat(1), Rat(-7, 4)):
                     assert tables.k_plus(z, mask) == mod_izergin(
                         z, us, sub.shifted(s), c)
                     assert tables.k_minus_conj(z, mask) == conj_mod_izergin(
                         z, us, sub.shifted(-s), c)
-                assert Rat(*tables.f_u_pair(idx)) == set_product(
+                assert Rat(*tables.f_u_pair(mask)) == set_product(
                     "f", us, sub.shifted(s), c)
-                assert Rat(*tables.f_u_conj_pair(idx)) == set_product(
+                assert Rat(*tables.f_u_conj_pair(mask)) == set_product(
                     "f", sub.shifted(-s), us, c)
 
     @pytest.mark.parametrize("u_values", [(Rat(1, 3), Rat(1, 3)),

@@ -1,5 +1,7 @@
 """The integer rows of the direct determinants and the table-driven partition
-sums, bit for bit against plain-Fraction copies of the code they replaced.
+sums, bit for bit against plain-Fraction copies of the code they replaced;
+and the DetTables pairs against a copy of the loop-based assembly they
+replaced.
 
 The references below build one Fraction per kernel value and per entry, take
 determinants by Fraction elimination, and sum partitions over the direct
@@ -9,14 +11,16 @@ a collision the same PoleError (kind and pair) must be raised.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from mbethe.errors import PoleError, VariantUndefined
-from mbethe.izergin import (conj_mod_izergin, izergin_convolution,
+from mbethe.izergin import (DetTables, conj_mod_izergin, izergin_convolution,
                             izergin_deformation_sum, izergin_partition_sum,
                             mod_izergin)
-from mbethe.partitions import enumerate_splits, mask_values
+from mbethe.linalg import clear_denominators, det_int
+from mbethe.partitions import bits_of, enumerate_splits, mask_values
 from mbethe.scalars import Rat, SpectralSet, sample_generic, with_shifts
 from mbethe.suites import _binomial_check, _spectra, shifted_unit_sum
 
@@ -221,6 +225,95 @@ def ref_binomial_sums(xs, c):
 # Helpers
 # ---------------------------------------------------------------------------
 
+class LoopTables:
+    """A copy of the loop-based DetTables pair assembly: every product over
+    a subset is multiplied out factor by factor, and every determinant is
+    eliminated by det_int. The kernel values come from the Fraction
+    references above, as reduced numerator and denominator. For the
+    conjugated side every table is the transposed one."""
+
+    def __init__(self, u, g, c, s, conjugated):
+        def o(a, b):
+            return (b, a) if conjugated else (a, b)
+
+        self.u = u
+        shifted = [x - s if conjugated else x + s for x in g]
+        self.fu = [[ref_f(*o(a, b), c) for b in shifted] for a in u]
+        self.f = [[Fraction(1) if j == t else ref_f(*o(a, b), c)
+                   for t, b in enumerate(g)] for j, a in enumerate(g)]
+        self.h_rows, self.h_den = clear_denominators(
+            [[ref_inv_h(*o(a, b), c) for b in g] for a in g])
+        self.row = []
+        for j in range(len(g)):
+            value = Fraction(1)
+            for fu_i in self.fu:
+                value *= fu_i[j]
+            self.row.append(value)
+        try:
+            self.uoff = []
+            for j, a in enumerate(u):
+                comp = Fraction(1)
+                for t, b in enumerate(u):
+                    if t != j:
+                        comp *= ref_f(*o(a, b), c)
+                self.uoff.append([comp * ref_inv_h(*o(a, b), c) for b in u])
+        except PoleError:
+            self.uoff = None
+
+    def k_pair(self, z, mask):
+        idx = list(bits_of(mask))
+        n = len(self.u)
+        if len(idx) > n and z != 1 and self.uoff is not None:
+            off, off_den = clear_denominators([[z * x for x in row]
+                                               for row in self.uoff])
+            num = (z.denominator - z.numerator) ** (len(idx) - n)
+            den = z.denominator ** (len(idx) - n)
+            rows = []
+            for j in range(n):
+                dn = dd = 1
+                for t in idx:
+                    dn *= self.fu[j][t].numerator
+                    dd *= self.fu[j][t].denominator
+                g = gcd(dn, dd)
+                dn //= g
+                dd //= g
+                row = [-dd * x for x in off[j]]
+                row[j] += dn * off_den[j]
+                rows.append(row)
+                den *= dd * off_den[j]
+            return num * det_int(rows), den
+        zn, zd = z.numerator, z.denominator
+        rows, den = [], 1
+        for pos, j in enumerate(idx):
+            bn, bd = self.row[j].numerator, self.row[j].denominator
+            for t in idx:
+                bn *= self.f[j][t].numerator
+                bd *= self.f[j][t].denominator
+            g = gcd(bn, bd)
+            bn = bn // g * zd
+            bd //= g
+            row = [bn * self.h_rows[j][k] for k in idx]
+            row[pos] -= zn * bd * self.h_den[j]
+            rows.append(row)
+            den *= zd * bd * self.h_den[j]
+        return det_int(rows), den
+
+    def row_pair(self, mask):
+        num = den = 1
+        for j in bits_of(mask):
+            num *= self.row[j].numerator
+            den *= self.row[j].denominator
+        return num, den
+
+    def f_between_pair(self, left, right):
+        num = den = 1
+        for i in bits_of(left):
+            for j in bits_of(right):
+                num *= self.f[i][j].numerator
+                den *= self.f[i][j].denominator
+        return num, den
+
+
 def outcome(fn, *args, **kwargs):
     """A comparable record of a call: its exact value, or its error."""
     try:
@@ -394,3 +487,47 @@ class TestTableSumsMatchReference:
                                    u, SpectralSet(xs.values[:1]), v, c,
                                    conjugated=conj)
                 assert got[0] == kind
+
+
+class TestDetTablesMatchLoops:
+    """Every pair of DetTables, read from subset-product tables and, on the
+    u-indexed route, folded from principal minors: the same numerator and
+    denominator as the loop-based assembly."""
+
+    @pytest.mark.parametrize("c", CONSTANTS)
+    def test_generic_points(self, c):
+        rng = random.Random(43)
+        for n, size in ((0, 4), (2, 5), (3, 6), (4, 7)):
+            us, xs = generic_sets(rng.getrandbits(32), [n, size], c)
+            u, g = list(us.values), list(xs.values)
+            for s in (Rat(0), c, -c):
+                tables = DetTables(u, g, c, shift=s)
+                plus = LoopTables(u, g, c, s, conjugated=False)
+                minus = LoopTables(u, g, c, s, conjugated=True)
+                for z in deformations(rng):
+                    for mask in range(1 << size):
+                        assert tables.k_plus_pair(z, mask) == plus.k_pair(z, mask)
+                        assert (tables.k_minus_conj_pair(z, mask)
+                                == minus.k_pair(z, mask))
+                for mask in range(1 << size):
+                    assert tables.f_u_pair(mask) == plus.row_pair(mask)
+                    assert tables.f_u_conj_pair(mask) == minus.row_pair(mask)
+                for _, left, right in enumerate_splits(size, 3):
+                    assert (tables.f_between_pair(left, right)
+                            == plus.f_between_pair(left, right))
+
+    def test_colliding_left_set(self):
+        """With f or 1/h at a pole within u, both take the ground-indexed
+        rows for every subset."""
+        c = Rat(1)
+        _, xs = generic_sets(44, [0, 5], c)
+        g = list(xs.values)
+        for u in ([Rat(1, 3), Rat(1, 3), Rat(5, 7)], [Rat(1, 3), Rat(4, 3)]):
+            tables = DetTables(u, g, c)
+            plus = LoopTables(u, g, c, c, conjugated=False)
+            minus = LoopTables(u, g, c, c, conjugated=True)
+            assert plus.uoff is None and minus.uoff is None
+            for z in (Rat(0), Rat(-7, 4)):
+                for mask in range(1 << len(g)):
+                    assert tables.k_plus_pair(z, mask) == plus.k_pair(z, mask)
+                    assert tables.k_minus_conj_pair(z, mask) == minus.k_pair(z, mask)
