@@ -14,8 +14,8 @@ from typing import Callable, Optional
 
 from .chain import ChainSpec, apply_entry_product, vacuum_state
 from .errors import CapabilityError, CardinalityError, DomainError
-from .izergin import (DetTables, conj_mod_izergin, mod_izergin, rat_pow,
-                      subset_pair, subset_products)
+from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
+                      mod_izergin, rat_pow, term_rat)
 from .partitions import (CoefficientMap, GroundSet, bits_of, mask_values,
                          split_sum)
 from .scalars import (ModelParams, Rat, SpectralSet, TwistData, kernel_h,
@@ -239,24 +239,22 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
         tables = DetTables(u_set.values, values, c)
         diagonal_one = kind in ("t11", "nu11")
         twisted = kind.startswith("nu")
+        sign = by_popcount(lambda k: rat_pow(-1, n), p)
         if twisted:
             beta_name = "beta2" if diagonal_one else "beta1"
             beta = getattr(_require_twist(params, kind, (beta_name,)), beta_name)
+            sign = by_popcount(lambda k: rat_pow(beta, n) * rat_pow(-beta, -k), p)
+        weight = _weight_table(lam1 if diagonal_one else lam2)
 
         def diagonal_term(mask1, mask2):
-            if twisted:
-                term = rat_pow(beta, n) * rat_pow(-beta, -bin(mask1).count("1"))
-            else:
-                term = rat_pow(-1, n)
             if diagonal_one:
-                term *= tables.k_minus_conj(1, mask1) * tables.f_between(mask2, mask1)
-                wvals = lam1
+                parts = (tables.k_minus_conj_pair(1, mask1),
+                         tables.f_between_pair(mask2, mask1))
             else:
-                term *= tables.k_plus(1, mask1) * tables.f_between(mask1, mask2)
-                wvals = lam2
-            for i in bits_of(mask1):
-                term *= wvals[i]
-            return term
+                parts = (tables.k_plus_pair(1, mask1),
+                         tables.f_between_pair(mask1, mask2))
+            return term_rat(sign[mask1.bit_count()], weight.row(0, mask1),
+                            *parts)
 
         return result(split_sum(p, 2, diagonal_term,
                                 None if twisted else (n, p - n), keyed=True))
@@ -264,23 +262,23 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
     if kind in ("t21", "nu21"):
         tables = DetTables(u_set.values, values, c)
         twisted = kind == "nu21"
+        power1 = power2 = [(1, 1)] * (p + 1)
         if twisted:
             twist = _require_twist(params, kind)
+            power1 = by_popcount(lambda k: rat_pow(-twist.beta1, n - k), p)
+            power2 = by_popcount(lambda k: rat_pow(-twist.beta2, n - k), p)
         elif m < n:
             return result(CoefficientMap())
+        weight1, weight2 = _weight_table(lam1), _weight_table(lam2)
 
         def annihilation_term(mask1, mask2, mask3):
-            term = tables.k_plus(1, mask1) * tables.k_minus_conj(1, mask2)
-            term *= (tables.f_between(mask1, mask2) * tables.f_between(mask1, mask3)
-                     * tables.f_between(mask3, mask2))
-            if twisted:
-                term *= (rat_pow(-twist.beta1, n - bin(mask1).count("1"))
-                         * rat_pow(-twist.beta2, n - bin(mask2).count("1")))
-            for i in bits_of(mask1):
-                term *= lam2[i]
-            for i in bits_of(mask2):
-                term *= lam1[i]
-            return term
+            return term_rat(tables.k_plus_pair(1, mask1),
+                            tables.k_minus_conj_pair(1, mask2),
+                            tables.f_between_pair(mask1, mask2),
+                            tables.f_between_pair(mask1, mask3),
+                            tables.f_between_pair(mask3, mask2),
+                            power1[mask1.bit_count()], power2[mask2.bit_count()],
+                            weight2.row(0, mask1), weight1.row(0, mask2))
 
         return result(split_sum(p, 3, annihilation_term,
                                 None if twisted else (n, n, p - 2 * n), keyed=True))
@@ -339,17 +337,14 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
     if form == "SCe":
         values = u_set.values + v_set.values
         tables = DetTables(u_set.values, values, c)
-        l1v = [lam1(x) for x in values]
-        l2v = [lam2(x) for x in values]
+        weight1 = _weight_table([lam1(x) for x in values])
+        weight2 = _weight_table([lam2(x) for x in values])
 
         def sce_term(mask1, mask2):
-            term = tables.k_plus(1, mask1) * tables.k_minus_conj(1, mask2)
-            term *= tables.f_between(mask1, mask2)
-            for i in bits_of(mask1):
-                term *= l2v[i]
-            for i in bits_of(mask2):
-                term *= l1v[i]
-            return term
+            return term_rat(tables.k_plus_pair(1, mask1),
+                            tables.k_minus_conj_pair(1, mask2),
+                            tables.f_between_pair(mask1, mask2),
+                            weight2.row(0, mask1), weight1.row(0, mask2))
 
         return split_sum(2 * n, 2, sce_term, (n, n))
 
@@ -414,38 +409,36 @@ def _independent_term(z, u1, v1, u2, v2, oracle: WeightOracle, c) -> Rat:
     return term
 
 
+def _weight_table(weights) -> FTable:
+    """Vacuum weights as a one-row table, read by mask in one lookup pair."""
+    return FTable.of_ints([[w.numerator for w in weights]],
+                          [[w.denominator for w in weights]])
+
+
 class _SPfinTerm:
     """One term of the SPfin sum, for the split (mask1, mask2) of the merged
     set. The term is multiplied out as an integer numerator and denominator,
     and one rational is built per term; the weight products over a part are
-    read from subset-product tables. A module-level class, so that it
-    pickles into pool workers.
+    read from one-row tables. A module-level class, so that it pickles into
+    pool workers.
     """
 
     def __init__(self, u_values, values, c, twist: TwistData, lam1, lam2):
         self.tables = DetTables(u_values, values, c)
         self.mu = twist.mu
         n, p = len(u_values), len(values)
-        self.beta_pow = []
-        for l1 in range(p + 1):
-            w = rat_pow(-twist.beta1, n - l1) * rat_pow(-twist.beta2, n - p + l1)
-            self.beta_pow.append((w.numerator, w.denominator))
-        half = self.tables.half
-        self.lam1, self.lam2 = (
-            subset_products([x.numerator for x in lam], [x.denominator for x in lam],
-                            half) for lam in (lam1, lam2))
+        self.beta_pow = by_popcount(
+            lambda l1: (rat_pow(-twist.beta1, n - l1)
+                        * rat_pow(-twist.beta2, n - p + l1)), p)
+        self.lam1, self.lam2 = _weight_table(lam1), _weight_table(lam2)
 
     def __call__(self, mask1: int, mask2: int) -> Rat:
-        tables, mu, half = self.tables, self.mu, self.tables.half
-        num, den = self.beta_pow[mask1.bit_count()]
-        for a, b in (subset_pair(self.lam2, mask1, half),
-                     subset_pair(self.lam1, mask2, half),
-                     tables.f_between_pair(mask1, mask2),
-                     tables.k_plus_pair(mu, mask1),
-                     tables.k_minus_conj_pair(mu, mask2)):
-            num *= a
-            den *= b
-        return Rat(num, den)
+        tables = self.tables
+        return term_rat(self.beta_pow[mask1.bit_count()],
+                        self.lam2.row(0, mask1), self.lam1.row(0, mask2),
+                        tables.f_between_pair(mask1, mask2),
+                        tables.k_plus_pair(self.mu, mask1),
+                        tables.k_minus_conj_pair(self.mu, mask2))
 
 
 def eval_vacuum_average(w_set: SpectralSet, oracle: WeightOracle,
@@ -455,18 +448,15 @@ def eval_vacuum_average(w_set: SpectralSet, oracle: WeightOracle,
     c = Rat(c)
     p = len(w_set)
     values = w_set.values
-    lam1 = [oracle.lambda1(x) for x in values]
-    lam2 = [oracle.lambda2(x) for x in values]
+    power1 = by_popcount(lambda k: rat_pow(-twist.beta1, -k), p)
+    power2 = by_popcount(lambda k: rat_pow(-twist.beta2, -k), p)
+    weight1 = _weight_table([oracle.lambda1(x) for x in values])
+    weight2 = _weight_table([oracle.lambda2(x) for x in values])
+    f = FTable(c, values)
 
     def average_term(mask1, mask2):
-        term = (rat_pow(-twist.beta2, -bin(mask2).count("1"))
-                * rat_pow(-twist.beta1, -bin(mask1).count("1")))
-        for i in bits_of(mask1):
-            term *= lam2[i]
-        for i in bits_of(mask2):
-            term *= lam1[i]
-        term *= set_product("f", mask_values(values, mask1),
-                            mask_values(values, mask2), c)
-        return term
+        return term_rat(power2[mask2.bit_count()], power1[mask1.bit_count()],
+                        weight2.row(0, mask1), weight1.row(0, mask2),
+                        f.pair(mask1, mask2))
 
     return rat_pow(1 - twist.mu, p) * split_sum(p, 2, average_term)

@@ -172,13 +172,24 @@ def _twisted_frame(params: ModelParams) -> tuple:
             tuple(tuple(pair.mu * a for a in row) for row in pair.a0))
 
 
+def _frame(spec: ChainSpec, params, kind: str, psi) -> tuple:
+    """The auxiliary vector and the read-out row of the entry `kind`, once
+    the name, the twist and the state length are checked."""
+    family, i, j = _entry(kind)
+    if family == "nu":
+        if params is None:
+            raise DomainError(f"{kind} requires twist parameters")
+        aux, rows = _twisted_frame(params)
+    else:
+        aux, rows = UNIT_ROWS, UNIT_ROWS
+    _check_state(spec, kind, psi)
+    return aux[j - 1], (rows[i - 1],)
+
+
 def apply_t(spec: ChainSpec, i: int, j: int, u, psi) -> list:
     """t_ij(u) applied to a state, matrix-free."""
-    kind = f"t{i}{j}"
-    _entry(kind)
-    _check_state(spec, kind, psi)
-    return monodromy_columns(spec, u, psi, UNIT_ROWS[j - 1],
-                             (UNIT_ROWS[i - 1],))[0]
+    aux, row = _frame(spec, None, f"t{i}{j}", psi)
+    return monodromy_columns(spec, u, psi, aux, row)[0]
 
 
 def apply_nu(spec: ChainSpec, params: ModelParams, i: int, j: int, u, psi) -> list:
@@ -187,11 +198,8 @@ def apply_nu(spec: ChainSpec, params: ModelParams, i: int, j: int, u, psi) -> li
     T(u) is linear in the auxiliary vector, so one sweep from B0 e_j, read
     out along the row mu * e_i^T A0, gives the entry.
     """
-    kind = f"nu{i}{j}"
-    _entry(kind)
-    _check_state(spec, kind, psi)
-    aux, rows = _twisted_frame(params)
-    return monodromy_columns(spec, u, psi, aux[j - 1], (rows[i - 1],))[0]
+    aux, row = _frame(spec, params, f"nu{i}{j}", psi)
+    return monodromy_columns(spec, u, psi, aux, row)[0]
 
 
 def build_monodromy(spec: ChainSpec, u, params: ModelParams | None = None):
@@ -271,17 +279,12 @@ def modified_entry(spec: ChainSpec, params: ModelParams, i: int, j: int, u):
 
 def apply_entry_product(spec: ChainSpec, params: ModelParams | None, kind: str,
                         args: SpectralSet, psi) -> list:
-    """Apply the product of one monodromy entry over a parameter set."""
-    family, i, j = _entry(kind)
-    if family == "nu" and params is None:
-        raise DomainError(f"{kind} requires twist parameters")
-    _check_state(spec, kind, psi)
+    """Apply the product of one monodromy entry over a parameter set; the
+    entry's frame is derived once, and each factor is one sweep."""
+    aux, row = _frame(spec, params, kind, psi)
     out = psi
     for w in reversed(args.values):
-        if family == "nu":
-            out = apply_nu(spec, params, i, j, w, out)
-        else:
-            out = apply_t(spec, i, j, w, out)
+        out = monodromy_columns(spec, w, out, aux, row)[0]
     return out
 
 

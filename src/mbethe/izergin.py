@@ -6,11 +6,14 @@ size #v (total in z) and one of size #u carrying a (1-z)^(m-n) prefactor that
 is undefined at z = 1 unless the cardinalities match. The conjugated variant
 equals the plain one with c negated but is computed from its own determinant,
 so the two routes stay independent and can be checked against each other.
+
+A partition-sum term reads every product over a split part by bitmask from
+an `FTable` (or those inside `DetTables`) and builds one rational (`term_rat`).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefined
@@ -18,7 +21,7 @@ from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefin
 # in perfbench/ wraps it under this name.
 from .linalg import (clear_denominators, det, det_int,  # noqa: F401
                      fold_minors, principal_minors)
-from .partitions import bits_of, split_sum
+from .partitions import split_sum
 from .ratfunc import rational_interpolate
 from .scalars import (Rat, SpectralSet, f_pair, h_pair, is_generic, kernel_f,
                       set_product)
@@ -26,8 +29,8 @@ from .scalars import (Rat, SpectralSet, f_pair, h_pair, is_generic, kernel_f,
 __all__ = [
     "mod_izergin", "conj_mod_izergin", "ordinary_izergin",
     "izergin_partition_sum", "izergin_convolution", "izergin_deformation_sum",
-    "residue_check", "rational_interpolate", "rat_pow", "DetTables", "FTable",
-    "subset_products", "subset_pair",
+    "residue_check", "rat_pow", "by_popcount", "term_rat", "DetTables",
+    "FTable",
 ]
 
 
@@ -190,14 +193,25 @@ def ordinary_izergin(u_set: SpectralSet, v_set: SpectralSet, c,
     return fn(Rat(1), u_set, v_set, c, variant="v-side")
 
 
-def _term(zn, zd, k, *pairs) -> Rat:
-    """(zn/zd)**k times the product of integer (numerator, denominator)
-    pairs, as one rational."""
-    num, den = zn ** k, zd ** k
+def term_rat(*pairs) -> Rat:
+    """The product of integer (numerator, denominator) pairs, as one
+    rational: how every table-driven partition-sum term is built."""
+    num = den = 1
     for a, b in pairs:
         num *= a
         den *= b
     return Rat(num, den)
+
+
+def _powers(x, top: int) -> list:
+    """x**k for k = 0..top as integer pairs, indexed by popcount."""
+    return [(x.numerator ** k, x.denominator ** k) for k in range(top + 1)]
+
+
+def by_popcount(weight, top: int) -> list:
+    """weight(k) for k = 0..top as integer (numerator, denominator) pairs,
+    so that a term reads the weight of a part by the part's popcount."""
+    return [(w.numerator, w.denominator) for w in map(weight, range(top + 1))]
 
 
 def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
@@ -213,23 +227,24 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
     z, c = Rat(z), Rat(c)
     u, v = u_set.values, v_set.values
     n, m = len(u), len(v)
-    zn, zd = -z.numerator, z.denominator
+    all_u, all_v = (1 << n) - 1, (1 << m) - 1
+    power = _powers(-z, max(n, m))
     if side == "v-partitions":
         within = FTable(c, v)
         if conjugated:
             across = FTable(c, v, u)   # f(v1, u) f(v2, v1)
 
             def v_term(mask1, mask2):
-                v1, v2 = list(bits_of(mask1)), list(bits_of(mask2))
-                return _term(zn, zd, len(v2), across.pair(v1, range(n)),
-                             within.pair(v2, v1))
+                return term_rat(power[mask2.bit_count()],
+                                across.pair(mask1, all_u),
+                                within.pair(mask2, mask1))
         else:
             across = FTable(c, u, v)   # f(u, v1) f(v1, v2)
 
             def v_term(mask1, mask2):
-                v1, v2 = list(bits_of(mask1)), list(bits_of(mask2))
-                return _term(zn, zd, len(v2), across.pair(range(n), v1),
-                             within.pair(v1, v2))
+                return term_rat(power[mask2.bit_count()],
+                                across.pair(all_u, mask1),
+                                within.pair(mask1, mask2))
 
         return split_sum(m, 2, v_term)
     if side == "u-partitions":
@@ -242,16 +257,16 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
             across = FTable(c, v, u)   # f(v, u2) f(u2, u1)
 
             def u_term(mask1, mask2):
-                u1, u2 = list(bits_of(mask1)), list(bits_of(mask2))
-                return _term(zn, zd, len(u1), across.pair(range(m), u2),
-                             within.pair(u2, u1))
+                return term_rat(power[mask1.bit_count()],
+                                across.pair(all_v, mask2),
+                                within.pair(mask2, mask1))
         else:
             across = FTable(c, u, v)   # f(u2, v) f(u1, u2)
 
             def u_term(mask1, mask2):
-                u1, u2 = list(bits_of(mask1)), list(bits_of(mask2))
-                return _term(zn, zd, len(u1), across.pair(u2, range(m)),
-                             within.pair(u1, u2))
+                return term_rat(power[mask1.bit_count()],
+                                across.pair(mask2, all_v),
+                                within.pair(mask1, mask2))
 
         return rat_pow(1 - z, m - n) * split_sum(n, 2, u_term)
     raise ValueError(f"unknown side {side!r}")
@@ -268,6 +283,7 @@ def izergin_convolution(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     z1, z2 = Rat(z1), Rat(z2)
     left = DetTables(u_set.values, xi_set.values, c, shift=0)
     right = DetTables(v_set.values, xi_set.values, c, shift=0)
+    power = _powers(z2, len(xi_set))
     if conjugated:
         k_left, k_right = left.k_minus_conj_pair, right.k_minus_conj_pair
     else:
@@ -278,8 +294,8 @@ def izergin_convolution(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
             weights = left.f_between_pair(mask1, mask2), left.f_u_conj_pair(mask2)
         else:            # f(x2, x1) f(u, x2)
             weights = left.f_between_pair(mask2, mask1), left.f_u_pair(mask2)
-        return _term(z2.numerator, z2.denominator, mask1.bit_count(),
-                     k_left(z1, mask1), k_right(z2, mask2), *weights)
+        return term_rat(power[mask1.bit_count()], k_left(z1, mask1),
+                        k_right(z2, mask2), *weights)
 
     return split_sum(len(xi_set), 2, conv_term)
 
@@ -293,13 +309,13 @@ def izergin_deformation_sum(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     """
     z1, z2 = Rat(z1), Rat(z2)
     tables = DetTables(u_set.values, v_set.values, c, shift=0)
+    power = _powers(z1, len(v_set))
     k = tables.k_minus_conj_pair if conjugated else tables.k_plus_pair
 
     def shift_term(mask1, mask2):
         weight = (tables.f_between_pair(mask2, mask1) if conjugated
                   else tables.f_between_pair(mask1, mask2))
-        return _term(z1.numerator, z1.denominator, mask2.bit_count(),
-                     k(z2, mask1), weight)
+        return term_rat(power[mask2.bit_count()], k(z2, mask1), weight)
 
     return split_sum(len(v_set), 2, shift_term)
 
@@ -356,49 +372,24 @@ def residue_check(z, u_set: SpectralSet, v_set: SpectralSet, c,
     return limit_value, predicted
 
 
-class FTable:
-    """f(a, b) for a in `left` and b in `right`, read through kernel_f once
-    and kept as integer numerator and denominator tables, one row per a.
-
-    With `right` omitted the pairs are those of `left` with itself, and the
-    diagonal, where f has its pole, is 1. Products over index lists are
-    plain integer products, so a partition sum can multiply a whole term in
-    integers and build one rational per term.
-    """
-
-    def __init__(self, c, left, right=None):
-        same = right is None
-        right = left if same else right
-        one = Rat(1)
-        self.num, self.den = _ints(
-            [[one if same and i == j else kernel_f(a, b, c)
-              for j, b in enumerate(right)] for i, a in enumerate(left)])
-
-    def pair(self, rows, cols) -> tuple:
-        """Product of f over rows x cols (index lists) as an unreduced
-        (numerator, denominator) pair."""
-        num = den = 1
-        for i in rows:
-            fn, fd = self.num[i], self.den[i]
-            for j in cols:
-                num *= fn[j]
-                den *= fd[j]
-        return num, den
+@lru_cache(maxsize=None)
+def _index_halves(size: int) -> tuple:
+    """(low mask, half, low, high): the indices of a mask S of range(size)
+    are low[S & low mask] + high[S >> half], with half = size // 2."""
+    half = size // 2
+    out = []
+    for bits in (range(half), range(half, size)):
+        lists = [()]
+        for b in bits:
+            lists += [x + (b,) for x in lists]
+        out.append(tuple(lists))
+    return ((1 << half) - 1, half, *out)
 
 
-def subset_products(nums, dens, half: int) -> tuple:
-    """Products of a row of integer (numerator, denominator) factors over
-    every subset of its indices, kept as two half tables.
-
-    Returns (lo_num, hi_num, lo_den, hi_den): lo_* hold the products over
-    the subsets of the factors below `half`, indexed by their bitmask, and
-    hi_* the products over the subsets of the rest, indexed by the mask
-    shifted down by `half`. The product over a mask S is then one lookup
-    pair and one multiplication (`subset_pair`). Only the grouping of the
-    factors differs from a loop over S, so the integers are the same.
-    """
-    return (_products(nums[:half]), _products(nums[half:]),
-            _products(dens[:half]), _products(dens[half:]))
+def _indices(halves, mask: int) -> tuple:
+    """The indices in the mask, ascending, from `_index_halves`."""
+    low_mask, half, low, high = halves
+    return low[mask & low_mask] + high[mask >> half]
 
 
 def _products(factors) -> list:
@@ -410,32 +401,86 @@ def _products(factors) -> list:
     return out
 
 
-def subset_pair(table, mask: int, half: int) -> tuple:
-    """The product over the mask of a `subset_products` table, as an
-    unreduced (numerator, denominator) pair."""
-    ln, hn, ld, hd = table
-    lo, hi = mask & ((1 << half) - 1), mask >> half
-    return ln[lo] * hn[hi], ld[lo] * hd[hi]
+def _f_ints(c, left, right=None) -> tuple:
+    """f(a, b) for a in `left` and b in `right` (with `right` omitted, the
+    pairs within `left`, 1 on the diagonal) read through kernel_f, as
+    integer numerator and denominator tables, one row per a."""
+    same = right is None
+    right = left if same else right
+    one = Rat(1)
+    return _ints([[one if same and i == j else kernel_f(a, b, c)
+                   for j, b in enumerate(right)] for i, a in enumerate(left)])
 
 
-class _Side:
-    """Integer tables behind one of the two determinants of DetTables.
+class FTable:
+    """Rows of integer (numerator, denominator) factors, read by bitmasks.
 
-    Every kernel value is the numerator and denominator of its reduced
-    fraction, and every product over a subset of the ground set is read
-    from `subset_products` tables. Index j runs over the ground set and i
-    over the left set u; for the conjugated side every table is transposed
-    (`conjugated`), so that both determinants share one row assembly. The
-    u-indexed parts are built on the first subset that takes them: sums at
-    z = 1 never do.
+    `FTable(c, left, right)` holds the f table of `_f_ints`; `of_ints`
+    takes integer rows as they are (vacuum weights, row factors). Each row
+    keeps its products over every subset of the low half of its columns
+    and over every subset of the high half (2 * 2^(p/2) entries), so its
+    product over a column mask is one lookup pair and one multiplication:
+    the integers a loop over the mask gives, unreduced, so that a partition
+    sum multiplies a whole term in integers (`term_rat`).
     """
 
-    def __init__(self, u, c, conjugated, fu, f_rows, h, half):
-        self.u, self.c, self.conjugated, self.half = u, c, conjugated, half
-        self.fu = fu               # f(u_i, xi_t + s) or f(xi_t - s, u_i)
+    def __init__(self, c, left, right=None):
+        self._set(*_f_ints(c, left, right))
+
+    @classmethod
+    def of_ints(cls, num, den) -> "FTable":
+        """The table with factors num[i][j] / den[i][j]."""
+        table = cls.__new__(cls)
+        table._set(num, den)
+        return table
+
+    def _set(self, num, den):
+        self.num, self.den = num, den
+        half = len(num[0]) // 2 if num else 0
+        self._half, self._low = half, (1 << half) - 1
+        self._rows = _index_halves(len(num))
+        self._subsets = [(_products(n[:half]), _products(n[half:]),
+                          _products(d[:half]), _products(d[half:]))
+                         for n, d in zip(num, den)]
+
+    def row(self, i: int, cols: int) -> tuple:
+        """Product of row i over the column mask, as an unreduced pair."""
+        ln, hn, ld, hd = self._subsets[i]
+        lo, hi = cols & self._low, cols >> self._half
+        return ln[lo] * hn[hi], ld[lo] * hd[hi]
+
+    def pair(self, rows: int, cols: int) -> tuple:
+        """Product over the row mask times the column mask, as an unreduced
+        (numerator, denominator) pair."""
+        lo, hi = cols & self._low, cols >> self._half
+        sub = self._subsets
+        num = den = 1
+        for i in _indices(self._rows, rows):
+            ln, hn, ld, hd = sub[i]
+            num *= ln[lo] * hn[hi]
+            den *= ld[lo] * hd[hi]
+        return num, den
+
+
+class _Side(FTable):
+    """One of the two determinants of DetTables, as the FTable of its rows.
+
+    Row j < p (the ground size) is f(xi_j, xi_t) over t, 1 at t = j; row
+    p + i is the u-indexed row f(u_i, xi_t + s). For the conjugated side
+    every table is transposed (`conjugated`): f(xi_t, xi_j) and
+    f(xi_t - s, u_i). With the row factors, the 1/h rows and the u-indexed
+    parts, `k_pair` assembles either representation from its own subset
+    products. The u-indexed off-diagonal parts and their minors are built
+    on the first subset that takes them: sums at z = 1 never do.
+    """
+
+    def __init__(self, u, c, conjugated, f, fu, h):
+        self.u, self.c, self.conjugated = u, c, conjugated
+        self.size, self.n_left = len(f[0]), len(u)
+        self._set(f[0] + fu[0], f[1] + fu[1])
         # the row factor f(u-set, xi_j + s), or f(xi_j - s, u-set)
         self.row_num, self.row_den = [], []
-        for j in range(len(f_rows)):
+        for j in range(self.size):
             num = den = 1
             for fn, fd in zip(*fu):
                 num *= fn[j]
@@ -443,21 +488,14 @@ class _Side:
             g = gcd(num, den)
             self.row_num.append(num // g)
             self.row_den.append(den // g)
-        # row j of the ground-indexed determinant is the row factor of xi_j
-        # times the product of f_rows[j], f(xi_j, xi_t) over t (1 at t = j)
-        self.f_rows = f_rows
         self.h_rows, self.h_den = h  # 1/h(xi_j, xi_k), or its transpose
+        self._ground = _index_halves(self.size)
         self.zcache: dict = {}
 
     @cached_property
-    def row(self):
-        """The row factors, as one subset-product table."""
-        return subset_products(self.row_num, self.row_den, self.half)
-
-    @cached_property
-    def u_rows(self):
-        """Row i of the u-indexed determinant: f(u_i, xi_t + s) over t."""
-        return [subset_products(fn, fd, self.half) for fn, fd in zip(*self.fu)]
+    def factors(self) -> FTable:
+        """The row factors, as a one-row table."""
+        return FTable.of_ints([self.row_num], [self.row_den])
 
     @cached_property
     def uoff(self):
@@ -495,6 +533,50 @@ class _Side:
             hit = (dens, minors, z.denominator - z.numerator, z.denominator)
             self.zcache[key] = hit
         return hit
+
+    def k_pair(self, z, mask: int):
+        """(numerator, denominator) of the determinant over the subset mask.
+
+        Each row's subset product is reduced by one gcd; that keeps the
+        integers small without a gcd per entry. On the ground-indexed route
+        (row j times the row factor of xi_j) each row is its rational row
+        times one integer, the product of that reduced denominator and a
+        fixed row denominator.
+        """
+        n, sub = self.n_left, self._subsets
+        s = mask.bit_count()
+        lo, hi = mask & self._low, mask >> self._half
+        if s > n and z != 1 and self.uoff is not None:
+            # u-indexed representation: fixed size n, folded from the minors
+            off_den, minors, pre_num, pre_den = self.off_minors(z)
+            num, den = pre_num ** (s - n), pre_den ** (s - n)
+            diag, scale = [], []
+            for (ln, hn, ld, hd), od in zip(sub[self.size:], off_den):
+                dn = ln[lo] * hn[hi]
+                dd = ld[lo] * hd[hi]
+                g = gcd(dn, dd)
+                dd //= g
+                diag.append(dn // g * od)
+                scale.append(dd)
+                den *= dd * od
+            return num * fold_minors(minors, diag, scale), den
+        zn, zd = z.numerator, z.denominator
+        idx = _indices(self._ground, mask)
+        rows = []
+        den = 1
+        for pos, j in enumerate(idx):
+            ln, hn, ld, hd = sub[j]
+            bn = self.row_num[j] * ln[lo] * hn[hi]
+            bd = self.row_den[j] * ld[lo] * hd[hi]
+            g = gcd(bn, bd)
+            bn = bn // g * zd
+            bd //= g
+            hrow, hden = self.h_rows[j], self.h_den[j]
+            row = [bn * hrow[k] for k in idx]
+            row[pos] -= zn * bd * hden
+            rows.append(row)
+            den *= zd * bd * hden
+        return det_int(rows), den
 
 
 def _reduced(num, den) -> tuple:
@@ -539,22 +621,18 @@ class DetTables:
     kernels of shifted pairs reduce to unshifted ones because f and h depend
     only on argument differences.
 
-    Subsets are bitmasks over the ground set. Every product over a subset
-    is read from `subset_products` tables, one pair of half tables per row
-    of factors, split at `half`: f(xi_j, xi_S) for the rows of K, which
-    also gives f(xi_L, xi_R), f(xi_S, xi_j) for the rows of K-bar, the
-    u-indexed rows and the row factors f(u, xi_S + s). A subset S with
-    #S <= #u takes the ground-indexed rows, assembled as integers over one
-    denominator per row and eliminated by `linalg.det_int`. A larger S at
-    z != 1 takes the u-indexed rows a_j e_j + b_j A_j, where only a_j and
-    b_j depend on S: the principal minors of A are computed once per
-    deformation value, and `linalg.fold_minors` sums them against a and b.
-    Both routes give the same integers as eliminating the rows. The
-    `*_pair` methods return the unreduced (numerator, denominator) of a
-    value, so that a partition sum can multiply a whole term in integers
-    and build one rational per term; `k_plus`, `k_minus_conj` and
-    `f_between` return the reduced rational. The deformation z is an int
-    or a rational, built once by the caller.
+    Subsets are bitmasks over the ground set, and every product over one
+    is read from an `FTable`: each determinant is the FTable of its rows
+    (`_Side`), those of K also giving f(xi_L, xi_R), and the row factors
+    f(u, xi_S + s) are a one-row table. A subset S with #S <= #u takes the
+    ground-indexed rows, as integers over one denominator per row, through
+    `linalg.det_int`. A larger S at z != 1 takes the u-indexed rows
+    a_j e_j + b_j A_j, where only a_j and b_j depend on S: the principal
+    minors of A are computed once per deformation value, and
+    `linalg.fold_minors` sums them against a and b, the same integer. The
+    `*_pair` methods return unreduced (numerator, denominator) pairs for
+    `term_rat`; `k_plus`, `k_minus_conj` and `f_between` return rationals.
+    The deformation z is an int or a rational, built once by the caller.
     """
 
     def __init__(self, u_values, ground_values, c, shift=None):
@@ -562,133 +640,56 @@ class DetTables:
         self._u = [Rat(x) for x in u_values]
         self._g = [Rat(x) for x in ground_values]
         self._s = self.c if shift is None else Rat(shift)
-        self.size = len(self._g)
-        self.n_left = len(self._u)
-        self.half = self.size // 2
-        self._low = (1 << self.half) - 1
-        self._f = FTable(self.c, self._g)
+        self._f = _f_ints(self.c, self._g)
         g, cn, cd = _parts(self._g), self.c.numerator, self.c.denominator
         hinv = [[_reduced(*_inv_h_pair(a, b, cn, cd)) for b in g] for a in g]
         # 1/h(xi_j, xi_k) as integer rows over one denominator per row, for
         # each half (the conjugated half reads the transpose)
         self._h = _cleared(hinv), _cleared(list(zip(*hinv)))
 
-    @cached_property
-    def _idx(self):
-        """The ground indices in each subset of either half: the indices of
-        the mask S are low[S & low mask] + high[S >> half]."""
-        out = []
-        for bits in (range(self.half), range(self.half, self.size)):
-            lists = [[]]
-            for b in bits:
-                lists += [x + [b] for x in lists]
-            out.append(lists)
-        return out
-
-    @cached_property
-    def _f_rows(self):
-        """f(xi_i, xi_t) over t, one subset-product table per i."""
-        return [subset_products(fn, fd, self.half)
-                for fn, fd in zip(self._f.num, self._f.den)]
-
-    @cached_property
-    def _f_cols(self):
-        """f(xi_t, xi_j) over t, one subset-product table per j."""
-        return [subset_products(fn, fd, self.half)
-                for fn, fd in zip(*_transposed((self._f.num, self._f.den)))]
-
     def __getstate__(self):
-        """Both halves and the index lists are built before pickling, so
-        that each pool worker receives those tables instead of building its
-        own; the u-indexed parts are built where first used."""
-        _ = self._plus, self._minus, self._idx
+        """Both halves are built before pickling, so that each pool worker
+        receives their tables instead of building its own; the u-indexed
+        off-diagonal parts are built where first used."""
+        _ = self._plus, self._minus
         return self.__dict__
 
     # Each determinant's tables are built on its first use: a sum that
-    # needs only K or only K-bar builds only that half.
+    # needs only K builds only that half (f(xi_L, xi_R) reads it too).
 
     @cached_property
     def _plus(self) -> _Side:
-        fu = FTable(self.c, self._u, [x + self._s for x in self._g])
-        return _Side(self._u, self.c, False, (fu.num, fu.den), self._f_rows,
-                     self._h[0], self.half)
+        fu = _f_ints(self.c, self._u, [x + self._s for x in self._g])
+        return _Side(self._u, self.c, False, self._f, fu, self._h[0])
 
     @cached_property
     def _minus(self) -> _Side:
-        fu = FTable(self.c, [x - self._s for x in self._g], self._u)
-        return _Side(self._u, self.c, True, _transposed((fu.num, fu.den)),
-                     self._f_cols, self._h[1], self.half)
-
-    def _k_pair(self, side: _Side, z, mask: int):
-        """(numerator, denominator) of the determinant over the subset mask.
-
-        Each row's subset product is reduced by one gcd; that keeps the
-        integers small without a gcd per entry. On the ground-indexed route
-        each row is its rational row times one integer, the product of that
-        reduced denominator and a fixed row denominator.
-        """
-        n = self.n_left
-        s = mask.bit_count()
-        lo, hi = mask & self._low, mask >> self.half
-        if s > n and z != 1 and side.uoff is not None:
-            # u-indexed representation: fixed size n, folded from the minors
-            off_den, minors, pre_num, pre_den = side.off_minors(z)
-            num, den = pre_num ** (s - n), pre_den ** (s - n)
-            diag, scale = [], []
-            for (ln, hn, ld, hd), od in zip(side.u_rows, off_den):
-                dn = ln[lo] * hn[hi]
-                dd = ld[lo] * hd[hi]
-                g = gcd(dn, dd)
-                dd //= g
-                diag.append(dn // g * od)
-                scale.append(dd)
-                den *= dd * od
-            return num * fold_minors(minors, diag, scale), den
-        zn, zd = z.numerator, z.denominator
-        idx = self._idx[0][lo] + self._idx[1][hi]
-        rows = []
-        den = 1
-        for pos, j in enumerate(idx):
-            ln, hn, ld, hd = side.f_rows[j]
-            bn = side.row_num[j] * ln[lo] * hn[hi]
-            bd = side.row_den[j] * ld[lo] * hd[hi]
-            g = gcd(bn, bd)
-            bn = bn // g * zd
-            bd //= g
-            hrow, hden = side.h_rows[j], side.h_den[j]
-            row = [bn * hrow[k] for k in idx]
-            row[pos] -= zn * bd * hden
-            rows.append(row)
-            den *= zd * bd * hden
-        return det_int(rows), den
+        fu = _f_ints(self.c, [x - self._s for x in self._g], self._u)
+        return _Side(self._u, self.c, True, _transposed(self._f),
+                     _transposed(fu), self._h[1])
 
     def k_plus_pair(self, z, mask: int):
         """K^(z)(u | xi_S + s) as an unreduced (numerator, denominator) pair,
         for the subset S given as a bitmask."""
-        return self._k_pair(self._plus, z, mask)
+        return self._plus.k_pair(z, mask)
 
     def k_minus_conj_pair(self, z, mask: int):
         """Conjugated K-bar^(z)(u | xi_S - s) as an unreduced pair."""
-        return self._k_pair(self._minus, z, mask)
+        return self._minus.k_pair(z, mask)
 
     def f_between_pair(self, mask_left: int, mask_right: int):
         """f(xi_L, xi_R) as an unreduced (numerator, denominator) pair."""
-        lo, hi = mask_right & self._low, mask_right >> self.half
-        low, high = self._idx
-        num = den = 1
-        for i in low[mask_left & self._low] + high[mask_left >> self.half]:
-            ln, hn, ld, hd = self._f_rows[i]
-            num *= ln[lo] * hn[hi]
-            den *= ld[lo] * hd[hi]
-        return num, den
+        return self._plus.pair(mask_left, mask_right)
 
     def f_u_pair(self, mask: int):
         """f(u, xi_S + s) as an unreduced pair."""
-        return subset_pair(self._plus.row, mask, self.half)
+        return self._plus.factors.row(0, mask)
 
     def f_u_conj_pair(self, mask: int):
         """f(xi_S - s, u) as an unreduced pair."""
-        return subset_pair(self._minus.row, mask, self.half)
+        return self._minus.factors.row(0, mask)
+
+    # perfbench/tracing.py wraps the three rational forms below by name.
 
     def k_plus(self, z, mask: int) -> Rat:
         """K^(z)(u | xi_S + s) for the subset S given as a bitmask."""

@@ -20,11 +20,12 @@ from .chain import (ChainSpec, apply_entry_product, apply_nu,
                     gl2_random_matrix, r_matrix,
                     vacuum_state, vacuum_weights)
 from .errors import ConfigError
-from .izergin import (DetTables, FTable, conj_mod_izergin, izergin_convolution,
-                      izergin_deformation_sum, izergin_partition_sum,
-                      mod_izergin, ordinary_izergin, rat_pow, residue_check)
+from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
+                      izergin_convolution, izergin_deformation_sum,
+                      izergin_partition_sum, mod_izergin, ordinary_izergin,
+                      rat_pow, residue_check, term_rat)
 from .linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_scale, mat_sub
-from .partitions import (bits_of, enumerate_splits, mask_values,
+from .partitions import (enumerate_splits, mask_values,
                          pole_extraction_sum, single_extraction_sum, split_sum)
 from .report import Recorder, digest
 from .scalars import (Rat, SpectralSet, TwistData, kernel_f,
@@ -398,25 +399,20 @@ def shifted_unit_sum(us, vs, xs, c, conjugated: bool = False) -> Rat:
     DetTables and the f weights from kernel tables, built once per sum."""
     left = DetTables(us.values, xs.values, c)
     right = DetTables(vs.values, xs.values, c)
-    n = len(us)
+    all_u = (1 << len(us)) - 1
     if conjugated:
         to_u = FTable(c, us.values, xs.values)
 
-        def term(m1, m2):
-            an, ad = left.k_minus_conj_pair(1, m1)
-            bn, bd = right.k_minus_conj_pair(1, m2)
-            fn, fd = left.f_between_pair(m1, m2)
-            gn, gd = to_u.pair(range(n), list(bits_of(m2)))
-            return Rat(an * bn * fn * gd, ad * bd * fd * gn)
+        def term(m1, m2):   # the reversed pair is 1 / f(us, x2)
+            return term_rat(left.k_minus_conj_pair(1, m1),
+                            right.k_minus_conj_pair(1, m2),
+                            left.f_between_pair(m1, m2), to_u.pair(all_u, m2)[::-1])
     else:
         to_u = FTable(c, xs.values, us.values)
 
-        def term(m1, m2):
-            an, ad = left.k_plus_pair(1, m1)
-            bn, bd = right.k_plus_pair(1, m2)
-            fn, fd = left.f_between_pair(m2, m1)
-            gn, gd = to_u.pair(list(bits_of(m2)), range(n))
-            return Rat(an * bn * fn * gd, ad * bd * fd * gn)
+        def term(m1, m2):   # the reversed pair is 1 / f(x2, us)
+            return term_rat(left.k_plus_pair(1, m1), right.k_plus_pair(1, m2),
+                            left.f_between_pair(m2, m1), to_u.pair(m2, all_u)[::-1])
 
     return split_sum(len(xs), 2, term)
 
@@ -431,16 +427,16 @@ def _binomial_check(seed, c, bound, max_size):
         xs, = _spectra(rng.getrandbits(48), c, bound, [p], ["x"])
         params.append(xs)
         table = FTable(c, xs.values)
+        sign = by_popcount(lambda k: Rat(-1) ** k, p)
 
         def f21(m1, m2):
-            return Rat(*table.pair(list(bits_of(m2)), list(bits_of(m1))))
+            return term_rat(table.pair(m2, m1))
 
         def f12(m1, m2):
             return f21(m2, m1)
 
         def alternating(m1, m2):
-            num, den = table.pair(list(bits_of(m2)), list(bits_of(m1)))
-            return Rat(-num if bin(m2).count("1") % 2 else num, den)
+            return term_rat(sign[m2.bit_count()], table.pair(m2, m1))
 
         for k in range(p + 1):
             lhs += [split_sum(p, 2, f21, (k, p - k)),

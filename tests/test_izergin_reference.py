@@ -1,7 +1,7 @@
 """The integer rows of the direct determinants and the table-driven partition
-sums, bit for bit against plain-Fraction copies of the code they replaced;
-and the DetTables pairs against a copy of the loop-based assembly they
-replaced.
+sums (the Izergin sums, the action terms, SCe and the vacuum average), bit
+for bit against plain-Fraction copies of the code they replaced; and the
+FTable and DetTables pairs against copies of the loops they replaced.
 
 The references below build one Fraction per kernel value and per entry, take
 determinants by Fraction elimination, and sum partitions over the direct
@@ -15,13 +15,17 @@ from math import gcd
 
 import pytest
 
+from mbethe.actions import (WeightOracle, eval_action, eval_scalar,
+                            eval_vacuum_average)
 from mbethe.errors import PoleError, VariantUndefined
-from mbethe.izergin import (DetTables, conj_mod_izergin, izergin_convolution,
-                            izergin_deformation_sum, izergin_partition_sum,
-                            mod_izergin)
+from mbethe.izergin import (DetTables, FTable, conj_mod_izergin,
+                            izergin_convolution, izergin_deformation_sum,
+                            izergin_partition_sum, mod_izergin)
 from mbethe.linalg import clear_denominators, det_int
-from mbethe.partitions import bits_of, enumerate_splits, mask_values
-from mbethe.scalars import Rat, SpectralSet, sample_generic, with_shifts
+from mbethe.partitions import (CoefficientMap, bits_of, enumerate_splits,
+                               mask_values)
+from mbethe.scalars import (Rat, SpectralSet, sample_generic, sample_twist,
+                            with_shifts)
 from mbethe.suites import _binomial_check, _spectra, shifted_unit_sum
 
 CONSTANTS = [Rat(1), Rat(-3, 2)]
@@ -219,6 +223,152 @@ def ref_binomial_sums(xs, c):
     out.append(ref_split_sum(p, lambda m1, m2: ref_pow(-1, bin(m2).count("1"))
                              * f21(m1, m2)))
     return out
+
+
+class RefTerms:
+    """The factors of the action, SCe and vacuum-average terms over subsets
+    (bitmasks) of `values`, from the Fraction references above: K^(1)(u |
+    x_S + c), K-bar^(1)(u | x_S - c) and f(x_L, x_R), each memoised per
+    mask."""
+
+    def __init__(self, u, values, c):
+        self.u, self.values, self.c = list(u), list(values), Fraction(c)
+        self.memo = {}
+
+    def _get(self, key, compute):
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def k_plus(self, mask):
+        part = [x + self.c for x in mask_values(self.values, mask)]
+        return self._get(("k", mask),
+                         lambda: ref_mod_izergin(1, self.u, part, self.c))
+
+    def k_minus_conj(self, mask):
+        part = [x - self.c for x in mask_values(self.values, mask)]
+        return self._get(("kbar", mask),
+                         lambda: ref_conj_mod_izergin(1, self.u, part, self.c))
+
+    def f(self, left, right):
+        return self._get(("f", left, right), lambda: ref_fprod(
+            mask_values(self.values, left), mask_values(self.values, right),
+            self.c))
+
+
+def ref_keyed_sum(p, parts, term, cards=None):
+    out = CoefficientMap()
+    for split in enumerate_splits(p, parts, cards):
+        out.add(split[-1], term(*split))
+    return out
+
+
+def ref_action(kind, u, v, oracle, twist, c):
+    """The per-bit terms of eval_action for the six kinds on DetTables."""
+    values = list(u) + list(v)
+    n, m = len(u), len(v)
+    p = n + m
+    lam1 = [oracle.lambda1(x) for x in values]
+    lam2 = [oracle.lambda2(x) for x in values]
+    terms = RefTerms(u, values, c)
+    if kind in ("t11", "t22", "nu11", "nu22"):
+        diagonal_one = kind in ("t11", "nu11")
+        twisted = kind.startswith("nu")
+        beta = twist.beta2 if diagonal_one else twist.beta1
+
+        def diagonal_term(mask1, mask2):
+            if twisted:
+                term = ref_pow(beta, n) * ref_pow(-beta, -bin(mask1).count("1"))
+            else:
+                term = ref_pow(-1, n)
+            if diagonal_one:
+                term *= terms.k_minus_conj(mask1) * terms.f(mask2, mask1)
+                wvals = lam1
+            else:
+                term *= terms.k_plus(mask1) * terms.f(mask1, mask2)
+                wvals = lam2
+            for i in bits_of(mask1):
+                term *= wvals[i]
+            return term
+
+        return ref_keyed_sum(p, 2, diagonal_term,
+                             None if twisted else (n, p - n))
+    twisted = kind == "nu21"
+    if not twisted and m < n:
+        return CoefficientMap()
+
+    def annihilation_term(mask1, mask2, mask3):
+        term = terms.k_plus(mask1) * terms.k_minus_conj(mask2)
+        term *= (terms.f(mask1, mask2) * terms.f(mask1, mask3)
+                 * terms.f(mask3, mask2))
+        if twisted:
+            term *= (ref_pow(-twist.beta1, n - bin(mask1).count("1"))
+                     * ref_pow(-twist.beta2, n - bin(mask2).count("1")))
+        for i in bits_of(mask1):
+            term *= lam2[i]
+        for i in bits_of(mask2):
+            term *= lam1[i]
+        return term
+
+    return ref_keyed_sum(p, 3, annihilation_term,
+                         None if twisted else (n, n, p - 2 * n))
+
+
+def ref_sce(u, v, oracle, c):
+    values = list(u) + list(v)
+    l1v = [oracle.lambda1(x) for x in values]
+    l2v = [oracle.lambda2(x) for x in values]
+    terms = RefTerms(u, values, c)
+
+    def sce_term(mask1, mask2):
+        term = terms.k_plus(mask1) * terms.k_minus_conj(mask2)
+        term *= terms.f(mask1, mask2)
+        for i in bits_of(mask1):
+            term *= l2v[i]
+        for i in bits_of(mask2):
+            term *= l1v[i]
+        return term
+
+    return ref_split_sum(2 * len(u), sce_term, (len(u), len(u)))
+
+
+def ref_vacuum_average(w, oracle, twist, c):
+    p = len(w)
+    lam1 = [oracle.lambda1(x) for x in w]
+    lam2 = [oracle.lambda2(x) for x in w]
+
+    def average_term(mask1, mask2):
+        term = (ref_pow(-twist.beta2, -bin(mask2).count("1"))
+                * ref_pow(-twist.beta1, -bin(mask1).count("1")))
+        for i in bits_of(mask1):
+            term *= lam2[i]
+        for i in bits_of(mask2):
+            term *= lam1[i]
+        term *= ref_fprod(mask_values(w, mask1), mask_values(w, mask2), c)
+        return term
+
+    return ref_pow(1 - twist.mu, p) * ref_split_sum(p, average_term)
+
+
+class LoopFTable:
+    """A copy of the FTable that products over index lists read: one
+    Fraction per entry, read in row-major order (so the first pole met is
+    the one raised), and products multiplied out factor by factor."""
+
+    def __init__(self, c, left, right=None):
+        same = right is None
+        right = left if same else right
+        self.table = [[Fraction(1) if same and i == j else ref_f(a, b, c)
+                       for j, b in enumerate(right)]
+                      for i, a in enumerate(left)]
+
+    def pair(self, rows, cols):
+        num = den = 1
+        for i in rows:
+            for j in cols:
+                num *= self.table[i][j].numerator
+                den *= self.table[i][j].denominator
+        return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -531,3 +681,126 @@ class TestDetTablesMatchLoops:
                 for mask in range(1 << len(g)):
                     assert tables.k_plus_pair(z, mask) == plus.k_pair(z, mask)
                     assert tables.k_minus_conj_pair(z, mask) == minus.k_pair(z, mask)
+
+
+def typed(pair):
+    return [(type(x), x) for x in pair]
+
+
+class TestFTableMatchesLoops:
+    """Every read of FTable against the loop over the index lists of its
+    masks: the same integers, unreduced."""
+
+    @pytest.mark.parametrize("c", CONSTANTS)
+    def test_every_mask(self, c):
+        rng = random.Random(50)
+        for rows in range(8):
+            for cols in range(8):
+                left, right = generic_sets(rng.getrandbits(32), [rows, cols], c)
+                cases = [(FTable(c, left.values, right.values),
+                          LoopFTable(c, left.values, right.values), cols)]
+                if rows == cols:  # right omitted: the pairs within left
+                    cases.append((FTable(c, left.values),
+                                  LoopFTable(c, left.values), rows))
+                for table, loop, width in cases:
+                    for rm in range(1 << rows):
+                        r = list(bits_of(rm))
+                        for cm in range(1 << width):
+                            k = list(bits_of(cm))
+                            assert typed(table.pair(rm, cm)) == typed(loop.pair(r, k))
+                    for i in range(rows):
+                        for cm in range(1 << width):
+                            assert (typed(table.row(i, cm))
+                                    == typed(loop.pair([i], list(bits_of(cm)))))
+
+    def test_integer_rows(self):
+        """FTable.of_ints, with zero and negative factors, one row and many."""
+        rng = random.Random(51)
+        for rows in (1, 3):
+            for cols in range(8):
+                num = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+                den = [[rng.randint(1, 9) for _ in range(cols)] for _ in range(rows)]
+                table = FTable.of_ints(num, den)
+                for rm in range(1 << rows):
+                    for cm in range(1 << cols):
+                        want = [1, 1]
+                        for i in bits_of(rm):
+                            for j in bits_of(cm):
+                                want[0] *= num[i][j]
+                                want[1] *= den[i][j]
+                        assert typed(table.pair(rm, cm)) == typed(want)
+
+    @pytest.mark.parametrize("c", CONSTANTS)
+    def test_collisions(self, c):
+        """Values from a small pool: the same PoleError (kind and pair) as
+        the loop table, or the same products."""
+        rng = random.Random(52)
+        poles = 0
+        for trial in range(300):
+            left = [rng.choice(POOL) for _ in range(rng.randint(0, 5))]
+            right = (None if trial % 3 == 0 else
+                     [rng.choice(POOL) for _ in range(rng.randint(0, 5))])
+            got = want = None
+            try:
+                loop = LoopFTable(c, left, right)
+            except PoleError as err:
+                want = (err.kind, err.left, err.right)
+            try:
+                table = FTable(c, left, right)
+            except PoleError as err:
+                got = (err.kind, err.left, err.right)
+            assert got == want, (left, right)
+            if want is not None:
+                poles += 1
+                continue
+            width = len(left if right is None else right)
+            for rm in range(1 << len(left)):
+                assert table.pair(rm, (1 << width) - 1) == loop.pair(
+                    list(bits_of(rm)), range(width))
+        assert poles > 0
+
+
+def coefficients(result):
+    return [(k, type(v), v.numerator, v.denominator) for k, v in result.items()]
+
+
+def exact(value):
+    return type(value), value.numerator, value.denominator
+
+
+class TestActionTermsMatchReference:
+    """The action, SCe and vacuum-average sums against the per-bit Fraction
+    terms they replaced, with Fraction determinants: every coefficient has
+    the same type, numerator and denominator."""
+
+    @pytest.mark.parametrize("c", CONSTANTS)
+    @pytest.mark.parametrize("kind", ["t11", "t22", "nu11", "nu22", "t21", "nu21"])
+    def test_actions(self, c, kind):
+        rng = random.Random(53)
+        for n in range(6):
+            for m in range(6 - n):
+                us, vs = generic_sets(rng.getrandbits(32), [n, m], c)
+                oracle = WeightOracle.random_seeded(rng.getrandbits(16))
+                twist = sample_twist(rng.getrandbits(32), c)
+                got = eval_action(kind, us, vs, oracle, twist, c).coefficients
+                want = ref_action(kind, us.values, vs.values, oracle, twist, c)
+                assert coefficients(got) == coefficients(want), (n, m)
+
+    @pytest.mark.parametrize("c", CONSTANTS)
+    def test_sce(self, c):
+        rng = random.Random(54)
+        for n in range(3):
+            us, vs = generic_sets(rng.getrandbits(32), [n, n], c)
+            oracle = WeightOracle.random_seeded(rng.getrandbits(16))
+            assert (exact(eval_scalar("SCe", us, vs, oracle, None, c))
+                    == exact(ref_sce(us.values, vs.values, oracle, c)))
+
+    @pytest.mark.parametrize("c", CONSTANTS)
+    def test_vacuum_average(self, c):
+        rng = random.Random(55)
+        for p in range(6):
+            ws, = generic_sets(rng.getrandbits(32), [p], c)
+            oracle = WeightOracle.random_seeded(rng.getrandbits(16))
+            twist = sample_twist(rng.getrandbits(32), c)
+            assert (exact(eval_vacuum_average(ws, oracle, twist, c))
+                    == exact(ref_vacuum_average(ws.values, oracle, twist, c)))
