@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from .chain import ChainSpec, apply_entry_product, vacuum_state
 from .errors import CapabilityError, CardinalityError, DomainError
 from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
-                      mod_izergin, rat_pow, term_rat)
+                      mod_izergin, rat_pow, term_pair)
 from .partitions import (CoefficientMap, GroundSet, bits_of, mask_values,
                          split_sum)
 from .scalars import (ModelParams, Rat, SpectralSet, TwistData, kernel_h,
@@ -253,8 +253,8 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
             else:
                 parts = (tables.k_plus_pair(1, mask1),
                          tables.f_between_pair(mask1, mask2))
-            return term_rat(sign[mask1.bit_count()], weight.row(0, mask1),
-                            *parts)
+            return term_pair(sign[mask1.bit_count()], weight.row(0, mask1),
+                             *parts)
 
         return result(split_sum(p, 2, diagonal_term,
                                 None if twisted else (n, p - n), keyed=True))
@@ -272,13 +272,13 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
         weight1, weight2 = _weight_table(lam1), _weight_table(lam2)
 
         def annihilation_term(mask1, mask2, mask3):
-            return term_rat(tables.k_plus_pair(1, mask1),
-                            tables.k_minus_conj_pair(1, mask2),
-                            tables.f_between_pair(mask1, mask2),
-                            tables.f_between_pair(mask1, mask3),
-                            tables.f_between_pair(mask3, mask2),
-                            power1[mask1.bit_count()], power2[mask2.bit_count()],
-                            weight2.row(0, mask1), weight1.row(0, mask2))
+            return term_pair(tables.k_plus_pair(1, mask1),
+                             tables.k_minus_conj_pair(1, mask2),
+                             tables.f_between_pair(mask1, mask2),
+                             tables.f_between_pair(mask1, mask3),
+                             tables.f_between_pair(mask3, mask2),
+                             power1[mask1.bit_count()], power2[mask2.bit_count()],
+                             weight2.row(0, mask1), weight1.row(0, mask2))
 
         return result(split_sum(p, 3, annihilation_term,
                                 None if twisted else (n, n, p - 2 * n), keyed=True))
@@ -341,10 +341,10 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
         weight2 = _weight_table([lam2(x) for x in values])
 
         def sce_term(mask1, mask2):
-            return term_rat(tables.k_plus_pair(1, mask1),
-                            tables.k_minus_conj_pair(1, mask2),
-                            tables.f_between_pair(mask1, mask2),
-                            weight2.row(0, mask1), weight1.row(0, mask2))
+            return term_pair(tables.k_plus_pair(1, mask1),
+                             tables.k_minus_conj_pair(1, mask2),
+                             tables.f_between_pair(mask1, mask2),
+                             weight2.row(0, mask1), weight1.row(0, mask2))
 
         return split_sum(2 * n, 2, sce_term, (n, n))
 
@@ -417,10 +417,10 @@ def _weight_table(weights) -> FTable:
 
 class _SPfinTerm:
     """One term of the SPfin sum, for the split (mask1, mask2) of the merged
-    set. The term is multiplied out as an integer numerator and denominator,
-    and one rational is built per term; the weight products over a part are
-    read from one-row tables. A module-level class, so that it pickles into
-    pool workers.
+    set. The term is multiplied out as an unreduced integer numerator and
+    denominator, which `split_sum` adds without building a rational; the
+    weight products over a part are read from one-row tables. A module-level
+    class, so that it pickles into pool workers.
     """
 
     def __init__(self, u_values, values, c, twist: TwistData, lam1, lam2):
@@ -432,13 +432,13 @@ class _SPfinTerm:
                         * rat_pow(-twist.beta2, n - p + l1)), p)
         self.lam1, self.lam2 = _weight_table(lam1), _weight_table(lam2)
 
-    def __call__(self, mask1: int, mask2: int) -> Rat:
+    def __call__(self, mask1: int, mask2: int) -> tuple:
         tables = self.tables
-        return term_rat(self.beta_pow[mask1.bit_count()],
-                        self.lam2.row(0, mask1), self.lam1.row(0, mask2),
-                        tables.f_between_pair(mask1, mask2),
-                        tables.k_plus_pair(self.mu, mask1),
-                        tables.k_minus_conj_pair(self.mu, mask2))
+        return term_pair(self.beta_pow[mask1.bit_count()],
+                         self.lam2.row(0, mask1), self.lam1.row(0, mask2),
+                         tables.f_between_pair(mask1, mask2),
+                         tables.k_plus_pair(self.mu, mask1),
+                         tables.k_minus_conj_pair(self.mu, mask2))
 
 
 def eval_vacuum_average(w_set: SpectralSet, oracle: WeightOracle,
@@ -455,8 +455,8 @@ def eval_vacuum_average(w_set: SpectralSet, oracle: WeightOracle,
     f = FTable(c, values)
 
     def average_term(mask1, mask2):
-        return term_rat(power2[mask2.bit_count()], power1[mask1.bit_count()],
-                        weight2.row(0, mask1), weight1.row(0, mask2),
-                        f.pair(mask1, mask2))
+        return term_pair(power2[mask2.bit_count()], power1[mask1.bit_count()],
+                         weight2.row(0, mask1), weight1.row(0, mask2),
+                         f.pair(mask1, mask2))
 
     return rat_pow(1 - twist.mu, p) * split_sum(p, 2, average_term)

@@ -8,7 +8,9 @@ equals the plain one with c negated but is computed from its own determinant,
 so the two routes stay independent and can be checked against each other.
 
 A partition-sum term reads every product over a split part by bitmask from
-an `FTable` (or those inside `DetTables`) and builds one rational (`term_rat`).
+an `FTable` (or those inside `DetTables`) and returns the unreduced integer
+pair of their product (`term_pair`); `partitions.split_sum` adds the pairs
+and builds one rational per sum.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .scalars import (Rat, SpectralSet, f_pair, h_pair, is_generic, kernel_f,
 __all__ = [
     "mod_izergin", "conj_mod_izergin", "ordinary_izergin",
     "izergin_partition_sum", "izergin_convolution", "izergin_deformation_sum",
-    "residue_check", "rat_pow", "by_popcount", "term_rat", "DetTables",
+    "residue_check", "rat_pow", "by_popcount", "term_pair", "DetTables",
     "FTable",
 ]
 
@@ -193,14 +195,14 @@ def ordinary_izergin(u_set: SpectralSet, v_set: SpectralSet, c,
     return fn(Rat(1), u_set, v_set, c, variant="v-side")
 
 
-def term_rat(*pairs) -> Rat:
+def term_pair(*pairs) -> tuple:
     """The product of integer (numerator, denominator) pairs, as one
-    rational: how every table-driven partition-sum term is built."""
+    unreduced pair: how every table-driven partition-sum term is built."""
     num = den = 1
     for a, b in pairs:
         num *= a
         den *= b
-    return Rat(num, den)
+    return num, den
 
 
 def _powers(x, top: int) -> list:
@@ -235,16 +237,16 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
             across = FTable(c, v, u)   # f(v1, u) f(v2, v1)
 
             def v_term(mask1, mask2):
-                return term_rat(power[mask2.bit_count()],
-                                across.pair(mask1, all_u),
-                                within.pair(mask2, mask1))
+                return term_pair(power[mask2.bit_count()],
+                                 across.pair(mask1, all_u),
+                                 within.pair(mask2, mask1))
         else:
             across = FTable(c, u, v)   # f(u, v1) f(v1, v2)
 
             def v_term(mask1, mask2):
-                return term_rat(power[mask2.bit_count()],
-                                across.pair(all_u, mask1),
-                                within.pair(mask1, mask2))
+                return term_pair(power[mask2.bit_count()],
+                                 across.pair(all_u, mask1),
+                                 within.pair(mask1, mask2))
 
         return split_sum(m, 2, v_term)
     if side == "u-partitions":
@@ -257,16 +259,16 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
             across = FTable(c, v, u)   # f(v, u2) f(u2, u1)
 
             def u_term(mask1, mask2):
-                return term_rat(power[mask1.bit_count()],
-                                across.pair(all_v, mask2),
-                                within.pair(mask2, mask1))
+                return term_pair(power[mask1.bit_count()],
+                                 across.pair(all_v, mask2),
+                                 within.pair(mask2, mask1))
         else:
             across = FTable(c, u, v)   # f(u2, v) f(u1, u2)
 
             def u_term(mask1, mask2):
-                return term_rat(power[mask1.bit_count()],
-                                across.pair(mask2, all_v),
-                                within.pair(mask1, mask2))
+                return term_pair(power[mask1.bit_count()],
+                                 across.pair(mask2, all_v),
+                                 within.pair(mask1, mask2))
 
         return rat_pow(1 - z, m - n) * split_sum(n, 2, u_term)
     raise ValueError(f"unknown side {side!r}")
@@ -294,8 +296,8 @@ def izergin_convolution(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
             weights = left.f_between_pair(mask1, mask2), left.f_u_conj_pair(mask2)
         else:            # f(x2, x1) f(u, x2)
             weights = left.f_between_pair(mask2, mask1), left.f_u_pair(mask2)
-        return term_rat(power[mask1.bit_count()], k_left(z1, mask1),
-                        k_right(z2, mask2), *weights)
+        return term_pair(power[mask1.bit_count()], k_left(z1, mask1),
+                         k_right(z2, mask2), *weights)
 
     return split_sum(len(xi_set), 2, conv_term)
 
@@ -315,7 +317,7 @@ def izergin_deformation_sum(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     def shift_term(mask1, mask2):
         weight = (tables.f_between_pair(mask2, mask1) if conjugated
                   else tables.f_between_pair(mask1, mask2))
-        return term_rat(power[mask2.bit_count()], k(z2, mask1), weight)
+        return term_pair(power[mask2.bit_count()], k(z2, mask1), weight)
 
     return split_sum(len(v_set), 2, shift_term)
 
@@ -421,7 +423,7 @@ class FTable:
     and over every subset of the high half (2 * 2^(p/2) entries), so its
     product over a column mask is one lookup pair and one multiplication:
     the integers a loop over the mask gives, unreduced, so that a partition
-    sum multiplies a whole term in integers (`term_rat`).
+    sum multiplies a whole term in integers (`term_pair`).
     """
 
     def __init__(self, c, left, right=None):
@@ -631,7 +633,7 @@ class DetTables:
     minors of A are computed once per deformation value, and
     `linalg.fold_minors` sums them against a and b, the same integer. The
     `*_pair` methods return unreduced (numerator, denominator) pairs for
-    `term_rat`; `k_plus`, `k_minus_conj` and `f_between` return rationals.
+    `term_pair`; `k_plus`, `k_minus_conj` and `f_between` return rationals.
     The deformation z is an int or a rational, built once by the caller.
     """
 

@@ -6,6 +6,12 @@ are streamed in a fixed deterministic order, so sums over partitions are
 reproducible and can be range-partitioned across workers (exact rational
 addition is associative and commutative, hence any reduction order yields the
 identical total).
+
+A term returns either an unreduced integer pair (numerator, nonzero
+denominator) or a rational (an int counts as one). The engine adds every term
+into one integer pair per sum (per key, for keyed sums) and builds one
+rational at the end, so a term pays no gcd unless it brings a new factor into
+the sum's denominator.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from itertools import islice
+from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
 from .errors import ConstraintError, PoleError
@@ -146,11 +153,13 @@ def split_sum(p: int, parts: int, term: Callable, cards: Sequence[int] | None = 
               jobs: int = 1, keyed: bool = False):
     """Exact sum of term(*split) over enumerate_splits(p, parts, cards).
 
-    With `keyed`, each term is added into a CoefficientMap under the split's
-    last mask, and the map is returned. With jobs > 1 and at least
-    MIN_POOL_SPLITS splits, the split ranks are cut into `jobs` contiguous
-    ranges and each range is summed in a pool worker, so `term` must then
-    pickle. Exact addition makes the result identical at every worker count.
+    `term` returns an unreduced integer pair (numerator, denominator) or a
+    rational; a zero denominator raises ZeroDivisionError. With `keyed`, each
+    term is added under the split's last mask, and a CoefficientMap of the
+    nonzero sums is returned. With jobs > 1 and at least MIN_POOL_SPLITS
+    splits, the split ranks are cut into `jobs` contiguous ranges and each
+    range is summed in a pool worker, so `term` must then pickle. Exact
+    addition makes the result identical at every worker count.
     """
     count = count_splits(p, parts, cards)
     if jobs <= 1 or count < MIN_POOL_SPLITS:
@@ -167,17 +176,35 @@ def split_sum(p: int, parts: int, term: Callable, cards: Sequence[int] | None = 
 
 
 def _range_sum(p, parts, term, cards, keyed, lo, hi):
-    """split_sum over the splits ranked lo..hi-1 in emission order."""
+    """split_sum over the splits ranked lo..hi-1 in emission order, as one
+    rational (or one CoefficientMap)."""
     splits = islice(enumerate_splits(p, parts, cards), lo, hi)
     if keyed:
-        out = CoefficientMap()
+        sums = {}
         for split in splits:
-            out.add(split[-1], term(*split))
-        return out
-    total = Rat(0)
+            key = split[-1]
+            sums[key] = _add_term(sums.get(key, (0, 1)), term(*split))
+        return CoefficientMap((key, Rat(*total)) for key, total in sums.items())
+    total = (0, 1)
     for split in splits:
-        total += term(*split)
-    return total
+        total = _add_term(total, term(*split))
+    return Rat(*total)
+
+
+def _add_term(total, value) -> tuple:
+    """total + value, where total = (num, den) with den > 0 and value is an
+    integer pair or a rational. When the term times den is an integer (the
+    remainder says so), that integer is added to num; otherwise the term is
+    reduced once, and den grows to the lcm of den and its denominator."""
+    num, den = total
+    tn, td = value if type(value) is tuple else (value.numerator, value.denominator)
+    q, r = divmod(tn * den, td)
+    if not r:
+        return num + q, den
+    g = gcd(tn, td) if td > 0 else -gcd(tn, td)
+    tn, td = tn // g, td // g
+    grown = lcm(den, td)
+    return num * (grown // den) + tn * (grown // td), grown
 
 
 def bits_of(mask: int) -> Iterator[int]:

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
                       izergin_convolution, izergin_deformation_sum,
                       izergin_partition_sum, mod_izergin, ordinary_izergin,
-                      rat_pow, residue_check, term_rat)
+                      rat_pow, residue_check, term_pair)
 from .linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_scale, mat_sub
 from .partitions import (enumerate_splits, mask_values,
                          pole_extraction_sum, single_extraction_sum, split_sum)
@@ -404,15 +404,15 @@ def shifted_unit_sum(us, vs, xs, c, conjugated: bool = False) -> Rat:
         to_u = FTable(c, us.values, xs.values)
 
         def term(m1, m2):   # the reversed pair is 1 / f(us, x2)
-            return term_rat(left.k_minus_conj_pair(1, m1),
-                            right.k_minus_conj_pair(1, m2),
-                            left.f_between_pair(m1, m2), to_u.pair(all_u, m2)[::-1])
+            return term_pair(left.k_minus_conj_pair(1, m1),
+                             right.k_minus_conj_pair(1, m2),
+                             left.f_between_pair(m1, m2), to_u.pair(all_u, m2)[::-1])
     else:
         to_u = FTable(c, xs.values, us.values)
 
         def term(m1, m2):   # the reversed pair is 1 / f(x2, us)
-            return term_rat(left.k_plus_pair(1, m1), right.k_plus_pair(1, m2),
-                            left.f_between_pair(m2, m1), to_u.pair(m2, all_u)[::-1])
+            return term_pair(left.k_plus_pair(1, m1), right.k_plus_pair(1, m2),
+                             left.f_between_pair(m2, m1), to_u.pair(m2, all_u)[::-1])
 
     return split_sum(len(xs), 2, term)
 
@@ -430,13 +430,13 @@ def _binomial_check(seed, c, bound, max_size):
         sign = by_popcount(lambda k: Rat(-1) ** k, p)
 
         def f21(m1, m2):
-            return term_rat(table.pair(m2, m1))
+            return table.pair(m2, m1)
 
         def f12(m1, m2):
             return f21(m2, m1)
 
         def alternating(m1, m2):
-            return term_rat(sign[m2.bit_count()], table.pair(m2, m1))
+            return term_pair(sign[m2.bit_count()], table.pair(m2, m1))
 
         for k in range(p + 1):
             lhs += [split_sum(p, 2, f21, (k, p - k)),

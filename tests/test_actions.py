@@ -1,7 +1,7 @@
 """Multiple-action and scalar-product evaluators against the chain oracle."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mbethe.actions import (ActionRequest, WeightOracle, eval_action,
@@ -260,9 +260,16 @@ nonzero_rats = st.builds(Rat, st.integers(-9, 9).filter(bool),
 class TestScalarFormsProperty:
     # rho1, rho2 != 0 keeps mu away from 1, where SPfinIK is undefined;
     # rho1 + rho2 != 0 keeps beta1 != -beta2, where the product can vanish
+    # A single pairing can still vanish at a drawn point: at n = 1, m = 0 the
+    # product is mu (beta1 lam1(u) + beta2 lam2(u)), which is exactly 0 at the
+    # pinned example (u = 5/2). Such a pairing is still compared, but only
+    # nonzero pairings count towards the bound, so the test cannot pass as
+    # 0 == 0.
     @given(sites=st.integers(1, 4), seed=st.integers(0, 2**20),
            c=nonzero_rats, rho1=nonzero_rats, rho2=nonzero_rats,
            kappa_plus=nonzero_rats, kappa_minus=nonzero_rats)
+    @example(sites=2, seed=661, c=Rat(-1), rho1=Rat(-7, 8), rho2=Rat(-1, 2),
+             kappa_plus=Rat(1), kappa_minus=Rat(1))
     @settings(max_examples=6, deadline=None)
     def test_forms_agree_with_oracle(self, sites, seed, c, rho1, rho2,
                                      kappa_plus, kappa_minus):
@@ -272,6 +279,7 @@ class TestScalarFormsProperty:
         spec = ChainSpec(sites, theta, c)
         oracle = WeightOracle.fundamental(spec)
         context = with_shifts(c, theta)
+        pairings = nonzero = 0
         for n in range(7):
             us = sample_generic(n, context=context, seed=seed + 1, c=c,
                                 bound=30, label="u")
@@ -279,9 +287,22 @@ class TestScalarFormsProperty:
                 vs = sample_generic(m, context=context + with_shifts(c, us),
                                     seed=seed + 2 + m, c=c, bound=30, label="v")
                 direct = direct_scalar(spec, params, "nu21", us, "nu12", vs)
-                assert direct != 0
                 assert eval_scalar("SPfin", us, vs, oracle, params, c) == direct
                 assert eval_scalar("SPfinIK", us, vs, oracle, params, c) == direct
+                pairings += 1
+                nonzero += direct != 0
+        assert pairings == 28
+        assert nonzero >= pairings - 2
+
+    def test_routes_agree_at_five_and_five(self):
+        # 2^10 splits, the size of one spfin-sum draw
+        spec = chain(3, 90)
+        us, vs = spectra(spec, [5, 5], 91)
+        oracle = WeightOracle.fundamental(spec)
+        direct = direct_scalar(spec, TWIST, "nu21", us, "nu12", vs)
+        assert direct != 0
+        assert eval_scalar("SPfin", us, vs, oracle, TWIST, C) == direct
+        assert eval_scalar("SPfinIK", us, vs, oracle, TWIST, C) == direct
 
 
 class TestVacuumAverage:

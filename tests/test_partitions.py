@@ -2,15 +2,16 @@
 closed proof-step sums."""
 
 import pickle
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbethe.errors import ConstraintError, MbetheError, PoleError
 from mbethe.partitions import (MIN_POOL_SPLITS, CoefficientMap, GroundSet,
-                               bits_of, count_splits, enumerate_splits,
+                               _add_term, bits_of, count_splits, enumerate_splits,
                                mask_values, pole_extraction_sum,
                                single_extraction_sum, split_sum)
 from mbethe.scalars import Rat, SpectralSet, sample_generic, set_product
@@ -22,6 +23,24 @@ class MaskTerm:
     def __call__(self, *split):
         num = sum((k + 2) * mask for k, mask in enumerate(split))
         return Rat(num + 1, split[-1] + 3)
+
+
+class PairTerm:
+    """A picklable term returning unreduced integer pairs: common factors,
+    negative denominators and a zero numerator."""
+
+    def __call__(self, *split):
+        num = sum((k + 2) * mask for k, mask in enumerate(split))
+        sign = -1 if split[0] % 3 else 1
+        return 6 * (num % 11), sign * 4 * (split[-1] % 5 + 1)
+
+
+class AlternatingTerm:
+    """(-1)^#(middle part) / 3 as an unreduced pair: keyed by the last part,
+    the terms cancel under every key but the full mask."""
+
+    def __call__(self, mask1, mask2, mask3):
+        return (1, -3) if mask2.bit_count() % 2 else (2, 6)
 
 
 class TestEnumeration:
@@ -135,6 +154,90 @@ if __name__ == "__main__":
 """, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "raised f 27 100"
+
+
+big = st.integers(-10**220, 10**220)
+numerators = st.one_of(st.just(0), st.integers(-30, 30), big)
+denominators = st.one_of(st.sampled_from([1, -1, 6, -6, 10**200 + 3, -10**201]),
+                         st.integers(-30, 30).filter(bool), big.filter(bool))
+pair_lists = st.integers(0, 4).flatmap(
+    lambda p: st.lists(st.tuples(numerators, denominators),
+                       min_size=1 << p, max_size=1 << p))
+
+
+class TestPairAccumulator:
+    """split_sum adds integer-pair terms into one exact rational."""
+
+    @given(pairs=pair_lists)
+    @example(pairs=[(0, -6), (10**205 + 1, -6), (-3, 10**200 + 3),
+                    (7, 10**200 + 3)])
+    @example(pairs=[(5, -10), (-1, 2)])
+    @settings(max_examples=60, deadline=None)
+    def test_same_rational_as_fraction_sum(self, pairs):
+        p = len(pairs).bit_length() - 1
+        want = sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+        got = split_sum(p, 2, lambda mask1, mask2: pairs[mask2])
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+        keyed = split_sum(p, 2, lambda mask1, mask2: pairs[mask2], keyed=True)
+        assert keyed.items() == [(k, Fraction(n, d))
+                                 for k, (n, d) in enumerate(pairs) if n]
+
+    @given(pairs=pair_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_running_denominator_is_lcm_of_reduced(self, pairs):
+        # the denominator grows only by what a term's reduced denominator
+        # brings, however the terms share factors
+        total, want, dens = (0, 1), Fraction(0), 1
+        for n, d in pairs:
+            total = _add_term(total, (n, d))
+            want += Fraction(n, d)
+            dens = lcm(dens, Fraction(n, d).denominator)
+            assert total[1] == dens
+            assert Fraction(*total) == want
+
+    def test_mixed_pair_and_rational_terms(self):
+        def term(mask1, mask2):
+            return (mask2, -4) if mask2 % 2 else Rat(1, mask2 + 1)
+
+        want = sum((Fraction(m, -4) if m % 2 else Fraction(1, m + 1)
+                    for m in range(32)), Fraction(0))
+        got = split_sum(5, 2, term)
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_keyed_cancellation_drops_the_key(self, jobs):
+        assert count_splits(4, 3) >= MIN_POOL_SPLITS
+        keyed = split_sum(4, 3, AlternatingTerm(), jobs=jobs, keyed=True)
+        assert keyed.items() == [(0b1111, Rat(1, 3))]
+        assert len(keyed) == 1
+        assert split_sum(4, 3, AlternatingTerm(), jobs=jobs) == Rat(1, 3)
+
+    @pytest.mark.parametrize("p, parts", [(7, 2), (4, 3)])
+    def test_pair_terms_same_at_every_job_count(self, p, parts):
+        term = PairTerm()
+        want = sum((Fraction(*term(*split))
+                    for split in enumerate_splits(p, parts)), Fraction(0))
+        sums = [split_sum(p, parts, term, jobs=jobs) for jobs in (1, 2, 3)]
+        assert {(s.numerator, s.denominator) for s in sums} == {
+            (want.numerator, want.denominator)}
+        maps = [split_sum(p, parts, term, jobs=jobs, keyed=True).items()
+                for jobs in (1, 2, 3)]
+        assert maps[0] == maps[1] == maps[2]
+        assert sum((v for _, v in maps[0]), Fraction(0)) == want
+
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_zero_denominator_raises_like_fraction(self, keyed):
+        with pytest.raises(Exception) as fraction_error:
+            Fraction(3, 0)
+        for bad in ((3, 0), (0, 0)):
+            for where in (0, 2):   # the first term, and a later one
+                def term(mask1, mask2):
+                    return bad if mask2 == where else (1, 2)
+
+                with pytest.raises(fraction_error.type):
+                    split_sum(2, 2, term, keyed=keyed)
 
 
 def _error_types(base=MbetheError):
