@@ -419,13 +419,15 @@ class _SPfinTerm:
     """One term of the SPfin sum, for the split (mask1, mask2) of the merged
     set. The term is multiplied out as an unreduced integer numerator and
     denominator, which `split_sum` adds without building a rational; the
-    weight products over a part are read from one-row tables. A module-level
-    class, so that it pickles into pool workers.
+    weight products over a part are read from one-row tables, and K and
+    K-bar from the block tables of `DetTables.k_readers` (or `k_pair` where
+    those do not apply). A module-level class, so that it pickles into pool
+    workers; the blocks are built in the worker that reads them.
     """
 
     def __init__(self, u_values, values, c, twist: TwistData, lam1, lam2):
         self.tables = DetTables(u_values, values, c)
-        self.mu = twist.mu
+        self.k_plus, self.k_minus = self.tables.k_readers(twist.mu)
         n, p = len(u_values), len(values)
         self.beta_pow = by_popcount(
             lambda l1: (rat_pow(-twist.beta1, n - l1)
@@ -433,12 +435,10 @@ class _SPfinTerm:
         self.lam1, self.lam2 = _weight_table(lam1), _weight_table(lam2)
 
     def __call__(self, mask1: int, mask2: int) -> tuple:
-        tables = self.tables
         return term_pair(self.beta_pow[mask1.bit_count()],
                          self.lam2.row(0, mask1), self.lam1.row(0, mask2),
-                         tables.f_between_pair(mask1, mask2),
-                         tables.k_plus_pair(self.mu, mask1),
-                         tables.k_minus_conj_pair(self.mu, mask2))
+                         self.tables.f_between_pair(mask1, mask2),
+                         self.k_plus(mask1), self.k_minus(mask2))
 
 
 def eval_vacuum_average(w_set: SpectralSet, oracle: WeightOracle,

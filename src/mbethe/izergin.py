@@ -11,12 +11,19 @@ A partition-sum term reads every product over a split part by bitmask from
 an `FTable` (or those inside `DetTables`) and returns the unreduced integer
 pair of their product (`term_pair`); `partitions.split_sum` adds the pairs
 and builds one rational per sum.
+
+`DetTables` gives each determinant over a subset mask by `k_pair`, which
+assembles that one determinant's rows. The SPfin sum, which reads K and
+K-bar over every subset, reads them instead from block tables of the
+u-indexed expansion (`_KBlocks`, through `DetTables.k_readers`), and falls
+back to `k_pair` where that expansion does not apply or does not pay
+(`_Side.k_blocks`).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from math import gcd, lcm
+from functools import cached_property, lru_cache, partial
+from math import gcd, lcm, prod
 
 from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefined
 # det is no longer called here, but stays bound as izergin.det: the tracer
@@ -580,6 +587,105 @@ class _Side(FTable):
             den *= zd * bd * hden
         return det_int(rows), den
 
+    def k_blocks(self, z) -> _KBlocks | None:
+        """The determinant at deformation z over every subset, as a block
+        table (`_KBlocks`); None where its expansion does not apply (at
+        z = 1, or where two values of u collide) or does not pay: on a
+        ground set no larger than u, every subset takes the ground-indexed
+        rows in `k_pair`, which then never builds the 2^#u principal
+        minors that the table needs."""
+        if z == 1 or self.size <= self.n_left or self.uoff is None:
+            return None
+        return _KBlocks(self, z)
+
+    def reader(self, z):
+        """mask -> the unreduced pair of the determinant at deformation z:
+        the block table's `pair` where it applies, else `k_pair` at z."""
+        blocks = self.k_blocks(z)
+        return partial(self.k_pair, z) if blocks is None else blocks.pair
+
+
+def _fold_rows(tables, num, den) -> list:
+    """Each table times num, then each times den, entry by entry: doubles a
+    list of tables indexed by a mask of rows, the new row the highest bit."""
+    return ([[x * y for x, y in zip(t, num)] for t in tables]
+            + [[x * y for x, y in zip(t, den)] for t in tables])
+
+
+class _KBlocks:
+    """The determinant of one `_Side` at one deformation z != 1, over every
+    subset mask of the ground set, from the u-indexed representation.
+
+    Row j of that representation is a_j e_j + b_j A_j with the `fold_minors`
+    weights a_j(S) = od_j prod_{t in S} fn_jt and b_j(S) = prod_{t in S}
+    fd_jt, where od_j and the principal minors M of A come from
+    `off_minors(z)` and fn/fd are the u-indexed rows of the table. Swapping
+    the sum over kept rows K with the products over S gives
+
+        K(S) = (1-z)^(#S-n) sum_K M[K] prod_{j not in K} od_j prod_{t in S} g_K(t)
+
+    over prod_j od_j prod_{t in S} prod_j fd_jt, with g_K(t) = prod_{j in K}
+    fd_jt prod_{j not in K} fn_jt. It holds at every #S, since (1-z)^(#S-n)
+    is defined for z != 1; the factor (1-z) per element of S is folded into
+    g_K and the denominators. Every factor is multiplicative over S, so the
+    masks that share a high half form a block: the sum over K of a constant
+    times the low-half subset products of g_K. A block is built when a mask
+    outside the block last read is read, in the process that reads it, and
+    only that block is kept: a sum over splits in rank order reads each
+    side's blocks one after another, so it builds each once, and holds
+    2^(p/2) entries per side instead of 2^p. No block is pickled.
+    """
+
+    def __init__(self, side: _Side, z):
+        self.side, self.z = side, z
+        self._half, self._low = side._half, side._low
+        self._hi, self._block = None, None
+
+    def __reduce__(self):
+        return _KBlocks, (self.side, self.z)
+
+    @cached_property
+    def _factors(self) -> tuple:
+        """For each K with a nonzero minor: its constant and the subset
+        products of g_K over the low and the high half of the ground set;
+        then the denominator's constant and subset products. Those of g_K
+        are folded from the u-indexed rows' own subset products, one row at
+        a time (bit j of K: row j kept)."""
+        side, half = self.side, self._half
+        n, p = side.n_left, side.size
+        od, minors, wn, wd = side.off_minors(self.z)  # 1 - z = wn / wd
+        coefs = [wd ** n]
+        low, high = [_products([wn] * half)], [_products([wn] * (p - half))]
+        den_low, den_high = _products([wd] * half), _products([wd] * (p - half))
+        for (ln, hn, ld, hd), o in zip(side._subsets[p:], od):
+            coefs = [k * o for k in coefs] + coefs
+            low = _fold_rows(low, ln, ld)
+            high = _fold_rows(high, hn, hd)
+            den_low = [x * y for x, y in zip(den_low, ld)]
+            den_high = [x * y for x, y in zip(den_high, hd)]
+        terms = [(minor * k, lo, hi) for minor, k, lo, hi
+                 in zip(minors, coefs, low, high) if minor]
+        return terms, prod(od) * wn ** n, den_low, den_high
+
+    def _build(self, hi: int) -> list:
+        """The (numerator, denominator) pairs of the masks with high half
+        hi, indexed by their low half."""
+        terms, den, den_low, den_high = self._factors
+        nums = [0] * len(den_low)
+        for coef, low, high in terms:
+            scale = coef * high[hi]
+            nums = [v + scale * x for v, x in zip(nums, low)]
+        scale = den * den_high[hi]
+        return list(zip(nums, [scale * x for x in den_low]))
+
+    def pair(self, mask: int) -> tuple:
+        """The determinant over the subset mask as an unreduced pair, equal
+        as a rational to `_Side.k_pair`."""
+        hi = mask >> self._half
+        if hi != self._hi:
+            self._hi, self._block = hi, self._build(hi)
+        return self._block[mask & self._low]
+
 
 def _reduced(num, den) -> tuple:
     """num / den in lowest terms with a positive denominator, the numerator
@@ -635,6 +741,13 @@ class DetTables:
     `*_pair` methods return unreduced (numerator, denominator) pairs for
     `term_pair`; `k_plus`, `k_minus_conj` and `f_between` return rationals.
     The deformation z is an int or a rational, built once by the caller.
+
+    Those methods serve the actions and the convolution, deformation and
+    SCe sums. The SPfin sum reads both determinants through `k_readers`,
+    which at z != 1, with u free of collisions and a ground set larger
+    than u, expand the u-indexed representation over every subset at once,
+    one block of masks per high half (`_KBlocks`); otherwise they read
+    `k_pair`.
     """
 
     def __init__(self, u_values, ground_values, c, shift=None):
@@ -678,6 +791,13 @@ class DetTables:
     def k_minus_conj_pair(self, z, mask: int):
         """Conjugated K-bar^(z)(u | xi_S - s) as an unreduced pair."""
         return self._minus.k_pair(z, mask)
+
+    def k_readers(self, z) -> tuple:
+        """Readers mask -> unreduced pair of K^(z)(u | xi_S + s) and of
+        K-bar^(z)(u | xi_S - s), for a sum that reads every subset: each
+        reads the block table of `_Side.k_blocks` where there is one, else
+        `k_pair`."""
+        return self._plus.reader(z), self._minus.reader(z)
 
     def f_between_pair(self, mask_left: int, mask_right: int):
         """f(xi_L, xi_R) as an unreduced (numerator, denominator) pair."""

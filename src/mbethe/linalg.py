@@ -91,7 +91,6 @@ def det_int(rows):
     return sign * rows[n - 1][n - 1]
 
 
-
 def principal_minors(rows) -> list:
     """The 2^n principal minors of a square integer matrix, indexed by the
     bitmask of the rows (and columns) kept; the empty minor is 1."""
@@ -119,6 +118,7 @@ def fold_minors(minors, a, b):
         aj, bj = a[j], b[j]
         vals = [aj * lo + bj * hi for lo, hi in zip(vals[:half], vals[half:])]
     return vals[0]
+
 
 def mat_mul(a, b):
     """Exact product a b: Gustavson's row-wise product on integers.

@@ -1,16 +1,19 @@
 """Multiple-action and scalar-product evaluators against the chain oracle."""
 
+import pickle
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mbethe.actions import (ActionRequest, WeightOracle, eval_action,
-                            eval_request, eval_scalar, eval_vacuum_average,
-                            phi_transform)
+from mbethe.actions import (ActionRequest, WeightOracle, _SPfinTerm,
+                            eval_action, eval_request, eval_scalar,
+                            eval_vacuum_average, phi_transform)
 from mbethe.chain import (ChainSpec, apply_entry_product, direct_scalar,
                           vacuum_state)
 from mbethe.errors import (CapabilityError, CardinalityError, DomainError)
-from mbethe.partitions import bits_of, enumerate_splits
+from mbethe.izergin import _KBlocks
+from mbethe.partitions import _range_sum, bits_of, enumerate_splits
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData,
                             kernel_h, sample_generic, with_shifts)
 
@@ -303,6 +306,55 @@ class TestScalarFormsProperty:
         assert direct != 0
         assert eval_scalar("SPfin", us, vs, oracle, TWIST, C) == direct
         assert eval_scalar("SPfinIK", us, vs, oracle, TWIST, C) == direct
+
+    def test_routes_agree_at_six_and_six(self):
+        # 2^12 splits on 2 sites
+        spec = chain(2, 92)
+        us, vs = spectra(spec, [6, 6], 93)
+        oracle = WeightOracle.fundamental(spec)
+        direct = direct_scalar(spec, TWIST, "nu21", us, "nu12", vs)
+        assert direct != 0
+        assert eval_scalar("SPfin", us, vs, oracle, TWIST, C) == direct
+        assert eval_scalar("SPfinIK", us, vs, oracle, TWIST, C) == direct
+
+
+class TestSPfinBlocks:
+    """The SPfin term reads K and K-bar from block tables built in the
+    process that reads them: a worker builds only the blocks of its own
+    rank range, and a pickled term carries none."""
+
+    def test_workers_build_only_their_blocks(self, monkeypatch):
+        spec = chain(3, 90)
+        us, vs = spectra(spec, [5, 5], 91)
+        oracle = WeightOracle.fundamental(spec)
+        values = us.values + vs.values
+        term = _SPfinTerm(us.values, values, C, TWIST.twist(),
+                          [oracle.lambda1(x) for x in values],
+                          [oracle.lambda2(x) for x in values])
+        copy = pickle.loads(pickle.dumps(term))
+        assert copy.k_plus.__self__._block is None
+        assert copy.k_minus.__self__._block is None
+        built = []
+        build = _KBlocks._build
+
+        def counted(blocks, hi):
+            built.append((blocks, hi))
+            return build(blocks, hi)
+
+        monkeypatch.setattr(_KBlocks, "_build", counted)
+        p, half = len(values), 1 << (len(values) - 1)
+        first = _range_sum(p, 2, term, None, False, 0, half)
+        second = _range_sum(p, 2, copy, None, False, half, None)
+        for done in (term, copy):
+            for reader in (done.k_plus, done.k_minus):
+                his = [hi for blocks, hi in built if blocks is reader.__self__]
+                assert len(his) == len(set(his))
+                assert 0 < len(his) <= (1 << (p - p // 2)) // 2 + 1
+        used = pickle.loads(pickle.dumps(term))
+        assert used.k_plus.__self__._block is None
+        assert used.k_minus.__self__._block is None
+        assert first + second == direct_scalar(spec, TWIST, "nu21", us,
+                                               "nu12", vs)
 
 
 class TestVacuumAverage:

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbethe.errors import CardinalityError, VariantUndefined
-from mbethe.izergin import (DetTables, conj_mod_izergin, izergin_convolution,
-                            izergin_deformation_sum, izergin_partition_sum,
-                            mod_izergin, ordinary_izergin, rat_pow,
-                            residue_check)
+from mbethe.izergin import (DetTables, _KBlocks, conj_mod_izergin,
+                            izergin_convolution, izergin_deformation_sum,
+                            izergin_partition_sum, mod_izergin,
+                            ordinary_izergin, rat_pow, residue_check)
 from mbethe.partitions import enumerate_splits, mask_values
 from mbethe.scalars import (Rat, SpectralSet, kernel_g, sample_generic,
                             sample_twist, set_product, with_shifts)
@@ -352,6 +352,61 @@ class TestDetTables:
                 right = SpectralSet(mask_values(xs.values, right_mask))
                 assert (tables.f_between(left_mask, right_mask)
                         == set_product("f", left, right, C))
+
+
+class TestKBlocks:
+    """The block tables of the u-indexed expansion against `k_pair`, as
+    rationals, and the cases that read `k_pair` instead."""
+
+    def test_every_mask_matches_k_pair(self):
+        # masks with #S < n, #S = n and #S > n; the expansion holds at
+        # p <= n too, where k_blocks leaves the sum to k_pair
+        for n in range(6):
+            for p in range(1, 11):
+                us, xs = spectra(40 + 10 * n + p, [n, p])
+                tables = DetTables(us.values, xs.values, C)
+                mu = sample_twist(n * 11 + p, C).mu
+                for z in (mu, Rat(0), Rat(-7, 4)):
+                    for side in (tables._plus, tables._minus):
+                        assert (side.k_blocks(z) is None) == (p <= n)
+                        blocks = _KBlocks(side, z)
+                        for mask in range(1 << p):
+                            assert (Rat(*blocks.pair(mask))
+                                    == Rat(*side.k_pair(z, mask)))
+
+    def test_unit_deformation_reads_k_pair(self):
+        us, xs = spectra(41, [3, 6])
+        tables = DetTables(us.values, xs.values, C)
+        readers = tables.k_readers(Rat(1))
+        for side, reader in zip((tables._plus, tables._minus), readers):
+            assert side.k_blocks(Rat(1)) is None
+            assert reader.func == side.k_pair
+            for mask in range(1 << 6):
+                assert reader(mask) == side.k_pair(Rat(1), mask)
+
+    @pytest.mark.parametrize("u_values", [(Rat(1, 3), Rat(1, 3)),
+                                          (Rat(1, 3), Rat(4, 3))])
+    def test_colliding_left_set_reads_k_pair(self, u_values):
+        _, xs = spectra(36, [0, 5])
+        tables = DetTables(u_values, xs.values, C)
+        z = Rat(-7, 4)
+        readers = tables.k_readers(z)
+        for side, reader in zip((tables._plus, tables._minus), readers):
+            assert side.k_blocks(z) is None
+            assert reader.func == side.k_pair
+            for mask in range(1 << 5):
+                assert reader(mask) == side.k_pair(z, mask)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_empty_ground(self, n):
+        us, = spectra(42, [n])
+        tables = DetTables(us.values, (), C)
+        empty = SpectralSet(())
+        for z in (Rat(1), Rat(0), Rat(-7, 4)):
+            plus, minus = tables.k_readers(z)
+            assert tables._plus.k_blocks(z) is None
+            assert Rat(*plus(0)) == mod_izergin(z, us, empty, C)
+            assert Rat(*minus(0)) == conj_mod_izergin(z, us, empty, C)
 
 
 class TestIndependentRoutesAgree:
