@@ -420,14 +420,16 @@ class _SPfinTerm:
     set. The term is multiplied out as an unreduced integer numerator and
     denominator, which `split_sum` adds without building a rational; the
     weight products over a part are read from one-row tables, and K and
-    K-bar from the block tables of `DetTables.k_readers` (or `k_pair` where
-    those do not apply). A module-level class, so that it pickles into pool
-    workers; the blocks are built in the worker that reads them.
+    K-bar through `DetTables.k_plus_reader` and `k_minus_conj_reader`
+    (block tables, or `k_pair` where those do not apply). A module-level
+    class, so that it pickles into pool workers; the blocks are built in
+    the worker that reads them.
     """
 
     def __init__(self, u_values, values, c, twist: TwistData, lam1, lam2):
         self.tables = DetTables(u_values, values, c)
-        self.k_plus, self.k_minus = self.tables.k_readers(twist.mu)
+        self.k_plus = self.tables.k_plus_reader(twist.mu)
+        self.k_minus = self.tables.k_minus_conj_reader(twist.mu)
         n, p = len(u_values), len(values)
         self.beta_pow = by_popcount(
             lambda l1: (rat_pow(-twist.beta1, n - l1)

@@ -12,11 +12,12 @@ an `FTable` (or those inside `DetTables`) and returns the unreduced integer
 pair of their product (`term_pair`); `partitions.split_sum` adds the pairs
 and builds one rational per sum.
 
-`DetTables` gives each determinant over a subset mask by `k_pair`, which
-assembles that one determinant's rows. The SPfin sum, which reads K and
-K-bar over every subset, reads them instead from block tables of the
-u-indexed expansion (`_KBlocks`, through `DetTables.k_readers`), and falls
-back to `k_pair` where that expansion does not apply or does not pay
+`DetTables` has two routes to a determinant over a subset mask. `k_pair`
+assembles that one determinant from the ground-indexed rows; the block
+tables of `_KBlocks` sum the u-indexed expansion over every subset at
+once. A sum over splits takes one reader per determinant
+(`DetTables.k_plus_reader`, `k_minus_conj_reader`), which reads the blocks
+at z != 1 and `k_pair` where the expansion does not apply or does not pay
 (`_Side.k_blocks`).
 """
 
@@ -29,7 +30,7 @@ from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefin
 # det is no longer called here, but stays bound as izergin.det: the tracer
 # in perfbench/ wraps it under this name.
 from .linalg import (clear_denominators, det, det_int,  # noqa: F401
-                     fold_minors, principal_minors)
+                     principal_minors)
 from .partitions import split_sum
 from .ratfunc import rational_interpolate
 from .scalars import (Rat, SpectralSet, f_pair, h_pair, is_generic, kernel_f,
@@ -287,24 +288,26 @@ def izergin_convolution(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
 
     Contract: equals the single determinant at deformation z1*z2 on the merged
     left set {u_set, v_set}. The determinants and f weights of each term come
-    from unshifted DetTables, so the sum never calls the direct determinant.
+    from unshifted DetTables, each determinant through one reader per sum
+    (block tables at z != 1), so the sum never calls the direct determinant.
     """
     z1, z2 = Rat(z1), Rat(z2)
     left = DetTables(u_set.values, xi_set.values, c, shift=0)
     right = DetTables(v_set.values, xi_set.values, c, shift=0)
     power = _powers(z2, len(xi_set))
     if conjugated:
-        k_left, k_right = left.k_minus_conj_pair, right.k_minus_conj_pair
+        k_left = left.k_minus_conj_reader(z1)
+        k_right = right.k_minus_conj_reader(z2)
     else:
-        k_left, k_right = left.k_plus_pair, right.k_plus_pair
+        k_left, k_right = left.k_plus_reader(z1), right.k_plus_reader(z2)
 
     def conv_term(mask1, mask2):
         if conjugated:   # f(x1, x2) f(x2, u)
             weights = left.f_between_pair(mask1, mask2), left.f_u_conj_pair(mask2)
         else:            # f(x2, x1) f(u, x2)
             weights = left.f_between_pair(mask2, mask1), left.f_u_pair(mask2)
-        return term_pair(power[mask1.bit_count()], k_left(z1, mask1),
-                         k_right(z2, mask2), *weights)
+        return term_pair(power[mask1.bit_count()], k_left(mask1),
+                         k_right(mask2), *weights)
 
     return split_sum(len(xi_set), 2, conv_term)
 
@@ -314,17 +317,19 @@ def izergin_deformation_sum(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     """Deformation-shifting sum over splits of v_set.
 
     Contract: equals the determinant at deformation z2 - z1. The
-    determinants and f weights come from unshifted DetTables.
+    determinants (through one reader at z2) and f weights come from
+    unshifted DetTables.
     """
     z1, z2 = Rat(z1), Rat(z2)
     tables = DetTables(u_set.values, v_set.values, c, shift=0)
     power = _powers(z1, len(v_set))
-    k = tables.k_minus_conj_pair if conjugated else tables.k_plus_pair
+    k = (tables.k_minus_conj_reader(z2) if conjugated
+         else tables.k_plus_reader(z2))
 
     def shift_term(mask1, mask2):
         weight = (tables.f_between_pair(mask2, mask1) if conjugated
                   else tables.f_between_pair(mask1, mask2))
-        return term_pair(power[mask2.bit_count()], k(z2, mask1), weight)
+        return term_pair(power[mask2.bit_count()], k(mask1), weight)
 
     return split_sum(len(v_set), 2, shift_term)
 
@@ -477,10 +482,11 @@ class _Side(FTable):
     Row j < p (the ground size) is f(xi_j, xi_t) over t, 1 at t = j; row
     p + i is the u-indexed row f(u_i, xi_t + s). For the conjugated side
     every table is transposed (`conjugated`): f(xi_t, xi_j) and
-    f(xi_t - s, u_i). With the row factors, the 1/h rows and the u-indexed
-    parts, `k_pair` assembles either representation from its own subset
-    products. The u-indexed off-diagonal parts and their minors are built
-    on the first subset that takes them: sums at z = 1 never do.
+    f(xi_t - s, u_i). With the row factors and the 1/h rows, `k_pair`
+    assembles the ground-indexed representation of one subset from its
+    own subset products; `_KBlocks` reads the u-indexed rows, with the
+    u-indexed off-diagonal parts (`uoff`), for every subset at once. Those
+    parts are built on first use: sums at z = 1 never build them.
     """
 
     def __init__(self, u, c, conjugated, f, fu, h):
@@ -499,7 +505,6 @@ class _Side(FTable):
             self.row_den.append(den // g)
         self.h_rows, self.h_den = h  # 1/h(xi_j, xi_k), or its transpose
         self._ground = _index_halves(self.size)
-        self.zcache: dict = {}
 
     @cached_property
     def factors(self) -> FTable:
@@ -529,46 +534,17 @@ class _Side(FTable):
             return None
         return rows
 
-    def off_minors(self, z):
-        """For the deformation z: the row denominators of z * uoff as
-        integer rows, the principal minors of minus those rows, and the
-        numerator and denominator of 1 - z; cached per deformation value."""
-        key = (z.numerator, z.denominator)
-        hit = self.zcache.get(key)
-        if hit is None:
-            rows, dens = clear_denominators([[z * x for x in row]
-                                             for row in self.uoff])
-            minors = principal_minors([[-x for x in row] for row in rows])
-            hit = (dens, minors, z.denominator - z.numerator, z.denominator)
-            self.zcache[key] = hit
-        return hit
-
     def k_pair(self, z, mask: int):
-        """(numerator, denominator) of the determinant over the subset mask.
+        """(numerator, denominator) of the determinant over the subset mask,
+        from its ground-indexed rows (size #S, defined at every z).
 
-        Each row's subset product is reduced by one gcd; that keeps the
-        integers small without a gcd per entry. On the ground-indexed route
-        (row j times the row factor of xi_j) each row is its rational row
-        times one integer, the product of that reduced denominator and a
-        fixed row denominator.
+        Row j is the row of xi_j times its row factor. Its subset product
+        is reduced by one gcd, which keeps the integers small without a gcd
+        per entry; the row is then its rational row times one integer, the
+        product of that reduced denominator and a fixed row denominator.
         """
-        n, sub = self.n_left, self._subsets
-        s = mask.bit_count()
+        sub = self._subsets
         lo, hi = mask & self._low, mask >> self._half
-        if s > n and z != 1 and self.uoff is not None:
-            # u-indexed representation: fixed size n, folded from the minors
-            off_den, minors, pre_num, pre_den = self.off_minors(z)
-            num, den = pre_num ** (s - n), pre_den ** (s - n)
-            diag, scale = [], []
-            for (ln, hn, ld, hd), od in zip(sub[self.size:], off_den):
-                dn = ln[lo] * hn[hi]
-                dd = ld[lo] * hd[hi]
-                g = gcd(dn, dd)
-                dd //= g
-                diag.append(dn // g * od)
-                scale.append(dd)
-                den *= dd * od
-            return num * fold_minors(minors, diag, scale), den
         zn, zd = z.numerator, z.denominator
         idx = _indices(self._ground, mask)
         rows = []
@@ -589,11 +565,11 @@ class _Side(FTable):
 
     def k_blocks(self, z) -> _KBlocks | None:
         """The determinant at deformation z over every subset, as a block
-        table (`_KBlocks`); None where its expansion does not apply (at
-        z = 1, or where two values of u collide) or does not pay: on a
-        ground set no larger than u, every subset takes the ground-indexed
-        rows in `k_pair`, which then never builds the 2^#u principal
-        minors that the table needs."""
+        table (`_KBlocks`); None where the u-indexed expansion does not
+        apply (at z = 1, or where two values of u collide) or does not pay:
+        on a ground set no larger than u, `k_pair` assembles at most #u
+        rows per subset and never builds the 2^#u principal minors that
+        the table needs."""
         if z == 1 or self.size <= self.n_left or self.uoff is None:
             return None
         return _KBlocks(self, z)
@@ -616,11 +592,14 @@ class _KBlocks:
     """The determinant of one `_Side` at one deformation z != 1, over every
     subset mask of the ground set, from the u-indexed representation.
 
-    Row j of that representation is a_j e_j + b_j A_j with the `fold_minors`
-    weights a_j(S) = od_j prod_{t in S} fn_jt and b_j(S) = prod_{t in S}
-    fd_jt, where od_j and the principal minors M of A come from
-    `off_minors(z)` and fn/fd are the u-indexed rows of the table. Swapping
-    the sum over kept rows K with the products over S gives
+    Row j of that representation is a_j e_j + b_j A_j with a_j(S) = od_j
+    prod_{t in S} fn_jt and b_j(S) = prod_{t in S} fd_jt. Here the rows of
+    z times the u-indexed off-diagonal parts (`_Side.uoff`) are cleared to
+    integer rows over their denominators od_j, A is minus those integer
+    rows, and fn/fd are the u-indexed rows of the table. By multilinearity in the rows its
+    determinant is the sum over kept rows K of M[K] prod_{j in K} b_j
+    prod_{j not in K} a_j, with M the principal minors of A. Swapping the
+    sum over K with the products over S gives
 
         K(S) = (1-z)^(#S-n) sum_K M[K] prod_{j not in K} od_j prod_{t in S} g_K(t)
 
@@ -650,10 +629,13 @@ class _KBlocks:
         products of g_K over the low and the high half of the ground set;
         then the denominator's constant and subset products. Those of g_K
         are folded from the u-indexed rows' own subset products, one row at
-        a time (bit j of K: row j kept)."""
-        side, half = self.side, self._half
+        a time (bit j of K: row j kept). The principal minors are computed
+        here, once per table."""
+        side, half, z = self.side, self._half, self.z
         n, p = side.n_left, side.size
-        od, minors, wn, wd = side.off_minors(self.z)  # 1 - z = wn / wd
+        rows, od = clear_denominators([[z * x for x in row] for row in side.uoff])
+        minors = principal_minors([[-x for x in row] for row in rows])
+        wn, wd = z.denominator - z.numerator, z.denominator  # 1 - z = wn / wd
         coefs = [wd ** n]
         low, high = [_products([wn] * half)], [_products([wn] * (p - half))]
         den_low, den_high = _products([wd] * half), _products([wd] * (p - half))
@@ -732,22 +714,20 @@ class DetTables:
     Subsets are bitmasks over the ground set, and every product over one
     is read from an `FTable`: each determinant is the FTable of its rows
     (`_Side`), those of K also giving f(xi_L, xi_R), and the row factors
-    f(u, xi_S + s) are a one-row table. A subset S with #S <= #u takes the
-    ground-indexed rows, as integers over one denominator per row, through
-    `linalg.det_int`. A larger S at z != 1 takes the u-indexed rows
-    a_j e_j + b_j A_j, where only a_j and b_j depend on S: the principal
-    minors of A are computed once per deformation value, and
-    `linalg.fold_minors` sums them against a and b, the same integer. The
-    `*_pair` methods return unreduced (numerator, denominator) pairs for
-    `term_pair`; `k_plus`, `k_minus_conj` and `f_between` return rationals.
-    The deformation z is an int or a rational, built once by the caller.
+    f(u, xi_S + s) are a one-row table. The `*_pair` methods return
+    unreduced (numerator, denominator) pairs for `term_pair`; `k_plus`,
+    `k_minus_conj` and `f_between` return rationals. The deformation z is
+    an int or a rational, built once by the caller.
 
-    Those methods serve the actions and the convolution, deformation and
-    SCe sums. The SPfin sum reads both determinants through `k_readers`,
-    which at z != 1, with u free of collisions and a ground set larger
-    than u, expand the u-indexed representation over every subset at once,
-    one block of masks per high half (`_KBlocks`); otherwise they read
-    `k_pair`.
+    A determinant has two routes. `k_plus_pair` and `k_minus_conj_pair`
+    assemble the ground-indexed rows of one subset, as integers over one
+    denominator per row, and eliminate them with `linalg.det_int`: the
+    route of the sums at z = 1 (the actions, SCe, the shifted-unit sum).
+    A sum at z != 1 takes one reader per determinant (`k_plus_reader`,
+    `k_minus_conj_reader`), which, with u free of collisions and a ground
+    set larger than u, expands the u-indexed representation over every
+    subset at once, one block of masks per high half (`_KBlocks`);
+    otherwise it reads the ground-indexed rows.
     """
 
     def __init__(self, u_values, ground_values, c, shift=None):
@@ -765,7 +745,8 @@ class DetTables:
     def __getstate__(self):
         """Both halves are built before pickling, so that each pool worker
         receives their tables instead of building its own; the u-indexed
-        off-diagonal parts are built where first used."""
+        off-diagonal parts, and the block tables read from them, are built
+        where first used."""
         _ = self._plus, self._minus
         return self.__dict__
 
@@ -792,12 +773,16 @@ class DetTables:
         """Conjugated K-bar^(z)(u | xi_S - s) as an unreduced pair."""
         return self._minus.k_pair(z, mask)
 
-    def k_readers(self, z) -> tuple:
-        """Readers mask -> unreduced pair of K^(z)(u | xi_S + s) and of
-        K-bar^(z)(u | xi_S - s), for a sum that reads every subset: each
-        reads the block table of `_Side.k_blocks` where there is one, else
-        `k_pair`."""
-        return self._plus.reader(z), self._minus.reader(z)
+    def k_plus_reader(self, z):
+        """Reader mask -> unreduced pair of K^(z)(u | xi_S + s), for a sum
+        that reads every subset: the block table of `_Side.k_blocks` where
+        there is one, else `k_pair`. Only the plain half is built."""
+        return self._plus.reader(z)
+
+    def k_minus_conj_reader(self, z):
+        """Reader mask -> unreduced pair of K-bar^(z)(u | xi_S - s), as
+        `k_plus_reader`; only the conjugated half is built."""
+        return self._minus.reader(z)
 
     def f_between_pair(self, mask_left: int, mask_right: int):
         """f(xi_L, xi_R) as an unreduced (numerator, denominator) pair."""

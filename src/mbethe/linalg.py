@@ -5,13 +5,9 @@ fraction-free Bareiss elimination on integer rows (`det_int`), which bounds
 intermediate entry growth; pivoting picks the first nonzero entry, so results
 are bit-for-bit deterministic. `det` clears a rational matrix into integer
 rows with `clear_denominators`; `izergin.DetTables` assembles its rows as
-integers and calls `det_int` directly.
-
-A determinant whose rows are a_j e_j + b_j A_j for one fixed matrix A and
-many (a, b) is expanded instead by multilinearity in the rows:
-`principal_minors` tabulates the 2^n principal minors of A once, and
-`fold_minors` sums them against the a and b weights one row at a time, with
-2(2^n - 1) multiplications and no division.
+integers and calls `det_int` directly. `principal_minors` tabulates the 2^n
+principal minors of an integer matrix, for the expansion of a determinant
+by multilinearity in its rows (`izergin._KBlocks`).
 """
 
 from __future__ import annotations
@@ -100,24 +96,6 @@ def principal_minors(rows) -> list:
         kept = [k for k in range(n) if mask >> k & 1]
         minors.append(det_int([[rows[i][k] for k in kept] for i in kept]))
     return minors
-
-
-def fold_minors(minors, a, b):
-    """Determinant of the matrix whose row j is a[j] e_j + b[j] A[j], from
-    the principal minors of A (`principal_minors`).
-
-    Multilinearity in the rows gives the sum over subsets T of the rows of
-    prod(a over T) * prod(b off T) * minors[complement of T]. It is folded
-    one row at a time, highest first: the minors that keep row j are
-    weighted by b[j], those that drop it by a[j]. The result is the
-    integer that `det_int` returns on the same rows.
-    """
-    vals = minors
-    for j in range(len(a) - 1, -1, -1):
-        half = 1 << j
-        aj, bj = a[j], b[j]
-        vals = [aj * lo + bj * hi for lo, hi in zip(vals[:half], vals[half:])]
-    return vals[0]
 
 
 def mat_mul(a, b):

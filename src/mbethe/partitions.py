@@ -168,7 +168,9 @@ def split_sum(p: int, parts: int, term: Callable, cards: Sequence[int] | None = 
     bounds = [count * k // jobs for k in range(jobs + 1)]
     chunks = [(p, parts, term, cards, keyed, bounds[k], bounds[k + 1])
               for k in range(jobs)]
-    with multiprocessing.Pool(jobs) as pool:
+    # fork, named: the workers must inherit the parent's module state, and
+    # Python 3.14 moves the Linux default start method away from fork
+    with multiprocessing.get_context("fork").Pool(jobs) as pool:
         partials = pool.starmap(_range_sum, chunks)
     if keyed:
         return CoefficientMap(item for part in partials for item in part.items())

@@ -229,7 +229,8 @@ class TestScalarForms:
         assert eval_scalar("SPfin", us, vs, oracle, TWIST, C, jobs=5) == serial
 
     def test_parallel_reduction_under_spawn(self, run_script):
-        # spawned workers import mbethe afresh, so the SPfin term must pickle
+        # a script that makes spawn the default start method still gets the
+        # serial value: split_sum names fork, and the SPfin term pickles
         done = run_script("""
 import multiprocessing
 

@@ -2,13 +2,14 @@
 law suite at small sizes, and the residue machinery."""
 
 import pickle
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbethe.errors import CardinalityError, VariantUndefined
-from mbethe.izergin import (DetTables, _KBlocks, conj_mod_izergin,
+from mbethe.izergin import (DetTables, _KBlocks, _Side, conj_mod_izergin,
                             izergin_convolution, izergin_deformation_sum,
                             izergin_partition_sum, mod_izergin,
                             ordinary_izergin, rat_pow, residue_check)
@@ -256,47 +257,57 @@ class TestResidue:
             residue_check(1, us, SpectralSet(()), C)
 
 
+def assert_matches_direct(tables, us, xs, z):
+    """K and K-bar over every mask of the ground set against the direct
+    determinants: through `k_plus` and `k_minus_conj` (the ground-indexed
+    rows) at z = 1, and through the block tables of the two readers at
+    z != 1."""
+    if z == 1:
+        plus, minus = partial(tables.k_plus, z), partial(tables.k_minus_conj, z)
+    else:
+        readers = tables.k_plus_reader(z), tables.k_minus_conj_reader(z)
+        assert all(isinstance(read.__self__, _KBlocks) for read in readers)
+        plus, minus = [lambda mask, read=read: Rat(*read(mask))
+                       for read in readers]
+    for mask in range(1 << len(xs)):
+        sub = SpectralSet(mask_values(xs.values, mask))
+        assert plus(mask) == mod_izergin(z, us, sub.shifted(C), C)
+        assert minus(mask) == conj_mod_izergin(z, us, sub.shifted(-C), C)
+
+
 class TestDetTables:
     def test_matches_direct_determinants(self):
-        # every mask, so subsets larger than the left set take the u-indexed
-        # rows at z != 1 and the ground-indexed rows at z = 1
+        # every mask, so that subsets smaller than, as large as and larger
+        # than the left set are read: the block tables at z != 1, the
+        # ground-indexed rows at z = 1
         for seed, n_left, size in [(22, 2, 4), (30, 0, 8), (31, 1, 8),
                                    (32, 2, 8), (33, 3, 8), (34, 4, 8)]:
             us, xs = spectra(seed, [n_left, size])
+            mu = sample_twist(seed, C).mu
             tables = DetTables(us.values, xs.values, C)
-            for z in (Rat(1), Rat(0), Rat(7, 4)):
-                for mask in range(1 << size):
-                    sub = SpectralSet(mask_values(xs.values, mask))
-                    assert tables.k_plus(z, mask) == mod_izergin(
-                        z, us, sub.shifted(C), C)
-                    assert tables.k_minus_conj(z, mask) == conj_mod_izergin(
-                        z, us, sub.shifted(-C), C)
+            for z in (Rat(1), Rat(0), Rat(7, 4), mu):
+                assert_matches_direct(tables, us, xs, z)
 
     def test_spfin_shape(self):
         """Five left values over a ground set of ten at shift c, the shape of
-        the SPfin sums at n + m = 10: every mask takes the ground-indexed
-        rows (#S <= 5) or the folded u-indexed ones (#S > 5 at z != 1)."""
+        the SPfin sums at n + m = 10: every mask read from the block tables
+        at z != 1, and from the ground-indexed rows at z = 1."""
         us, xs = spectra(37, [5, 10])
         mu = sample_twist(37, C).mu
         tables = DetTables(us.values, xs.values, C)
-        for z in (mu, Rat(0), Rat(1), Rat(-7, 4)):
-            for mask in range(1 << len(xs)):
-                sub = SpectralSet(mask_values(xs.values, mask))
-                assert tables.k_plus(z, mask) == mod_izergin(
-                    z, us, sub.shifted(C), C)
-                assert tables.k_minus_conj(z, mask) == conj_mod_izergin(
-                    z, us, sub.shifted(-C), C)
+        for z in (mu, Rat(0), Rat(1), Rat(7, 4), Rat(-7, 4)):
+            assert_matches_direct(tables, us, xs, z)
 
     def test_pickled_tables_give_same_pairs(self):
         """A DetTables sent to a pool worker gives the same pairs, whether or
-        not a deformation was evaluated before pickling."""
+        not a block table was read before pickling."""
         us, xs = spectra(38, [5, 10])
         mu = sample_twist(38, C).mu
+        full = (1 << 10) - 1
         tables = DetTables(us.values, xs.values, C)
         fresh = pickle.loads(pickle.dumps(tables))
-        tables.k_plus_pair(mu, (1 << 10) - 1)
+        tables.k_plus_reader(mu)(full)
         used = pickle.loads(pickle.dumps(tables))
-        full = (1 << 10) - 1
         for copy in (fresh, used):
             for mask in range(1 << 10):
                 for z in (mu, Rat(-7, 4)):
@@ -377,7 +388,7 @@ class TestKBlocks:
     def test_unit_deformation_reads_k_pair(self):
         us, xs = spectra(41, [3, 6])
         tables = DetTables(us.values, xs.values, C)
-        readers = tables.k_readers(Rat(1))
+        readers = tables.k_plus_reader(Rat(1)), tables.k_minus_conj_reader(Rat(1))
         for side, reader in zip((tables._plus, tables._minus), readers):
             assert side.k_blocks(Rat(1)) is None
             assert reader.func == side.k_pair
@@ -390,12 +401,35 @@ class TestKBlocks:
         _, xs = spectra(36, [0, 5])
         tables = DetTables(u_values, xs.values, C)
         z = Rat(-7, 4)
-        readers = tables.k_readers(z)
+        readers = tables.k_plus_reader(z), tables.k_minus_conj_reader(z)
         for side, reader in zip((tables._plus, tables._minus), readers):
             assert side.k_blocks(z) is None
             assert reader.func == side.k_pair
             for mask in range(1 << 5):
                 assert reader(mask) == side.k_pair(z, mask)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_sums_read_blocks(self, conjugated, monkeypatch):
+        """At z != 1, with u free of collisions, the convolution and
+        deformation sums read K from the block tables: `k_pair` is never
+        asked for a subset larger than u."""
+        k_pair = _Side.k_pair
+
+        def ground_only(side, z, mask):
+            if mask.bit_count() > side.n_left:
+                raise AssertionError(f"k_pair read the mask {mask:b}")
+            return k_pair(side, z, mask)
+
+        monkeypatch.setattr(_Side, "k_pair", ground_only)
+        fn = conj_mod_izergin if conjugated else mod_izergin
+        us, vs, xs = spectra(43, [2, 1, 4])
+        z1, z2 = Rat(2), Rat(-3, 5)
+        assert (izergin_convolution(z1, z2, us, vs, xs, C,
+                                    conjugated=conjugated)
+                == fn(z1 * z2, us.union(vs), xs, C))
+        assert (izergin_deformation_sum(z1, z2, us, xs, C,
+                                        conjugated=conjugated)
+                == fn(z2 - z1, us, xs, C))
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_empty_ground(self, n):
@@ -403,7 +437,7 @@ class TestKBlocks:
         tables = DetTables(us.values, (), C)
         empty = SpectralSet(())
         for z in (Rat(1), Rat(0), Rat(-7, 4)):
-            plus, minus = tables.k_readers(z)
+            plus, minus = tables.k_plus_reader(z), tables.k_minus_conj_reader(z)
             assert tables._plus.k_blocks(z) is None
             assert Rat(*plus(0)) == mod_izergin(z, us, empty, C)
             assert Rat(*minus(0)) == conj_mod_izergin(z, us, empty, C)

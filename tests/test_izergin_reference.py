@@ -386,7 +386,6 @@ class LoopTables:
         def o(a, b):
             return (b, a) if conjugated else (a, b)
 
-        self.u = u
         shifted = [x - s if conjugated else x + s for x in g]
         self.fu = [[ref_f(*o(a, b), c) for b in shifted] for a in u]
         self.f = [[Fraction(1) if j == t else ref_f(*o(a, b), c)
@@ -399,39 +398,9 @@ class LoopTables:
             for fu_i in self.fu:
                 value *= fu_i[j]
             self.row.append(value)
-        try:
-            self.uoff = []
-            for j, a in enumerate(u):
-                comp = Fraction(1)
-                for t, b in enumerate(u):
-                    if t != j:
-                        comp *= ref_f(*o(a, b), c)
-                self.uoff.append([comp * ref_inv_h(*o(a, b), c) for b in u])
-        except PoleError:
-            self.uoff = None
 
     def k_pair(self, z, mask):
         idx = list(bits_of(mask))
-        n = len(self.u)
-        if len(idx) > n and z != 1 and self.uoff is not None:
-            off, off_den = clear_denominators([[z * x for x in row]
-                                               for row in self.uoff])
-            num = (z.denominator - z.numerator) ** (len(idx) - n)
-            den = z.denominator ** (len(idx) - n)
-            rows = []
-            for j in range(n):
-                dn = dd = 1
-                for t in idx:
-                    dn *= self.fu[j][t].numerator
-                    dd *= self.fu[j][t].denominator
-                g = gcd(dn, dd)
-                dn //= g
-                dd //= g
-                row = [-dd * x for x in off[j]]
-                row[j] += dn * off_den[j]
-                rows.append(row)
-                den *= dd * off_den[j]
-            return num * det_int(rows), den
         zn, zd = z.numerator, z.denominator
         rows, den = [], 1
         for pos, j in enumerate(idx):
@@ -640,9 +609,9 @@ class TestTableSumsMatchReference:
 
 
 class TestDetTablesMatchLoops:
-    """Every pair of DetTables, read from subset-product tables and, on the
-    u-indexed route, folded from principal minors: the same numerator and
-    denominator as the loop-based assembly."""
+    """Every pair of DetTables, read from subset-product tables: the same
+    numerator and denominator as the loop-based assembly of the
+    ground-indexed rows."""
 
     @pytest.mark.parametrize("c", CONSTANTS)
     def test_generic_points(self, c):
@@ -667,8 +636,7 @@ class TestDetTablesMatchLoops:
                             == plus.f_between_pair(left, right))
 
     def test_colliding_left_set(self):
-        """With f or 1/h at a pole within u, both take the ground-indexed
-        rows for every subset."""
+        """Two values of u with f or 1/h at a pole between them."""
         c = Rat(1)
         _, xs = generic_sets(44, [0, 5], c)
         g = list(xs.values)
@@ -676,7 +644,7 @@ class TestDetTablesMatchLoops:
             tables = DetTables(u, g, c)
             plus = LoopTables(u, g, c, c, conjugated=False)
             minus = LoopTables(u, g, c, c, conjugated=True)
-            assert plus.uoff is None and minus.uoff is None
+            assert tables._plus.uoff is None and tables._minus.uoff is None
             for z in (Rat(0), Rat(-7, 4)):
                 for mask in range(1 << len(g)):
                     assert tables.k_plus_pair(z, mask) == plus.k_pair(z, mask)
