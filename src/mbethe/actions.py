@@ -236,8 +236,9 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
         return ActionResult(kind, coeffs, ground, values, c)
 
     if kind in ("t11", "t22", "nu11", "nu22"):
-        tables = DetTables(u_set.values, values, c)
         diagonal_one = kind in ("t11", "nu11")
+        # K-bar and f(x2, x1) for t11 / nu11, K and f(x1, x2) for t22 / nu22
+        half = DetTables(u_set.values, values, c).side(diagonal_one)
         twisted = kind.startswith("nu")
         sign = by_popcount(lambda k: rat_pow(-1, n), p)
         if twisted:
@@ -247,20 +248,15 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
         weight = _weight_table(lam1 if diagonal_one else lam2)
 
         def diagonal_term(mask1, mask2):
-            if diagonal_one:
-                parts = (tables.k_minus_conj_pair(1, mask1),
-                         tables.f_between_pair(mask2, mask1))
-            else:
-                parts = (tables.k_plus_pair(1, mask1),
-                         tables.f_between_pair(mask1, mask2))
             return term_pair(sign[mask1.bit_count()], weight.row(0, mask1),
-                             *parts)
+                             half.k_pair(1, mask1), half.pair(mask1, mask2))
 
         return result(split_sum(p, 2, diagonal_term,
                                 None if twisted else (n, p - n), keyed=True))
 
     if kind in ("t21", "nu21"):
         tables = DetTables(u_set.values, values, c)
+        plus, minus = tables.side(False), tables.side(True)
         twisted = kind == "nu21"
         power1 = power2 = [(1, 1)] * (p + 1)
         if twisted:
@@ -272,11 +268,9 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
         weight1, weight2 = _weight_table(lam1), _weight_table(lam2)
 
         def annihilation_term(mask1, mask2, mask3):
-            return term_pair(tables.k_plus_pair(1, mask1),
-                             tables.k_minus_conj_pair(1, mask2),
-                             tables.f_between_pair(mask1, mask2),
-                             tables.f_between_pair(mask1, mask3),
-                             tables.f_between_pair(mask3, mask2),
+            return term_pair(plus.k_pair(1, mask1), minus.k_pair(1, mask2),
+                             plus.pair(mask1, mask2), plus.pair(mask1, mask3),
+                             plus.pair(mask3, mask2),
                              power1[mask1.bit_count()], power2[mask2.bit_count()],
                              weight2.row(0, mask1), weight1.row(0, mask2))
 
@@ -337,13 +331,13 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
     if form == "SCe":
         values = u_set.values + v_set.values
         tables = DetTables(u_set.values, values, c)
+        plus, minus = tables.side(False), tables.side(True)
         weight1 = _weight_table([lam1(x) for x in values])
         weight2 = _weight_table([lam2(x) for x in values])
 
         def sce_term(mask1, mask2):
-            return term_pair(tables.k_plus_pair(1, mask1),
-                             tables.k_minus_conj_pair(1, mask2),
-                             tables.f_between_pair(mask1, mask2),
+            return term_pair(plus.k_pair(1, mask1), minus.k_pair(1, mask2),
+                             plus.pair(mask1, mask2),
                              weight2.row(0, mask1), weight1.row(0, mask2))
 
         return split_sum(2 * n, 2, sce_term, (n, n))
@@ -352,7 +346,7 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
         low = (1 << n) - 1
 
         def scbe_term(mask1, mask2):
-            if bin(mask1 & low).count("1") != bin(mask1 >> n).count("1"):
+            if (mask1 & low).bit_count() != (mask1 >> n).bit_count():
                 return Rat(0)
             return _independent_term(1, *_uv_parts(u_set, v_set, mask1),
                                      *_uv_parts(u_set, v_set, mask2), oracle, c)
@@ -419,17 +413,19 @@ class _SPfinTerm:
     """One term of the SPfin sum, for the split (mask1, mask2) of the merged
     set. The term is multiplied out as an unreduced integer numerator and
     denominator, which `split_sum` adds without building a rational; the
-    weight products over a part are read from one-row tables, and K and
-    K-bar through `DetTables.k_plus_reader` and `k_minus_conj_reader`
-    (block tables, or `k_pair` where those do not apply). A module-level
-    class, so that it pickles into pool workers; the blocks are built in
-    the worker that reads them.
+    weight products over a part are read from one-row tables, K and K-bar
+    through the readers of the two halves of one `DetTables` (block tables,
+    or `k_pair` where those do not apply), and f(x1, x2) from K's half. A
+    module-level class, so that it pickles into pool workers; the blocks
+    are built in the worker that reads them.
     """
 
     def __init__(self, u_values, values, c, twist: TwistData, lam1, lam2):
-        self.tables = DetTables(u_values, values, c)
-        self.k_plus = self.tables.k_plus_reader(twist.mu)
-        self.k_minus = self.tables.k_minus_conj_reader(twist.mu)
+        tables = DetTables(u_values, values, c)
+        plus, minus = tables.side(False), tables.side(True)
+        self.k_plus = plus.reader(twist.mu)
+        self.k_minus = minus.reader(twist.mu)
+        self.f_between = plus.pair
         n, p = len(u_values), len(values)
         self.beta_pow = by_popcount(
             lambda l1: (rat_pow(-twist.beta1, n - l1)
@@ -439,7 +435,7 @@ class _SPfinTerm:
     def __call__(self, mask1: int, mask2: int) -> tuple:
         return term_pair(self.beta_pow[mask1.bit_count()],
                          self.lam2.row(0, mask1), self.lam1.row(0, mask2),
-                         self.tables.f_between_pair(mask1, mask2),
+                         self.f_between(mask1, mask2),
                          self.k_plus(mask1), self.k_minus(mask2))
 
 

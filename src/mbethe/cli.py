@@ -127,6 +127,9 @@ def cmd_verify(args) -> int:
 def cmd_scalar(args) -> int:
     if args.n < 0 or args.m < 0:
         raise ConfigError("--n and --m must be nonnegative")
+    if args.n + args.m > MAX_GROUND:
+        raise ConfigError(f"--n plus --m must be at most {MAX_GROUND}, "
+                          f"got {args.n + args.m}")
     c, rho1, rho2, kp, km = (config_number(rat, getattr(args, key), f"--{key}")
                              for key in ("c", "rho1", "rho2", "kp", "km"))
     theta = sample_generic(args.sites, seed=args.seed ^ 0x7E7A, bound=args.bound,

@@ -7,6 +7,12 @@ is undefined at z = 1 unless the cardinalities match. The conjugated variant
 equals the plain one with c negated but is computed from its own determinant,
 so the two routes stay independent and can be checked against each other.
 
+Since f(a, b; -c) = f(b, a; c) and h(a, b; -c) = h(b, a; c), the conjugated
+determinant reads every kernel with its arguments reversed. That orientation
+is one switch, set once per determinant, sum or table: the `conjugated` flag
+of the row assemblies (`_v_side`, `_u_side`), of `FTable` and of
+`DetTables.side`. So each formula, sum and action term is written once.
+
 A partition-sum term reads every product over a split part by bitmask from
 an `FTable` (or those inside `DetTables`) and returns the unreduced integer
 pair of their product (`term_pair`); `partitions.split_sum` adds the pairs
@@ -16,9 +22,8 @@ and builds one rational per sum.
 assembles that one determinant from the ground-indexed rows; the block
 tables of `_KBlocks` sum the u-indexed expansion over every subset at
 once. A sum over splits takes one reader per determinant
-(`DetTables.k_plus_reader`, `k_minus_conj_reader`), which reads the blocks
-at z != 1 and `k_pair` where the expansion does not apply or does not pay
-(`_Side.k_blocks`).
+(`_Side.reader`), which reads the blocks at z != 1 and `k_pair` where the
+expansion does not apply or does not pay (`_Side.k_blocks`).
 """
 
 from __future__ import annotations
@@ -58,41 +63,49 @@ def rat_pow(base, exp: int) -> Rat:
 # is read once as a (value, numerator, denominator) triple; every kernel is
 # an unreduced integer pair from f_pair or h_pair; and a row is written as
 # integers over one row denominator, so each determinant builds one rational.
+# A helper's `conjugated` flag reads f(b, a) and h(b, a) for f(a, b) and
+# h(a, b) by flipping the sign of the difference, d = b - a.
 
 def _parts(values) -> list:
     """Each value with its numerator and denominator, read once."""
     return [(x, x.numerator, x.denominator) for x in values]
 
 
-def _f_prod(pairs, cn, cd) -> tuple:
-    """Product of f(a, b) over pairs of triples, as an integer pair reduced
-    by one gcd; PoleError("f", a, b) at the first pair with a = b."""
+def _f_prod(pairs, cn, cd, conjugated) -> tuple:
+    """Product of f(a, b) over pairs of triples, or of f(b, a) when
+    conjugated, as an integer pair reduced by one gcd; PoleError("f") at the
+    first pair with a = b, naming it in the order read."""
     num = den = 1
     for (a, an, ad), (b, bn, bd) in pairs:
-        pn, pd = f_pair(an * bd - bn * ad, ad * bd, cn, cd)
+        dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
+        pn, pd = f_pair(dn, ad * bd, cn, cd)
         if not pd:
-            raise PoleError("f", a, b)
+            raise PoleError("f", *((b, a) if conjugated else (a, b)))
         num *= pn
         den *= pd
     g = gcd(num, den)
     return num // g, den // g
 
 
-def _inv_h_pair(left, right, cn, cd) -> tuple:
-    """1 / h(a, b) for two triples as an integer pair; PoleError("1/h", a, b)
-    where h = 0."""
+def _inv_h_pair(left, right, cn, cd, conjugated) -> tuple:
+    """1 / h(a, b) for two triples, or 1 / h(b, a) when conjugated, as an
+    integer pair; PoleError("1/h") where h = 0, naming the pair in the
+    order read."""
     a, an, ad = left
     b, bn, bd = right
-    hn, hd = h_pair(an * bd - bn * ad, ad * bd, cn, cd)
+    dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
+    hn, hd = h_pair(dn, ad * bd, cn, cd)
     if not hn:
-        raise PoleError("1/h", a, b)
+        raise PoleError("1/h", *((b, a) if conjugated else (a, b)))
     return hd, hn
 
 
-def _inv_h(a, b, c) -> Rat:
-    """1 / h(a, b); raises PoleError where h = 0 (a - b = -c)."""
+def _inv_h(a, b, c, conjugated=False) -> Rat:
+    """1 / h(a, b), or 1 / h(b, a) when conjugated; raises PoleError where
+    h = 0."""
     left, right = _parts((a, b))
-    return Rat(*_inv_h_pair(left, right, c.numerator, c.denominator))
+    return Rat(*_inv_h_pair(left, right, c.numerator, c.denominator,
+                            conjugated))
 
 
 def _row(scale, diag, inv_h, j) -> tuple:
@@ -120,6 +133,55 @@ def _u_side_prefactor(zn, zd, n, m) -> tuple:
     return num ** abs(m - n), den ** abs(m - n)
 
 
+def _v_side(zn, zd, u, v, cn, cd, conjugated) -> tuple:
+    """The #v-sized determinant as an integer pair: row j is
+    f(u, v_j) f(v_j, v-rest) / h(v_j, v_k), minus z at k = j."""
+    rows, den = [], 1
+    for j, vj in enumerate(v):
+        base = _f_prod([(a, vj) for a in u]
+                       + [(vj, b) for t, b in enumerate(v) if t != j],
+                       cn, cd, conjugated)
+        inv_h = [(1, 1) if k == j else _inv_h_pair(vj, vk, cn, cd, conjugated)
+                 for k, vk in enumerate(v)]
+        row, row_den = _row(base, (-zn, zd), inv_h, j)
+        rows.append(row)
+        den *= row_den
+    return det_int(rows), den
+
+
+def _u_side(zn, zd, u, v, cn, cd, conjugated) -> tuple:
+    """The #u-sized determinant with its (1-z)^(m-n) prefactor as an integer
+    pair: row j is -z f(u_j, u-rest) / h(u_j, u_k), plus f(u_j, v) at
+    k = j."""
+    num, den = _u_side_prefactor(zn, zd, len(u), len(v))
+    rows = []
+    for j, uj in enumerate(u):
+        diag = _f_prod([(uj, b) for b in v], cn, cd, conjugated)
+        off_n, off_d = _f_prod([(uj, a) for t, a in enumerate(u) if t != j],
+                               cn, cd, conjugated)
+        inv_h = [(1, 1) if k == j else _inv_h_pair(uj, uk, cn, cd, conjugated)
+                 for k, uk in enumerate(u)]
+        row, row_den = _row((-zn * off_n, zd * off_d), diag, inv_h, j)
+        rows.append(row)
+        den *= row_den
+    return num * det_int(rows), den
+
+
+_VARIANTS = {"v-side": _v_side, "u-side": _u_side}
+
+
+def _izergin(z, u_set: SpectralSet, v_set: SpectralSet, c, variant: str,
+             conjugated: bool) -> Rat:
+    """The determinant of one variant, with every kernel read in the
+    orientation of `conjugated`."""
+    z, c = Rat(z), Rat(c)
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return Rat(*_VARIANTS[variant](z.numerator, z.denominator,
+                                   _parts(u_set.values), _parts(v_set.values),
+                                   c.numerator, c.denominator, conjugated))
+
+
 def mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
                 variant: str = "v-side") -> Rat:
     """Deformed Izergin determinant K^(z)(u_set | v_set).
@@ -128,69 +190,18 @@ def mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
     'u-side' is the #u-sized determinant with the (1-z)^(m-n) prefactor and
     raises VariantUndefined at z = 1 when the cardinalities differ.
     """
-    z, c = Rat(z), Rat(c)
-    zn, zd, cn, cd = z.numerator, z.denominator, c.numerator, c.denominator
-    u, v = _parts(u_set.values), _parts(v_set.values)
-    rows, den = [], 1
-    if variant == "v-side":
-        for j, vj in enumerate(v):
-            base = _f_prod([(a, vj) for a in u]
-                           + [(vj, b) for t, b in enumerate(v) if t != j], cn, cd)
-            inv_h = [(1, 1) if k == j else _inv_h_pair(vj, vk, cn, cd)
-                     for k, vk in enumerate(v)]
-            row, row_den = _row(base, (-zn, zd), inv_h, j)
-            rows.append(row)
-            den *= row_den
-        return Rat(det_int(rows), den)
-    if variant == "u-side":
-        num, den = _u_side_prefactor(zn, zd, len(u), len(v))
-        for j, uj in enumerate(u):
-            diag = _f_prod([(uj, b) for b in v], cn, cd)
-            off_n, off_d = _f_prod([(uj, a) for t, a in enumerate(u) if t != j],
-                                   cn, cd)
-            inv_h = [(1, 1) if k == j else _inv_h_pair(uj, uk, cn, cd)
-                     for k, uk in enumerate(u)]
-            row, row_den = _row((-zn * off_n, zd * off_d), diag, inv_h, j)
-            rows.append(row)
-            den *= row_den
-        return Rat(num * det_int(rows), den)
-    raise ValueError(f"unknown variant {variant!r}")
+    return _izergin(z, u_set, v_set, c, variant, conjugated=False)
 
 
 def conj_mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
                      variant: str = "v-side") -> Rat:
     """Conjugated deformed Izergin determinant (equals mod_izergin with c -> -c).
 
-    Computed from its own determinant representation rather than by negating
-    c, so the defining relation stays a checkable identity.
+    Computed from its own rows, each kernel read with its arguments
+    reversed, rather than by negating c, so the defining relation stays a
+    checkable identity.
     """
-    z, c = Rat(z), Rat(c)
-    zn, zd, cn, cd = z.numerator, z.denominator, c.numerator, c.denominator
-    u, v = _parts(u_set.values), _parts(v_set.values)
-    rows, den = [], 1
-    if variant == "v-side":
-        for j, vj in enumerate(v):
-            base = _f_prod([(vj, a) for a in u]
-                           + [(b, vj) for t, b in enumerate(v) if t != j], cn, cd)
-            inv_h = [(1, 1) if k == j else _inv_h_pair(vk, vj, cn, cd)
-                     for k, vk in enumerate(v)]
-            row, row_den = _row(base, (-zn, zd), inv_h, j)
-            rows.append(row)
-            den *= row_den
-        return Rat(det_int(rows), den)
-    if variant == "u-side":
-        num, den = _u_side_prefactor(zn, zd, len(u), len(v))
-        for j, uj in enumerate(u):
-            diag = _f_prod([(b, uj) for b in v], cn, cd)
-            off_n, off_d = _f_prod([(a, uj) for t, a in enumerate(u) if t != j],
-                                   cn, cd)
-            inv_h = [(1, 1) if k == j else _inv_h_pair(uk, uj, cn, cd)
-                     for k, uk in enumerate(u)]
-            row, row_den = _row((-zn * off_n, zd * off_d), diag, inv_h, j)
-            rows.append(row)
-            den *= row_den
-        return Rat(num * det_int(rows), den)
-    raise ValueError(f"unknown variant {variant!r}")
+    return _izergin(z, u_set, v_set, c, variant, conjugated=True)
 
 
 def ordinary_izergin(u_set: SpectralSet, v_set: SpectralSet, c,
@@ -213,11 +224,6 @@ def term_pair(*pairs) -> tuple:
     return num, den
 
 
-def _powers(x, top: int) -> list:
-    """x**k for k = 0..top as integer pairs, indexed by popcount."""
-    return [(x.numerator ** k, x.denominator ** k) for k in range(top + 1)]
-
-
 def by_popcount(weight, top: int) -> list:
     """weight(k) for k = 0..top as integer (numerator, denominator) pairs,
     so that a term reads the weight of a part by the part's popcount."""
@@ -232,29 +238,21 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
     'v-partitions' splits v_set; 'u-partitions' splits u_set and carries the
     (1-z)^(m-n) prefactor (undefined at z=1 when cardinalities differ, like
     the u-side determinant). The f weights come from kernel tables built
-    once per sum.
+    once per sum, each in the orientation of `conjugated`.
     """
     z, c = Rat(z), Rat(c)
     u, v = u_set.values, v_set.values
     n, m = len(u), len(v)
     all_u, all_v = (1 << n) - 1, (1 << m) - 1
-    power = _powers(-z, max(n, m))
+    power = by_popcount(lambda k: rat_pow(-z, k), max(n, m))
     if side == "v-partitions":
-        within = FTable(c, v)
-        if conjugated:
-            across = FTable(c, v, u)   # f(v1, u) f(v2, v1)
+        within = FTable(c, v, None, conjugated)
+        across = FTable(c, u, v, conjugated)
 
-            def v_term(mask1, mask2):
-                return term_pair(power[mask2.bit_count()],
-                                 across.pair(mask1, all_u),
-                                 within.pair(mask2, mask1))
-        else:
-            across = FTable(c, u, v)   # f(u, v1) f(v1, v2)
-
-            def v_term(mask1, mask2):
-                return term_pair(power[mask2.bit_count()],
-                                 across.pair(all_u, mask1),
-                                 within.pair(mask1, mask2))
+        def v_term(mask1, mask2):   # f(u, v1) f(v1, v2)
+            return term_pair(power[mask2.bit_count()],
+                             across.pair(all_u, mask1),
+                             within.pair(mask1, mask2))
 
         return split_sum(m, 2, v_term)
     if side == "u-partitions":
@@ -262,21 +260,13 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
             raise VariantUndefined(
                 "u-partition expansion carries (1-z)^(m-n) and is undefined "
                 f"at z=1 with m={m}, n={n}")
-        within = FTable(c, u)
-        if conjugated:
-            across = FTable(c, v, u)   # f(v, u2) f(u2, u1)
+        within = FTable(c, u, None, conjugated)
+        across = FTable(c, u, v, conjugated)
 
-            def u_term(mask1, mask2):
-                return term_pair(power[mask1.bit_count()],
-                                 across.pair(all_v, mask2),
-                                 within.pair(mask2, mask1))
-        else:
-            across = FTable(c, u, v)   # f(u2, v) f(u1, u2)
-
-            def u_term(mask1, mask2):
-                return term_pair(power[mask1.bit_count()],
-                                 across.pair(mask2, all_v),
-                                 within.pair(mask1, mask2))
+        def u_term(mask1, mask2):   # f(u2, v) f(u1, u2)
+            return term_pair(power[mask1.bit_count()],
+                             across.pair(mask2, all_v),
+                             within.pair(mask1, mask2))
 
         return rat_pow(1 - z, m - n) * split_sum(n, 2, u_term)
     raise ValueError(f"unknown side {side!r}")
@@ -288,26 +278,20 @@ def izergin_convolution(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
 
     Contract: equals the single determinant at deformation z1*z2 on the merged
     left set {u_set, v_set}. The determinants and f weights of each term come
-    from unshifted DetTables, each determinant through one reader per sum
-    (block tables at z != 1), so the sum never calls the direct determinant.
+    from one half of unshifted DetTables, each determinant through one
+    reader per sum (block tables at z != 1), so the sum never calls the
+    direct determinant.
     """
     z1, z2 = Rat(z1), Rat(z2)
-    left = DetTables(u_set.values, xi_set.values, c, shift=0)
-    right = DetTables(v_set.values, xi_set.values, c, shift=0)
-    power = _powers(z2, len(xi_set))
-    if conjugated:
-        k_left = left.k_minus_conj_reader(z1)
-        k_right = right.k_minus_conj_reader(z2)
-    else:
-        k_left, k_right = left.k_plus_reader(z1), right.k_plus_reader(z2)
+    left = DetTables(u_set.values, xi_set.values, c, shift=0).side(conjugated)
+    right = DetTables(v_set.values, xi_set.values, c, shift=0).side(conjugated)
+    power = by_popcount(lambda k: rat_pow(z2, k), len(xi_set))
+    k_left, k_right = left.reader(z1), right.reader(z2)
 
-    def conv_term(mask1, mask2):
-        if conjugated:   # f(x1, x2) f(x2, u)
-            weights = left.f_between_pair(mask1, mask2), left.f_u_conj_pair(mask2)
-        else:            # f(x2, x1) f(u, x2)
-            weights = left.f_between_pair(mask2, mask1), left.f_u_pair(mask2)
+    def conv_term(mask1, mask2):   # f(x2, x1) f(u, x2)
         return term_pair(power[mask1.bit_count()], k_left(mask1),
-                         k_right(mask2), *weights)
+                         k_right(mask2), left.pair(mask2, mask1),
+                         left.factors.row(0, mask2))
 
     return split_sum(len(xi_set), 2, conv_term)
 
@@ -317,19 +301,17 @@ def izergin_deformation_sum(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     """Deformation-shifting sum over splits of v_set.
 
     Contract: equals the determinant at deformation z2 - z1. The
-    determinants (through one reader at z2) and f weights come from
-    unshifted DetTables.
+    determinants (through one reader at z2) and f weights come from one
+    half of unshifted DetTables.
     """
     z1, z2 = Rat(z1), Rat(z2)
-    tables = DetTables(u_set.values, v_set.values, c, shift=0)
-    power = _powers(z1, len(v_set))
-    k = (tables.k_minus_conj_reader(z2) if conjugated
-         else tables.k_plus_reader(z2))
+    half = DetTables(u_set.values, v_set.values, c, shift=0).side(conjugated)
+    power = by_popcount(lambda k: rat_pow(z1, k), len(v_set))
+    k = half.reader(z2)
 
-    def shift_term(mask1, mask2):
-        weight = (tables.f_between_pair(mask2, mask1) if conjugated
-                  else tables.f_between_pair(mask1, mask2))
-        return term_pair(power[mask2.bit_count()], k(mask1), weight)
+    def shift_term(mask1, mask2):   # f(v1, v2)
+        return term_pair(power[mask2.bit_count()], k(mask1),
+                         half.pair(mask1, mask2))
 
     return split_sum(len(v_set), 2, shift_term)
 
@@ -415,21 +397,25 @@ def _products(factors) -> list:
     return out
 
 
-def _f_ints(c, left, right=None) -> tuple:
-    """f(a, b) for a in `left` and b in `right` (with `right` omitted, the
-    pairs within `left`, 1 on the diagonal) read through kernel_f, as
-    integer numerator and denominator tables, one row per a."""
+def _f_ints(c, left, right=None, conjugated=False) -> tuple:
+    """f(a, b) for a in `left` and b in `right`, or f(b, a) when conjugated
+    (with `right` omitted, the pairs within `left`, 1 on the diagonal) read
+    through kernel_f, as integer numerator and denominator tables, one row
+    per a."""
     same = right is None
     right = left if same else right
     one = Rat(1)
-    return _ints([[one if same and i == j else kernel_f(a, b, c)
+    return _ints([[one if same and i == j
+                   else kernel_f(b, a, c) if conjugated else kernel_f(a, b, c)
                    for j, b in enumerate(right)] for i, a in enumerate(left)])
 
 
 class FTable:
     """Rows of integer (numerator, denominator) factors, read by bitmasks.
 
-    `FTable(c, left, right)` holds the f table of `_f_ints`; `of_ints`
+    `FTable(c, left, right, conjugated)` holds the f table of `_f_ints`,
+    whose row i and column j read f(left_i, right_j), or f(right_j, left_i)
+    when conjugated (the row count stays #left either way); `of_ints`
     takes integer rows as they are (vacuum weights, row factors). Each row
     keeps its products over every subset of the low half of its columns
     and over every subset of the high half (2 * 2^(p/2) entries), so its
@@ -438,8 +424,8 @@ class FTable:
     sum multiplies a whole term in integers (`term_pair`).
     """
 
-    def __init__(self, c, left, right=None):
-        self._set(*_f_ints(c, left, right))
+    def __init__(self, c, left, right=None, conjugated=False):
+        self._set(*_f_ints(c, left, right, conjugated))
 
     @classmethod
     def of_ints(cls, num, den) -> "FTable":
@@ -477,16 +463,20 @@ class FTable:
 
 
 class _Side(FTable):
-    """One of the two determinants of DetTables, as the FTable of its rows.
+    """One half of DetTables: K, or K-bar when `conjugated`, as the FTable
+    of its rows, every kernel read in that half's orientation.
 
     Row j < p (the ground size) is f(xi_j, xi_t) over t, 1 at t = j; row
-    p + i is the u-indexed row f(u_i, xi_t + s). For the conjugated side
-    every table is transposed (`conjugated`): f(xi_t, xi_j) and
-    f(xi_t - s, u_i). With the row factors and the 1/h rows, `k_pair`
-    assembles the ground-indexed representation of one subset from its
-    own subset products; `_KBlocks` reads the u-indexed rows, with the
-    u-indexed off-diagonal parts (`uoff`), for every subset at once. Those
-    parts are built on first use: sums at z = 1 never build them.
+    p + i is the u-indexed row f(u_i, xi_t + s). On the conjugated half
+    every kernel has its arguments reversed: f(xi_t, xi_j) and
+    f(xi_t - s, u_i). So a caller reads the same methods on either half:
+    `pair(L, R)` is f(xi_L, xi_R), or f(xi_R, xi_L); `factors.row(0, S)` is
+    f(u, xi_S + s), or f(xi_S - s, u); `k_pair` and `reader` give K or
+    K-bar. With the row factors and the 1/h rows, `k_pair` assembles the
+    ground-indexed representation of one subset from its own subset
+    products; `_KBlocks` reads the u-indexed rows, with the u-indexed
+    off-diagonal parts (`uoff`), for every subset at once. Those parts are
+    built on first use: sums at z = 1 never build them.
     """
 
     def __init__(self, u, c, conjugated, f, fu, h):
@@ -517,19 +507,13 @@ class _Side(FTable):
         their conjugates; None where two values of u collide (f or 1/h has a
         pole between them), since only the ground-indexed rows are defined
         there."""
-        c, u = self.c, self.u
-
-        def oriented(a, b):
-            return (b, a) if self.conjugated else (a, b)
-
+        c, conj, u = self.c, self.conjugated, _parts(self.u)
         rows = []
         try:
             for j, uj in enumerate(u):
-                comp = Rat(1)
-                for t, ut in enumerate(u):
-                    if t != j:
-                        comp *= kernel_f(*oriented(uj, ut), c)
-                rows.append([comp * _inv_h(*oriented(uj, uk), c) for uk in u])
+                rest = [(uj, ut) for t, ut in enumerate(u) if t != j]
+                comp = Rat(*_f_prod(rest, c.numerator, c.denominator, conj))
+                rows.append([comp * _inv_h(uj[0], uk[0], c, conj) for uk in u])
         except PoleError:
             return None
         return rows
@@ -712,22 +696,25 @@ class DetTables:
     only on argument differences.
 
     Subsets are bitmasks over the ground set, and every product over one
-    is read from an `FTable`: each determinant is the FTable of its rows
-    (`_Side`), those of K also giving f(xi_L, xi_R), and the row factors
-    f(u, xi_S + s) are a one-row table. The `*_pair` methods return
-    unreduced (numerator, denominator) pairs for `term_pair`; `k_plus`,
-    `k_minus_conj` and `f_between` return rationals. The deformation z is
-    an int or a rational, built once by the caller.
+    is read from an `FTable`. Each determinant is one half, the FTable of
+    its rows (`_Side`), taken by `side(conjugated)`: its `pair(L, R)` is
+    f(xi_L, xi_R) on K's half and f(xi_R, xi_L) on K-bar's, and its row
+    factors f(u, xi_S + s), or f(xi_S - s, u), are the one-row table
+    `factors`. A caller picks the half once, and a term reads the same
+    methods on either. They return unreduced (numerator, denominator)
+    pairs for `term_pair`; `k_plus`, `k_minus_conj` and `f_between` return
+    rationals. The deformation z is an int or a rational, built once by
+    the caller.
 
-    A determinant has two routes. `k_plus_pair` and `k_minus_conj_pair`
-    assemble the ground-indexed rows of one subset, as integers over one
-    denominator per row, and eliminate them with `linalg.det_int`: the
-    route of the sums at z = 1 (the actions, SCe, the shifted-unit sum).
-    A sum at z != 1 takes one reader per determinant (`k_plus_reader`,
-    `k_minus_conj_reader`), which, with u free of collisions and a ground
-    set larger than u, expands the u-indexed representation over every
-    subset at once, one block of masks per high half (`_KBlocks`);
-    otherwise it reads the ground-indexed rows.
+    A determinant has two routes. `_Side.k_pair` assembles the
+    ground-indexed rows of one subset, as integers over one denominator
+    per row, and eliminates them with `linalg.det_int`: the route of the
+    sums at z = 1 (the actions, SCe, the shifted-unit sum). A sum at
+    z != 1 takes one reader per determinant (`_Side.reader`), which, with
+    u free of collisions and a ground set larger than u, expands the
+    u-indexed representation over every subset at once, one block of
+    masks per high half (`_KBlocks`); otherwise it reads the
+    ground-indexed rows.
     """
 
     def __init__(self, u_values, ground_values, c, shift=None):
@@ -737,7 +724,8 @@ class DetTables:
         self._s = self.c if shift is None else Rat(shift)
         self._f = _f_ints(self.c, self._g)
         g, cn, cd = _parts(self._g), self.c.numerator, self.c.denominator
-        hinv = [[_reduced(*_inv_h_pair(a, b, cn, cd)) for b in g] for a in g]
+        hinv = [[_reduced(*_inv_h_pair(a, b, cn, cd, False)) for b in g]
+                for a in g]
         # 1/h(xi_j, xi_k) as integer rows over one denominator per row, for
         # each half (the conjugated half reads the transpose)
         self._h = _cleared(hinv), _cleared(list(zip(*hinv)))
@@ -751,7 +739,7 @@ class DetTables:
         return self.__dict__
 
     # Each determinant's tables are built on its first use: a sum that
-    # needs only K builds only that half (f(xi_L, xi_R) reads it too).
+    # needs only K, or only K-bar, builds only that half.
 
     @cached_property
     def _plus(self) -> _Side:
@@ -760,52 +748,25 @@ class DetTables:
 
     @cached_property
     def _minus(self) -> _Side:
-        fu = _f_ints(self.c, [x - self._s for x in self._g], self._u)
-        return _Side(self._u, self.c, True, _transposed(self._f),
-                     _transposed(fu), self._h[1])
+        fu = _f_ints(self.c, self._u, [x - self._s for x in self._g], True)
+        return _Side(self._u, self.c, True, _transposed(self._f), fu,
+                     self._h[1])
 
-    def k_plus_pair(self, z, mask: int):
-        """K^(z)(u | xi_S + s) as an unreduced (numerator, denominator) pair,
-        for the subset S given as a bitmask."""
-        return self._plus.k_pair(z, mask)
-
-    def k_minus_conj_pair(self, z, mask: int):
-        """Conjugated K-bar^(z)(u | xi_S - s) as an unreduced pair."""
-        return self._minus.k_pair(z, mask)
-
-    def k_plus_reader(self, z):
-        """Reader mask -> unreduced pair of K^(z)(u | xi_S + s), for a sum
-        that reads every subset: the block table of `_Side.k_blocks` where
-        there is one, else `k_pair`. Only the plain half is built."""
-        return self._plus.reader(z)
-
-    def k_minus_conj_reader(self, z):
-        """Reader mask -> unreduced pair of K-bar^(z)(u | xi_S - s), as
-        `k_plus_reader`; only the conjugated half is built."""
-        return self._minus.reader(z)
-
-    def f_between_pair(self, mask_left: int, mask_right: int):
-        """f(xi_L, xi_R) as an unreduced (numerator, denominator) pair."""
-        return self._plus.pair(mask_left, mask_right)
-
-    def f_u_pair(self, mask: int):
-        """f(u, xi_S + s) as an unreduced pair."""
-        return self._plus.factors.row(0, mask)
-
-    def f_u_conj_pair(self, mask: int):
-        """f(xi_S - s, u) as an unreduced pair."""
-        return self._minus.factors.row(0, mask)
+    def side(self, conjugated: bool) -> _Side:
+        """The half of K^(z)(u | xi_S + s), or conjugated of
+        K-bar^(z)(u | xi_S - s); only that half is built."""
+        return self._minus if conjugated else self._plus
 
     # perfbench/tracing.py wraps the three rational forms below by name.
 
     def k_plus(self, z, mask: int) -> Rat:
         """K^(z)(u | xi_S + s) for the subset S given as a bitmask."""
-        return Rat(*self.k_plus_pair(z, mask))
+        return Rat(*self._plus.k_pair(z, mask))
 
     def k_minus_conj(self, z, mask: int) -> Rat:
         """Conjugated K-bar^(z)(u | xi_S - s) for the subset S."""
-        return Rat(*self.k_minus_conj_pair(z, mask))
+        return Rat(*self._minus.k_pair(z, mask))
 
     def f_between(self, mask_left: int, mask_right: int) -> Rat:
         """f(xi_L, xi_R) for two disjoint subset masks (shift-invariant)."""
-        return Rat(*self.f_between_pair(mask_left, mask_right))
+        return Rat(*self._plus.pair(mask_left, mask_right))

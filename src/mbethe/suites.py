@@ -395,24 +395,17 @@ def shifted_unit_sum(us, vs, xs, c, conjugated: bool = False) -> Rat:
     """Sum over splits of xs of K^(1)(us | x1 + c) K^(1)(vs | x2 + c)
     f(x2, x1) / f(x2, us); conjugated, of K-bar^(1)(us | x1 - c)
     K-bar^(1)(vs | x2 - c) f(x1, x2) / f(us, x2). Either equals the same
-    determinant on the merged set {us, vs}. The determinants come from
-    DetTables and the f weights from kernel tables, built once per sum."""
-    left = DetTables(us.values, xs.values, c)
-    right = DetTables(vs.values, xs.values, c)
+    determinant on the merged set {us, vs}. The determinants come from one
+    half of DetTables and the f weights from kernel tables, built once per
+    sum in the orientation of `conjugated`."""
+    left = DetTables(us.values, xs.values, c).side(conjugated)
+    right = DetTables(vs.values, xs.values, c).side(conjugated)
+    to_u = FTable(c, xs.values, us.values, conjugated)
     all_u = (1 << len(us)) - 1
-    if conjugated:
-        to_u = FTable(c, us.values, xs.values)
 
-        def term(m1, m2):   # the reversed pair is 1 / f(us, x2)
-            return term_pair(left.k_minus_conj_pair(1, m1),
-                             right.k_minus_conj_pair(1, m2),
-                             left.f_between_pair(m1, m2), to_u.pair(all_u, m2)[::-1])
-    else:
-        to_u = FTable(c, xs.values, us.values)
-
-        def term(m1, m2):   # the reversed pair is 1 / f(x2, us)
-            return term_pair(left.k_plus_pair(1, m1), right.k_plus_pair(1, m2),
-                             left.f_between_pair(m2, m1), to_u.pair(m2, all_u)[::-1])
+    def term(m1, m2):   # the reversed pair is 1 / f(x2, us), or 1 / f(us, x2)
+        return term_pair(left.k_pair(1, m1), right.k_pair(1, m2),
+                         left.pair(m2, m1), to_u.pair(m2, all_u)[::-1])
 
     return split_sum(len(xs), 2, term)
 
@@ -786,7 +779,7 @@ def run_maba_actions(cfg: RunConfig) -> list:
         tables = DetTables(us.values, values, c)
         lhs = []
         for mask1, _ in enumerate_splits(n + m, 2):
-            if bin(mask1).count("1") > n:
+            if mask1.bit_count() > n:
                 lhs.append(tables.k_minus_conj(1, mask1))
                 lhs.append(tables.k_plus(1, mask1))
         rhs = [Rat(0)] * len(lhs)

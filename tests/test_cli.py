@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import mbethe.bench
+import mbethe.cli
 import mbethe.izergin
 from mbethe.cli import main
 from mbethe.report import strip_timing
@@ -197,6 +198,21 @@ class TestScalar:
                      *argv]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
+        assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("n,m", [(32, 32), (35, 35), (64, 0), (0, 64)])
+    def test_oversized_input_is_config_error(self, n, m, monkeypatch, capsys):
+        """n + m above the bitmask cap fails before any value is sampled or
+        any subset table is built: both raise here if reached."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached sampling or table building")
+
+        monkeypatch.setattr(mbethe.cli, "sample_generic", refuse)
+        monkeypatch.setattr(mbethe.izergin, "_index_halves", refuse)
+        assert main(["scalar", "--n", str(n), "--m", str(m),
+                     "--sites", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "at most 63" in captured.err
         assert "verdict" not in captured.out
 
     def test_singular_prefactor_is_domain_error(self, capsys):

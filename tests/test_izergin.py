@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbethe.errors import CardinalityError, VariantUndefined
-from mbethe.izergin import (DetTables, _KBlocks, _Side, conj_mod_izergin,
+from mbethe.errors import CardinalityError, PoleError, VariantUndefined
+from mbethe.izergin import (DetTables, FTable, _KBlocks, _Side,
+                            conj_mod_izergin,
                             izergin_convolution, izergin_deformation_sum,
                             izergin_partition_sum, mod_izergin,
                             ordinary_izergin, rat_pow, residue_check)
 from mbethe.partitions import enumerate_splits, mask_values
 from mbethe.scalars import (Rat, SpectralSet, kernel_g, sample_generic,
                             sample_twist, set_product, with_shifts)
+from mbethe.suites import shifted_unit_sum
 
 C = Rat(1)
 
@@ -265,7 +267,7 @@ def assert_matches_direct(tables, us, xs, z):
     if z == 1:
         plus, minus = partial(tables.k_plus, z), partial(tables.k_minus_conj, z)
     else:
-        readers = tables.k_plus_reader(z), tables.k_minus_conj_reader(z)
+        readers = tables.side(False).reader(z), tables.side(True).reader(z)
         assert all(isinstance(read.__self__, _KBlocks) for read in readers)
         plus, minus = [lambda mask, read=read: Rat(*read(mask))
                        for read in readers]
@@ -306,18 +308,21 @@ class TestDetTables:
         full = (1 << 10) - 1
         tables = DetTables(us.values, xs.values, C)
         fresh = pickle.loads(pickle.dumps(tables))
-        tables.k_plus_reader(mu)(full)
+        tables.side(False).reader(mu)(full)
         used = pickle.loads(pickle.dumps(tables))
         for copy in (fresh, used):
             for mask in range(1 << 10):
                 for z in (mu, Rat(-7, 4)):
-                    assert copy.k_plus_pair(z, mask) == tables.k_plus_pair(z, mask)
-                    assert (copy.k_minus_conj_pair(z, mask)
-                            == tables.k_minus_conj_pair(z, mask))
-                assert copy.f_u_pair(mask) == tables.f_u_pair(mask)
-                assert copy.f_u_conj_pair(mask) == tables.f_u_conj_pair(mask)
-                assert (copy.f_between_pair(full ^ mask, mask)
-                        == tables.f_between_pair(full ^ mask, mask))
+                    assert (copy.side(False).k_pair(z, mask)
+                            == tables.side(False).k_pair(z, mask))
+                    assert (copy.side(True).k_pair(z, mask)
+                            == tables.side(True).k_pair(z, mask))
+                assert (copy.side(False).factors.row(0, mask)
+                        == tables.side(False).factors.row(0, mask))
+                assert (copy.side(True).factors.row(0, mask)
+                        == tables.side(True).factors.row(0, mask))
+                assert (copy.side(False).pair(full ^ mask, mask)
+                        == tables.side(False).pair(full ^ mask, mask))
 
     @pytest.mark.parametrize("c", [C, Rat(-3, 2)])
     def test_every_shift(self, c):
@@ -333,10 +338,10 @@ class TestDetTables:
                         z, us, sub.shifted(s), c)
                     assert tables.k_minus_conj(z, mask) == conj_mod_izergin(
                         z, us, sub.shifted(-s), c)
-                assert Rat(*tables.f_u_pair(mask)) == set_product(
-                    "f", us, sub.shifted(s), c)
-                assert Rat(*tables.f_u_conj_pair(mask)) == set_product(
-                    "f", sub.shifted(-s), us, c)
+                assert Rat(*tables.side(False).factors.row(0, mask)) == (
+                    set_product("f", us, sub.shifted(s), c))
+                assert Rat(*tables.side(True).factors.row(0, mask)) == (
+                    set_product("f", sub.shifted(-s), us, c))
 
     @pytest.mark.parametrize("u_values", [(Rat(1, 3), Rat(1, 3)),
                                           (Rat(1, 3), Rat(4, 3))])
@@ -365,6 +370,83 @@ class TestDetTables:
                         == set_product("f", left, right, C))
 
 
+class TestOrientation:
+    """The conjugated half reads every kernel with its arguments reversed:
+    the same methods on either half of DetTables, and on FTable, give the
+    plain products or the reversed ones."""
+
+    @pytest.mark.parametrize("c", [C, Rat(-3, 2)])
+    def test_conjugated_half(self, c):
+        us, xs = spectra(60, [2, 6], c=c)
+        for s in (Rat(0), c):
+            tables = DetTables(us.values, xs.values, c, shift=s)
+            plus, minus = tables.side(False), tables.side(True)
+            for left, right, _ in enumerate_splits(6, 3):
+                want = set_product("f", mask_values(xs.values, right),
+                                   mask_values(xs.values, left), c)
+                assert Rat(*minus.pair(left, right)) == want
+                assert minus.pair(left, right) == plus.pair(right, left)
+            for mask in range(1 << 6):
+                sub = SpectralSet(mask_values(xs.values, mask))
+                assert Rat(*minus.factors.row(0, mask)) == set_product(
+                    "f", sub.shifted(-s), us, c)
+
+    @pytest.mark.parametrize("c", [C, Rat(-3, 2)])
+    def test_conjugated_ftable(self, c):
+        for n_left, n_right in ((0, 4), (1, 4), (2, 4), (3, 4), (3, 0)):
+            left, right = spectra(61 + n_left, [n_left, n_right], c=c)
+            table = FTable(c, left.values, right.values, conjugated=True)
+            plain = FTable(c, right.values, left.values)
+            for a in range(1 << n_left):
+                for b in range(1 << n_right):
+                    assert Rat(*table.pair(a, b)) == set_product(
+                        "f", mask_values(right.values, b),
+                        mask_values(left.values, a), c)
+                    assert table.pair(a, b) == plain.pair(b, a)
+        xs, = spectra(65, [4], c=c)
+        within = FTable(c, xs.values, conjugated=True)
+        for a, b, _ in enumerate_splits(4, 3):
+            assert within.pair(a, b) == FTable(c, xs.values).pair(b, a)
+
+    @pytest.mark.parametrize("c", [C, Rat(-3, 2)])
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_pole_names_pair_in_read_order(self, c, conjugated):
+        """At a collision the PoleError names the pair (a, b) whose kernel
+        was read: f(a, b) or h(a, b) vanishes or is singular there."""
+        fn = conj_mod_izergin if conjugated else mod_izergin
+        a, b = Rat(1, 3), Rat(1, 3) + c   # h(a, b) = 0 and h(b, a) != 0
+        one = SpectralSet((Rat(5, 7),))
+        for us, vs, variant in ((one, SpectralSet((a, b)), "v-side"),
+                                (one, SpectralSet((b, a)), "v-side"),
+                                (SpectralSet((a, b)), one, "u-side"),
+                                (SpectralSet((b, a)), one, "u-side")):
+            with pytest.raises(PoleError) as err:
+                fn(Rat(2), us, vs, c, variant=variant)
+            assert err.value.kind == "1/h"
+            assert (err.value.left, err.value.right) == (a, b)
+        with pytest.raises(PoleError) as err:
+            FTable(c, [a], [b, a], conjugated)
+        assert (err.value.kind, err.value.left, err.value.right) == ("f", a, a)
+
+    def test_conjugated_sums_build_only_their_half(self, monkeypatch):
+        """A sum of K-bar alone never builds K's half of its DetTables."""
+        us, vs, xs = spectra(62, [2, 1, 4])
+        z1, z2 = Rat(2), Rat(-3, 5)
+        unit = shifted_unit_sum(us, vs, xs, C, conjugated=True)
+
+        def refuse(tables):
+            raise AssertionError("built the plain half")
+
+        monkeypatch.setattr(DetTables, "_plus", property(refuse))
+        for x1, x2 in ((z1, z2), (Rat(1), Rat(1))):
+            assert (izergin_convolution(x1, x2, us, vs, xs, C, conjugated=True)
+                    == conj_mod_izergin(x1 * x2, us.union(vs), xs, C))
+            assert (izergin_deformation_sum(x1, x2, us, xs, C,
+                                            conjugated=True)
+                    == conj_mod_izergin(x2 - x1, us, xs, C))
+        assert shifted_unit_sum(us, vs, xs, C, conjugated=True) == unit
+
+
 class TestKBlocks:
     """The block tables of the u-indexed expansion against `k_pair`, as
     rationals, and the cases that read `k_pair` instead."""
@@ -388,7 +470,7 @@ class TestKBlocks:
     def test_unit_deformation_reads_k_pair(self):
         us, xs = spectra(41, [3, 6])
         tables = DetTables(us.values, xs.values, C)
-        readers = tables.k_plus_reader(Rat(1)), tables.k_minus_conj_reader(Rat(1))
+        readers = [tables.side(conj).reader(Rat(1)) for conj in (False, True)]
         for side, reader in zip((tables._plus, tables._minus), readers):
             assert side.k_blocks(Rat(1)) is None
             assert reader.func == side.k_pair
@@ -401,7 +483,7 @@ class TestKBlocks:
         _, xs = spectra(36, [0, 5])
         tables = DetTables(u_values, xs.values, C)
         z = Rat(-7, 4)
-        readers = tables.k_plus_reader(z), tables.k_minus_conj_reader(z)
+        readers = tables.side(False).reader(z), tables.side(True).reader(z)
         for side, reader in zip((tables._plus, tables._minus), readers):
             assert side.k_blocks(z) is None
             assert reader.func == side.k_pair
@@ -437,7 +519,7 @@ class TestKBlocks:
         tables = DetTables(us.values, (), C)
         empty = SpectralSet(())
         for z in (Rat(1), Rat(0), Rat(-7, 4)):
-            plus, minus = tables.k_plus_reader(z), tables.k_minus_conj_reader(z)
+            plus, minus = [tables.side(conj).reader(z) for conj in (False, True)]
             assert tables._plus.k_blocks(z) is None
             assert Rat(*plus(0)) == mod_izergin(z, us, empty, C)
             assert Rat(*minus(0)) == conj_mod_izergin(z, us, empty, C)

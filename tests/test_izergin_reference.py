@@ -424,7 +424,7 @@ class LoopTables:
             den *= self.row[j].denominator
         return num, den
 
-    def f_between_pair(self, left, right):
+    def pair(self, left, right):
         num = den = 1
         for i in bits_of(left):
             for j in bits_of(right):
@@ -625,15 +625,18 @@ class TestDetTablesMatchLoops:
                 minus = LoopTables(u, g, c, s, conjugated=True)
                 for z in deformations(rng):
                     for mask in range(1 << size):
-                        assert tables.k_plus_pair(z, mask) == plus.k_pair(z, mask)
-                        assert (tables.k_minus_conj_pair(z, mask)
+                        assert (tables.side(False).k_pair(z, mask)
+                                == plus.k_pair(z, mask))
+                        assert (tables.side(True).k_pair(z, mask)
                                 == minus.k_pair(z, mask))
                 for mask in range(1 << size):
-                    assert tables.f_u_pair(mask) == plus.row_pair(mask)
-                    assert tables.f_u_conj_pair(mask) == minus.row_pair(mask)
+                    assert (tables.side(False).factors.row(0, mask)
+                            == plus.row_pair(mask))
+                    assert (tables.side(True).factors.row(0, mask)
+                            == minus.row_pair(mask))
                 for _, left, right in enumerate_splits(size, 3):
-                    assert (tables.f_between_pair(left, right)
-                            == plus.f_between_pair(left, right))
+                    assert (tables.side(False).pair(left, right)
+                            == plus.pair(left, right))
 
     def test_colliding_left_set(self):
         """Two values of u with f or 1/h at a pole between them."""
@@ -647,8 +650,10 @@ class TestDetTablesMatchLoops:
             assert tables._plus.uoff is None and tables._minus.uoff is None
             for z in (Rat(0), Rat(-7, 4)):
                 for mask in range(1 << len(g)):
-                    assert tables.k_plus_pair(z, mask) == plus.k_pair(z, mask)
-                    assert tables.k_minus_conj_pair(z, mask) == minus.k_pair(z, mask)
+                    assert (tables.side(False).k_pair(z, mask)
+                            == plus.k_pair(z, mask))
+                    assert (tables.side(True).k_pair(z, mask)
+                            == minus.k_pair(z, mask))
 
 
 def typed(pair):
