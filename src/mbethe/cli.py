@@ -24,7 +24,7 @@ from .chain import ChainSpec, direct_scalar, twist_pair
 from .actions import WeightOracle, eval_scalar
 from .errors import CardinalityError, ConfigError, DomainError, MbetheError
 from .partitions import MAX_GROUND
-from .report import build_report, machine_facts, write_report
+from .report import ERROR_DIGEST, build_report, machine_facts, write_report
 from .scalars import ModelParams, rat, rat_str, sample_generic, with_shifts
 from .suites import SUITES, RunConfig, config_number, run_suites
 
@@ -117,8 +117,10 @@ def cmd_verify(args) -> int:
         stats = by_suite.get(suite, {"passed": 0, "failed": 0})
         print(f"{suite}: {stats['passed']} passed, {stats['failed']} failed")
     for rec in failures:
+        detail = (rec.lhs if rec.params_digest == ERROR_DIGEST
+                  else f"lhs={rec.lhs} rhs={rec.rhs}")
         print(f"FAIL {rec.suite}/{rec.identity} trial={rec.trial} "
-              f"seed={rec.seed}", file=sys.stderr)
+              f"seed={rec.seed}: {detail}", file=sys.stderr)
     total = report["summary"]
     print(f"total: {total['passed']}/{total['total']} passed")
     return 0 if not failures else 1

@@ -325,13 +325,20 @@ def residue_check(z, u_set: SpectralSet, v_set: SpectralSet, c,
     predicted product f(u-rest, v_m) * f(v_m, v-rest) * K^(z) on the reduced
     sets. Returns (limit_value, predicted_value); equality is the test.
 
-    The conjugated flag runs the identical procedure with c negated, which is
-    the conjugated-determinant residue statement.
+    Conjugated, the same statement for K-bar^(z), whose residue scale is
+    -c: the samples and the prediction read `conj_mod_izergin` at c, and the
+    f products with their arguments reversed (f(a, b; -c) = f(b, a; c)).
     """
     n, m = len(u_set), len(v_set)
     if n < 1 or m < 1:
         raise CardinalityError("residue check needs nonempty sets on both sides")
-    c_eff = -Rat(c) if conjugated else Rat(c)
+    c = Rat(c)
+    scale = -c if conjugated else c
+    izergin = conj_mod_izergin if conjugated else mod_izergin
+
+    def f(a, b):
+        return set_product("f", b, a, c) if conjugated else set_product("f", a, b, c)
+
     u_rest = SpectralSet(u_set.values[:-1], u_set.label)
     v_m = v_set[m - 1]
     v_rest = v_set.without(m - 1)
@@ -346,10 +353,10 @@ def residue_check(z, u_set: SpectralSet, v_set: SpectralSet, c,
             raise DegenerateError("could not find enough generic sample offsets")
         eps = Rat(1, 997 + t)
         u_probe = (v_m + eps,)
-        if not is_generic(c_eff, u_rest, u_probe, v_set):
+        if not is_generic(c, u_rest, u_probe, v_set):
             continue
         u_full = SpectralSet(u_rest.values + u_probe)
-        samples.append((eps, eps / c_eff * mod_izergin(z, u_full, v_set, c_eff)))
+        samples.append((eps, eps / scale * izergin(z, u_full, v_set, c)))
 
     fn = rational_interpolate(samples[:fit_count], degree)
     for x, y in samples[fit_count:]:
@@ -362,9 +369,7 @@ def residue_check(z, u_set: SpectralSet, v_set: SpectralSet, c,
             "interpolant has a pole at 0; the collision is not a simple pole "
             "(remaining parameters are non-generic)") from exc
 
-    predicted = (set_product("f", u_rest, v_m, c_eff)
-                 * set_product("f", v_m, v_rest, c_eff)
-                 * mod_izergin(z, u_rest, v_rest, c_eff))
+    predicted = f(u_rest, v_m) * f(v_m, v_rest) * izergin(z, u_rest, v_rest, c)
     return limit_value, predicted
 
 

@@ -15,7 +15,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .scalars import Rat, SpectralSet, rat_str
 
@@ -54,6 +54,10 @@ def render_value(value) -> str:
     return digest(value)
 
 
+# The params digest of a check that raised; its lhs then holds the error.
+ERROR_DIGEST = "sha256:error"
+
+
 def derive_seed(master: int, suite: str, identity: str, trial: int) -> int:
     h = hashlib.sha256(f"{master}:{suite}:{identity}:{trial}".encode()).digest()
     return int.from_bytes(h[:8], "big") >> 1
@@ -73,27 +77,15 @@ class CheckRecord:
     elapsed: float
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "identity": self.identity,
-            "sizes": self.sizes,
-            "trial": self.trial,
-            "seed": self.seed,
-            "params_digest": self.params_digest,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 @dataclass
 class Recorder:
-    """Collects records for one suite with per-check derived seeds."""
+    """Runs the checks of one suite, each with its derived seed."""
 
     suite: str
     master_seed: int
-    records: list = field(default_factory=list)
 
     def run(self, identity: str, trial: int, sizes: dict, fn) -> CheckRecord:
         """Execute one check; fn(seed) -> (params_digest, lhs, rhs, ok)."""
@@ -102,16 +94,14 @@ class Recorder:
         try:
             params_digest, lhs, rhs, ok = fn(seed)
         except Exception as exc:  # an identity check must never crash the run
-            params_digest = "sha256:error"
+            params_digest = ERROR_DIGEST
             lhs, rhs = f"error: {type(exc).__name__}: {exc}", ""
             ok = False
         elapsed = time.perf_counter() - start
-        record = CheckRecord(self.suite, identity, sizes, trial, seed,
-                             params_digest, "pass" if ok else "fail",
-                             render_value(lhs), render_value(rhs),
-                             round(elapsed, 6))
-        self.records.append(record)
-        return record
+        return CheckRecord(self.suite, identity, sizes, trial, seed,
+                           params_digest, "pass" if ok else "fail",
+                           render_value(lhs), render_value(rhs),
+                           round(elapsed, 6))
 
 
 def machine_facts() -> dict:

@@ -12,9 +12,11 @@ import pytest
 import mbethe.bench
 import mbethe.cli
 import mbethe.izergin
+import mbethe.report
+from mbethe.chain import MAX_SITES
 from mbethe.cli import main
 from mbethe.report import strip_timing
-from mbethe.suites import SUITES
+from mbethe.suites import SUITES, RunConfig
 from mbethe.errors import PoleError
 from mbethe.scalars import Rat
 
@@ -164,6 +166,60 @@ class TestVerify:
         assert failing  # named identities survive into the report
         assert any(ident.startswith("izergin/") for ident in failing)
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["yangian-structure", "aba-actions",
+                                       "maba-actions", "scalar-products"])
+    def test_oversized_chain_is_config_error(self, suite, tmp_path,
+                                             monkeypatch, capsys):
+        """A `sites` override above MAX_SITES fails before any check runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(mbethe.report.Recorder, "run", refuse)
+        RunConfig(suites=[suite], sizes={suite: {"sites": MAX_SITES}})
+        cfg = write_config(tmp_path, suites=[suite],
+                           sizes={suite: {"sites": MAX_SITES + 1}})
+        assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert (f"sizes.{suite}.sites must be at most {MAX_SITES}, "
+                f"got {MAX_SITES + 1}") in captured.err
+        assert "FAIL" not in captured.err
+        assert "passed" not in captured.out
+
+    def test_fail_line_shows_both_sides(self, tmp_path, monkeypatch, capsys):
+        true_f = mbethe.izergin.kernel_f
+        monkeypatch.setattr(mbethe.izergin, "kernel_f",
+                            lambda u, v, c: -true_f(u, v, c))
+        cfg = write_config(tmp_path, suites=["izergin-laws"],
+                           sizes={"izergin-laws": SMALL_SIZES["izergin-laws"]})
+        path = tmp_path / "bad.json"
+        assert main(["verify", "--config", cfg, "--report", str(path)]) == 1
+        err = capsys.readouterr().err
+        failing = [r for r in json.loads(path.read_text())["records"]
+                   if r["status"] == "fail"]
+        mismatches = [r for r in failing if r["params_digest"] != "sha256:error"]
+        assert mismatches
+        for r in mismatches:
+            assert (f"FAIL {r['suite']}/{r['identity']} trial={r['trial']} "
+                    f"seed={r['seed']}: lhs={r['lhs']} rhs={r['rhs']}\n") in err
+
+    def test_fail_line_names_the_error(self, tmp_path, monkeypatch, capsys):
+        def pole(u, v, c):
+            raise PoleError("f", u, v)
+
+        monkeypatch.setattr(mbethe.izergin, "kernel_f", pole)
+        cfg = write_config(tmp_path, suites=["proof-steps"],
+                           sizes={"proof-steps": SMALL_SIZES["proof-steps"]})
+        path = tmp_path / "bad.json"
+        assert main(["verify", "--config", cfg, "--report", str(path)]) == 1
+        err = capsys.readouterr().err
+        crashed = [r for r in json.loads(path.read_text())["records"]
+                   if r["params_digest"] == "sha256:error"]
+        assert {r["identity"] for r in crashed} == {"proof/binomial-partition-sums"}
+        for r in crashed:
+            assert r["lhs"].startswith("error: PoleError: pole of f at (")
+            assert (f"FAIL {r['suite']}/{r['identity']} trial={r['trial']} "
+                    f"seed={r['seed']}: {r['lhs']}\n") in err
 
 
 class TestScalar:

@@ -2,12 +2,14 @@
 law suite at small sizes, and the residue machinery."""
 
 import pickle
+from collections import Counter
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbethe import izergin
 from mbethe.errors import CardinalityError, PoleError, VariantUndefined
 from mbethe.izergin import (DetTables, FTable, _KBlocks, _Side,
                             conj_mod_izergin,
@@ -257,6 +259,22 @@ class TestResidue:
         us, = spectra(21, [2])
         with pytest.raises(CardinalityError):
             residue_check(1, us, SpectralSet(()), C)
+
+    def test_conjugated_reads_the_conjugated_determinant(self, monkeypatch):
+        """K-bar's residue samples and prediction come from
+        `conj_mod_izergin` at c, never from `mod_izergin` at -c, and give the
+        pair of the plain residue at -c."""
+        us, vs = spectra(150, [2, 3])
+        want = residue_check(Rat(2), us, vs, -C)
+        calls = Counter()
+        for name in ("mod_izergin", "conj_mod_izergin"):
+            def spy(*args, _name=name, _fn=getattr(izergin, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(izergin, name, spy)
+        assert residue_check(Rat(2), us, vs, C, conjugated=True) == want
+        assert calls["mod_izergin"] == 0
+        assert calls["conj_mod_izergin"] > 0
 
 
 def assert_matches_direct(tables, us, xs, z):

@@ -26,7 +26,7 @@ from mbethe.partitions import (CoefficientMap, bits_of, enumerate_splits,
                                mask_values)
 from mbethe.scalars import (Rat, SpectralSet, sample_generic, sample_twist,
                             with_shifts)
-from mbethe.suites import _binomial_check, _spectra, shifted_unit_sum
+from mbethe.suites import Context, _binomial_sums, _spectra, shifted_unit_sum
 
 CONSTANTS = [Rat(1), Rat(-3, 2)]
 
@@ -565,12 +565,14 @@ class TestTableSumsMatchReference:
 
     @pytest.mark.parametrize("c", CONSTANTS)
     def test_binomial_sums(self, c):
-        _, lhs, _, ok = _binomial_check(47, c, 30, 7)
+        ctx = Context(c, 30, 1, {"max_size": 7}, 0, 47)
+        _, lhs, _, ok = _binomial_sums(ctx, random.Random(47),
+                                       top=lambda sizes: sizes["max_size"])
         assert ok
-        rng = random.Random(47)  # the draws of _binomial_check
+        rng = random.Random(47)  # the draws of _binomial_sums
         want = []
         for p in range(1, 8):
-            xs, = _spectra(rng.getrandbits(48), c, 30, [p], ["x"])
+            xs, = _spectra(ctx, rng.getrandbits(48), [p], ["x"])
             want += ref_binomial_sums(xs.values, c)
         assert [(type(x), x.numerator, x.denominator) for x in lhs] == [
             (type(x), x.numerator, x.denominator) for x in want]
