@@ -1,9 +1,11 @@
 """Deterministic parallel evaluation of a large partition sum.
 
 The twisted scalar-product formula at n + m = 12 sums 4096 split terms. The
-split stream is range-partitioned by rank across workers; because exact
-rational addition is associative and commutative, every worker count yields
-the bit-identical total. Throughput is reported per split.
+split stream is range-partitioned by rank: the caller sums the first range,
+and one forked child per other range sums that range and sends its partial
+back through a pipe. Because exact rational addition is associative and
+commutative, every worker count yields the bit-identical total. Throughput
+is reported per split.
 """
 
 import time

@@ -14,7 +14,8 @@ from .chain import (ChainSpec, TwistPair, bethe_state, build_monodromy,
                     vacuum_state, vacuum_weights)
 from .errors import (CapabilityError, CardinalityError, ConfigError,
                      ConstraintError, DegenerateError, DomainError,
-                     ExhaustionError, MbetheError, PoleError, VariantUndefined)
+                     ExhaustionError, MbetheError, PoleError, VariantUndefined,
+                     WorkerExitError)
 from .izergin import (conj_mod_izergin, izergin_convolution,
                       izergin_deformation_sum, izergin_partition_sum,
                       mod_izergin, ordinary_izergin, residue_check)

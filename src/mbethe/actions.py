@@ -416,8 +416,9 @@ class _SPfinTerm:
     weight products over a part are read from one-row tables, K and K-bar
     through the readers of the two halves of one `DetTables` (block tables,
     or `k_pair` where those do not apply), and f(x1, x2) from K's half. A
-    module-level class, so that it pickles into pool workers; the blocks
-    are built in the worker that reads them.
+    forked child of `split_sum` inherits the term, and builds the blocks of
+    its own rank range; the term is a module-level class, so that it also
+    pickles.
     """
 
     def __init__(self, u_values, values, c, twist: TwistData, lam1, lam2):

@@ -20,9 +20,23 @@ class PoleError(MbetheError):
 
     def __reduce__(self):
         # the default rebuilds from self.args (the message alone), which does
-        # not fit this __init__; a pool worker's error must unpickle in the
-        # parent, or the pool's result handler dies and the call hangs
+        # not fit this __init__; a worker's error must unpickle in the
+        # parent, which re-raises it
         return type(self), (self.kind, self.left, self.right)
+
+
+class WorkerExitError(MbetheError):
+    """A child summing part of a partition sum exited without sending its
+    partial (killed, or `os._exit`); `exitcode` is its exit code, negative
+    for the signal that ended it."""
+
+    def __init__(self, exitcode):
+        self.exitcode = exitcode
+        super().__init__(f"partition-sum worker exited with code {exitcode} "
+                         "without a result")
+
+    def __reduce__(self):
+        return type(self), (self.exitcode,)
 
 
 class ExhaustionError(MbetheError):

@@ -736,10 +736,11 @@ class DetTables:
         self._h = _cleared(hinv), _cleared(list(zip(*hinv)))
 
     def __getstate__(self):
-        """Both halves are built before pickling, so that each pool worker
-        receives their tables instead of building its own; the u-indexed
+        """Both halves are built before pickling, so that a pickled copy
+        carries their tables instead of building its own; the u-indexed
         off-diagonal parts, and the block tables read from them, are built
-        where first used."""
+        where first used. (The forked children of `split_sum` inherit the
+        tables and pickle nothing.)"""
         _ = self._plus, self._minus
         return self.__dict__
 

@@ -22,7 +22,7 @@ from itertools import islice
 from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
-from .errors import ConstraintError, PoleError
+from .errors import ConstraintError, PoleError, WorkerExitError
 from .scalars import Rat, SpectralSet, kernel_f, kernel_g, kernel_h
 
 MAX_GROUND = 63  # bitmask encoding cap; desk experiments stay far below
@@ -146,7 +146,7 @@ def enumerate_splits(ground: GroundSet | int, parts: int,
                 yield (rest ^ m3, m2, m3)
 
 
-MIN_POOL_SPLITS = 64  # below this, starting a pool costs more than the sum
+MIN_POOL_SPLITS = 1024  # below this, forking a child costs more than it saves
 
 
 def split_sum(p: int, parts: int, term: Callable, cards: Sequence[int] | None = None,
@@ -157,9 +157,14 @@ def split_sum(p: int, parts: int, term: Callable, cards: Sequence[int] | None = 
     rational; a zero denominator raises ZeroDivisionError. With `keyed`, each
     term is added under the split's last mask, and a CoefficientMap of the
     nonzero sums is returned. With jobs > 1 and at least MIN_POOL_SPLITS
-    splits, the split ranks are cut into `jobs` contiguous ranges and each
-    range is summed in a pool worker, so `term` must then pickle. Exact
-    addition makes the result identical at every worker count.
+    splits, the split ranks are cut into `jobs` contiguous ranges: the caller
+    sums the first, and one forked child per other range sums that range and
+    sends its partial back through a pipe. A child inherits `term`, so
+    nothing is pickled on the way in; its partial, or the error its range
+    raised, is pickled on the way back. An error is re-raised in the caller
+    as it is, and a child that exits without a reply raises WorkerExitError
+    with its exit code; no child outlives the call. Exact addition makes the
+    result identical at every worker count.
     """
     count = count_splits(p, parts, cards)
     if jobs <= 1 or count < MIN_POOL_SPLITS:
@@ -168,13 +173,53 @@ def split_sum(p: int, parts: int, term: Callable, cards: Sequence[int] | None = 
     bounds = [count * k // jobs for k in range(jobs + 1)]
     chunks = [(p, parts, term, cards, keyed, bounds[k], bounds[k + 1])
               for k in range(jobs)]
-    # fork, named: the workers must inherit the parent's module state, and
+    # fork, named: the children must inherit the parent's module state, and
     # Python 3.14 moves the Linux default start method away from fork
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        partials = pool.starmap(_range_sum, chunks)
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for chunk in chunks[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_range_sum, args=(sender, chunk))
+            child.start()
+            sender.close()  # the child holds the only sender: EOF if it dies
+            children.append((child, receiver))
+        partials = [_range_sum(*chunks[0])]
+        partials += [_receive(child, receiver) for child, receiver in children]
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.join()
     if keyed:
         return CoefficientMap(item for part in partials for item in part.items())
     return sum(partials, Rat(0))
+
+
+def _send_range_sum(sender, chunk) -> None:
+    """In a child: send (True, the range's partial), or (False, the error
+    its range raised)."""
+    try:
+        reply = True, _range_sum(*chunk)
+    except Exception as exc:
+        reply = False, exc
+    sender.send(reply)
+
+
+def _receive(child, receiver):
+    """The partial a child sent; the error it sent, raised as it is; or
+    WorkerExitError if it exited without sending."""
+    try:
+        ok, value = receiver.recv()
+    except EOFError:
+        child.join()
+        raise WorkerExitError(child.exitcode) from None
+    if not ok:
+        raise value
+    return value
 
 
 def _range_sum(p, parts, term, cards, keyed, lo, hi):

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,12 +11,25 @@ import pytest
 import mbethe
 
 
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail any test after which a multiprocessing child is still alive:
+    every sum that forks must join its children before it returns."""
+    yield
+    alive = multiprocessing.active_children()
+    for child in alive:
+        child.terminate()
+        child.join()
+    if alive:
+        pytest.fail(f"multiprocessing children left running: {alive}")
+
+
 @pytest.fixture
 def run_script(tmp_path):
     """Run source text as a script in a fresh interpreter that imports this
     mbethe, and return the finished process.
 
-    The timeout turns a hung process pool into a failure instead of a hang.
+    The timeout turns a hung child process into a failure instead of a hang.
     """
     def run(source: str, timeout: float = 120):
         script = tmp_path / "script.py"

@@ -13,7 +13,8 @@ from mbethe.chain import (ChainSpec, apply_entry_product, direct_scalar,
                           vacuum_state)
 from mbethe.errors import (CapabilityError, CardinalityError, DomainError)
 from mbethe.izergin import _KBlocks
-from mbethe.partitions import _range_sum, bits_of, enumerate_splits
+from mbethe.partitions import (MIN_POOL_SPLITS, _range_sum, bits_of,
+                               count_splits, enumerate_splits)
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData,
                             kernel_h, sample_generic, with_shifts)
 
@@ -221,8 +222,9 @@ class TestScalarForms:
                     == eval_scalar("SCe", us, vs, oracle, None, C))
 
     def test_parallel_reduction_identical(self):
+        assert count_splits(10, 2) >= MIN_POOL_SPLITS
         spec = chain(3, 68)
-        us, vs = spectra(spec, [3, 3], 69)
+        us, vs = spectra(spec, [5, 5], 69)
         oracle = WeightOracle.fundamental(spec)
         serial = eval_scalar("SPfin", us, vs, oracle, TWIST, C, jobs=1)
         assert eval_scalar("SPfin", us, vs, oracle, TWIST, C, jobs=2) == serial
@@ -230,7 +232,9 @@ class TestScalarForms:
 
     def test_parallel_reduction_under_spawn(self, run_script):
         # a script that makes spawn the default start method still gets the
-        # serial value: split_sum names fork, and the SPfin term pickles
+        # serial value: split_sum names fork, so the children inherit the
+        # SPfin term
+        assert count_splits(10, 2) >= MIN_POOL_SPLITS
         done = run_script("""
 import multiprocessing
 
@@ -243,9 +247,9 @@ if __name__ == "__main__":
     c = Rat(1)
     theta = sample_generic(3, seed=68, c=c, bound=30, label="theta")
     oracle = WeightOracle.fundamental(ChainSpec(3, theta, c))
-    us = sample_generic(3, context=with_shifts(c, theta), seed=69, c=c,
+    us = sample_generic(5, context=with_shifts(c, theta), seed=69, c=c,
                         bound=30, label="u")
-    vs = sample_generic(4, context=with_shifts(c, theta, us), seed=70, c=c,
+    vs = sample_generic(5, context=with_shifts(c, theta, us), seed=70, c=c,
                         bound=30, label="v")
     twist = ModelParams(c, Rat(1, 2), Rat(2, 3), Rat(3), Rat(5, 2))
     serial = eval_scalar("SPfin", us, vs, oracle, twist, c, jobs=1)

@@ -15,6 +15,7 @@ from math import gcd
 
 import pytest
 
+from mbethe import suites
 from mbethe.actions import (WeightOracle, eval_action, eval_scalar,
                             eval_vacuum_average)
 from mbethe.errors import PoleError, VariantUndefined
@@ -26,7 +27,6 @@ from mbethe.partitions import (CoefficientMap, bits_of, enumerate_splits,
                                mask_values)
 from mbethe.scalars import (Rat, SpectralSet, sample_generic, sample_twist,
                             with_shifts)
-from mbethe.suites import Context, _binomial_sums, _spectra, shifted_unit_sum
 
 CONSTANTS = [Rat(1), Rat(-3, 2)]
 
@@ -560,19 +560,21 @@ class TestTableSumsMatchReference:
                 for l in range(5):
                     us, vs, xs = generic_sets(rng.getrandbits(32), [n, m, l], c)
                     for conj in (False, True):
-                        same_outcome(shifted_unit_sum, ref_shifted_unit_sum,
+                        same_outcome(suites.shifted_unit_sum, ref_shifted_unit_sum,
                                      us, vs, xs, c, conjugated=conj)
 
     @pytest.mark.parametrize("c", CONSTANTS)
     def test_binomial_sums(self, c):
-        ctx = Context(c, 30, 1, {"max_size": 7}, 0, 47)
-        _, lhs, _, ok = _binomial_sums(ctx, random.Random(47),
-                                       top=lambda sizes: sizes["max_size"])
+        # the private helpers are read here, so that renaming one fails this
+        # test alone instead of the whole module's collection
+        ctx = suites.Context(c, 30, 1, {"max_size": 7}, 0, 47)
+        _, lhs, _, ok = suites._binomial_sums(
+            ctx, random.Random(47), top=lambda sizes: sizes["max_size"])
         assert ok
         rng = random.Random(47)  # the draws of _binomial_sums
         want = []
         for p in range(1, 8):
-            xs, = _spectra(ctx, rng.getrandbits(48), [p], ["x"])
+            xs, = suites._spectra(ctx, rng.getrandbits(48), [p], ["x"])
             want += ref_binomial_sums(xs.values, c)
         assert [(type(x), x.numerator, x.denominator) for x in lhs] == [
             (type(x), x.numerator, x.denominator) for x in want]

@@ -120,7 +120,7 @@ class TestSplitSum:
                 split_sum(4, parts, MaskTerm(), cards, jobs=jobs)
 
     @pytest.mark.parametrize("p, parts, cards",
-                             [(7, 2, None), (4, 3, None), (9, 2, (4, 5))])
+                             [(10, 2, None), (7, 3, None), (13, 2, (6, 7))])
     def test_jobs_bit_identical(self, p, parts, cards):
         assert count_splits(p, parts, cards) >= MIN_POOL_SPLITS
         serial = split_sum(p, parts, MaskTerm(), cards)
@@ -154,6 +154,76 @@ if __name__ == "__main__":
 """, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "raised f 27 100"
+
+    # The outcomes of forked ranges: the script's term tells the caller's
+    # range (by its pid) from a child's, and the script prints what the
+    # caller saw and how many children are left; a hang is a timeout.
+    FORKED = """
+import multiprocessing
+import os
+import time
+
+from mbethe.errors import PoleError, WorkerExitError
+from mbethe.partitions import MIN_POOL_SPLITS, count_splits, split_sum
+
+
+class ForkedTerm:
+    def __init__(self, in_caller, in_child):
+        self.caller = os.getpid()
+        self.in_caller, self.in_child = in_caller, in_child
+
+    def __call__(self, mask1, mask2):
+        action = self.in_caller if os.getpid() == self.caller else self.in_child
+        return action(mask2)
+
+
+def one(mask2):
+    return 1
+
+
+def leave(mask2):
+    os._exit(3)
+
+
+def pole(mask2):
+    raise PoleError("f", 1023 ^ mask2, mask2)
+
+
+def fail(mask2):
+    raise ValueError(f"caller range at {mask2}")
+
+
+def stall(mask2):
+    time.sleep(90)  # longer than the 60 s timeout of run_script
+    return 1
+
+
+if __name__ == "__main__":
+    assert count_splits(10, 2) >= MIN_POOL_SPLITS
+    try:
+        print("sum", split_sum(10, 2, ForkedTerm(%s, %s), jobs=%d))
+    except WorkerExitError as exc:
+        print("exit", exc.exitcode)
+    except PoleError as exc:
+        print("pole", exc.kind, exc.left, exc.right)
+    except ValueError as exc:
+        print("error", exc)
+    print("left", len(multiprocessing.active_children()))
+"""
+
+    @pytest.mark.parametrize("in_caller, in_child, jobs, want", [
+        ("one", "one", 2, "sum 1024"),
+        ("one", "one", 3, "sum 1024"),
+        ("one", "leave", 2, "exit 3"),
+        ("one", "leave", 3, "exit 3"),
+        ("one", "pole", 2, "pole f 511 512"),
+        ("fail", "stall", 2, "error caller range at 0"),
+        ("fail", "stall", 3, "error caller range at 0"),
+    ])
+    def test_forked_ranges(self, run_script, in_caller, in_child, jobs, want):
+        done = run_script(self.FORKED % (in_caller, in_child, jobs), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [want, "left 0"]
 
 
 big = st.integers(-10**220, 10**220)
@@ -208,14 +278,15 @@ class TestPairAccumulator:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_keyed_cancellation_drops_the_key(self, jobs):
-        assert count_splits(4, 3) >= MIN_POOL_SPLITS
-        keyed = split_sum(4, 3, AlternatingTerm(), jobs=jobs, keyed=True)
-        assert keyed.items() == [(0b1111, Rat(1, 3))]
+        assert count_splits(7, 3) >= MIN_POOL_SPLITS
+        keyed = split_sum(7, 3, AlternatingTerm(), jobs=jobs, keyed=True)
+        assert keyed.items() == [(0b1111111, Rat(1, 3))]
         assert len(keyed) == 1
-        assert split_sum(4, 3, AlternatingTerm(), jobs=jobs) == Rat(1, 3)
+        assert split_sum(7, 3, AlternatingTerm(), jobs=jobs) == Rat(1, 3)
 
-    @pytest.mark.parametrize("p, parts", [(7, 2), (4, 3)])
+    @pytest.mark.parametrize("p, parts", [(10, 2), (7, 3)])
     def test_pair_terms_same_at_every_job_count(self, p, parts):
+        assert count_splits(p, parts) >= MIN_POOL_SPLITS
         term = PairTerm()
         want = sum((Fraction(*term(*split))
                     for split in enumerate_splits(p, parts)), Fraction(0))
