@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Optional
 
-from .chain import ChainSpec, apply_entry_product, vacuum_state
+from .chain import (ChainSpec, apply_entry_product, vacuum_state,
+                    vacuum_weights)
 from .errors import CapabilityError, CardinalityError, DomainError
 from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
                       mod_izergin, rat_pow, term_pair)
 from .partitions import (CoefficientMap, GroundSet, bits_of, mask_values,
                          split_sum)
-from .scalars import (ModelParams, Rat, SpectralSet, TwistData, kernel_h,
-                      prod_over, rat_str, set_product)
+from .scalars import (ModelParams, Rat, SpectralSet, TwistData, prod_over,
+                      rat_str, set_product)
 
 DIAGONAL_TRANSPOSE = {
     "t11": "t22", "t22": "t11", "t12": "t12", "t21": "t21",
@@ -28,27 +30,8 @@ DIAGONAL_TRANSPOSE = {
 
 
 # ---------------------------------------------------------------------------
-# Weight oracles (all callables are picklable classes, safe for workers)
+# Weight oracles
 # ---------------------------------------------------------------------------
-
-class FundamentalWeight:
-    """Closed-form vacuum weight of the inhomogeneous fundamental chain."""
-
-    def __init__(self, theta, c, kind: str):
-        self.theta = tuple(Rat(t) for t in theta)
-        self.c = Rat(c)
-        self.kind = kind
-
-    def __call__(self, u) -> Rat:
-        u = Rat(u)
-        out = Rat(1)
-        for th in self.theta:
-            if self.kind in ("lam1", "product"):
-                out *= kernel_h(u, th, self.c)
-            if self.kind in ("lam2", "product"):
-                out *= (u - th) / self.c
-        return out
-
 
 class HashRational:
     """Pure pseudo-random nonzero rational of a spectral point.
@@ -91,8 +74,7 @@ class WeightOracle:
 
     reduction_weight and reduction_order are only needed for the repeated
     creation-operator formula; for the fundamental representation the weight
-    is the product of the two vacuum weights and the order is the site count
-    (checked at construction).
+    is the product of the two vacuum weights and the order is the site count.
     """
 
     lambda1: Callable
@@ -102,16 +84,10 @@ class WeightOracle:
 
     @classmethod
     def fundamental(cls, spec: ChainSpec) -> "WeightOracle":
-        oracle = cls(FundamentalWeight(spec.theta, spec.c, "lam1"),
-                     FundamentalWeight(spec.theta, spec.c, "lam2"),
-                     FundamentalWeight(spec.theta, spec.c, "product"),
-                     spec.sites)
-        for probe in (Rat(1, 3), Rat(5, 7)):
-            expected = oracle.lambda1(probe) * oracle.lambda2(probe)
-            if oracle.reduction_weight(probe) != expected:
-                raise CapabilityError("fundamental reduction weight must equal "
-                                      "the product of the vacuum weights")
-        return oracle
+        return cls(lambda u: vacuum_weights(spec, u)[0],
+                   lambda u: vacuum_weights(spec, u)[1],
+                   lambda u: prod(vacuum_weights(spec, u)),
+                   spec.sites)
 
     @classmethod
     def random_seeded(cls, seed: int, bound: int = 40) -> "WeightOracle":
@@ -356,9 +332,22 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
     if form == "SPfin":
         twist = _require_twist(params, "SPfin")
         values = u_set.values + v_set.values
-        term = _SPfinTerm(u_set.values, values, c, twist,
-                          [lam1(x) for x in values], [lam2(x) for x in values])
-        return split_sum(len(values), 2, term, jobs=jobs)
+        p = n + m
+        tables = DetTables(u_set.values, values, c)
+        plus, minus = tables.side(False), tables.side(True)
+        k_plus, k_minus = plus.reader(twist.mu), minus.reader(twist.mu)
+        weight1 = _weight_table([lam1(x) for x in values])
+        weight2 = _weight_table([lam2(x) for x in values])
+        beta_pow = by_popcount(lambda l1: (rat_pow(-twist.beta1, n - l1)
+                                           * rat_pow(-twist.beta2, l1 - m)), p)
+
+        def spfin_term(mask1, mask2):
+            return term_pair(beta_pow[mask1.bit_count()],
+                             weight2.row(0, mask1), weight1.row(0, mask2),
+                             plus.pair(mask1, mask2), k_plus(mask1),
+                             k_minus(mask2))
+
+        return split_sum(p, 2, spfin_term, jobs=jobs)
 
     if form == "SPfinIK":
         mu = _require_twist(params, "SPfinIK", betas=()).mu
@@ -407,37 +396,6 @@ def _weight_table(weights) -> FTable:
     """Vacuum weights as a one-row table, read by mask in one lookup pair."""
     return FTable.of_ints([[w.numerator for w in weights]],
                           [[w.denominator for w in weights]])
-
-
-class _SPfinTerm:
-    """One term of the SPfin sum, for the split (mask1, mask2) of the merged
-    set. The term is multiplied out as an unreduced integer numerator and
-    denominator, which `split_sum` adds without building a rational; the
-    weight products over a part are read from one-row tables, K and K-bar
-    through the readers of the two halves of one `DetTables` (block tables,
-    or `k_pair` where those do not apply), and f(x1, x2) from K's half. A
-    forked child of `split_sum` inherits the term, and builds the blocks of
-    its own rank range; the term is a module-level class, so that it also
-    pickles.
-    """
-
-    def __init__(self, u_values, values, c, twist: TwistData, lam1, lam2):
-        tables = DetTables(u_values, values, c)
-        plus, minus = tables.side(False), tables.side(True)
-        self.k_plus = plus.reader(twist.mu)
-        self.k_minus = minus.reader(twist.mu)
-        self.f_between = plus.pair
-        n, p = len(u_values), len(values)
-        self.beta_pow = by_popcount(
-            lambda l1: (rat_pow(-twist.beta1, n - l1)
-                        * rat_pow(-twist.beta2, n - p + l1)), p)
-        self.lam1, self.lam2 = _weight_table(lam1), _weight_table(lam2)
-
-    def __call__(self, mask1: int, mask2: int) -> tuple:
-        return term_pair(self.beta_pow[mask1.bit_count()],
-                         self.lam2.row(0, mask1), self.lam1.row(0, mask2),
-                         self.f_between(mask1, mask2),
-                         self.k_plus(mask1), self.k_minus(mask2))
 
 
 def eval_vacuum_average(w_set: SpectralSet, oracle: WeightOracle,

@@ -440,7 +440,6 @@ class FTable:
         return table
 
     def _set(self, num, den):
-        self.num, self.den = num, den
         half = len(num[0]) // 2 if num else 0
         self._half, self._low = half, (1 << half) - 1
         self._rows = _index_halves(len(num))
@@ -585,10 +584,10 @@ class _KBlocks:
     prod_{t in S} fn_jt and b_j(S) = prod_{t in S} fd_jt. Here the rows of
     z times the u-indexed off-diagonal parts (`_Side.uoff`) are cleared to
     integer rows over their denominators od_j, A is minus those integer
-    rows, and fn/fd are the u-indexed rows of the table. By multilinearity in the rows its
-    determinant is the sum over kept rows K of M[K] prod_{j in K} b_j
-    prod_{j not in K} a_j, with M the principal minors of A. Swapping the
-    sum over K with the products over S gives
+    rows, and fn/fd are the u-indexed rows of the table. By multilinearity
+    in the rows its determinant is the sum over kept rows K of M[K]
+    prod_{j in K} b_j prod_{j not in K} a_j, with M the principal minors of
+    A. Swapping the sum over K with the products over S gives
 
         K(S) = (1-z)^(#S-n) sum_K M[K] prod_{j not in K} od_j prod_{t in S} g_K(t)
 
@@ -598,19 +597,17 @@ class _KBlocks:
     g_K and the denominators. Every factor is multiplicative over S, so the
     masks that share a high half form a block: the sum over K of a constant
     times the low-half subset products of g_K. A block is built when a mask
-    outside the block last read is read, in the process that reads it, and
-    only that block is kept: a sum over splits in rank order reads each
-    side's blocks one after another, so it builds each once, and holds
-    2^(p/2) entries per side instead of 2^p. No block is pickled.
+    outside the block last read is read, and only that block is kept: a sum
+    over splits in rank order reads each side's blocks one after another,
+    so it builds each once, and holds 2^(p/2) entries per side instead of
+    2^p. A forked child of `split_sum` inherits the table and builds the
+    blocks of its own rank range.
     """
 
     def __init__(self, side: _Side, z):
         self.side, self.z = side, z
         self._half, self._low = side._half, side._low
         self._hi, self._block = None, None
-
-    def __reduce__(self):
-        return _KBlocks, (self.side, self.z)
 
     @cached_property
     def _factors(self) -> tuple:
@@ -734,15 +731,6 @@ class DetTables:
         # 1/h(xi_j, xi_k) as integer rows over one denominator per row, for
         # each half (the conjugated half reads the transpose)
         self._h = _cleared(hinv), _cleared(list(zip(*hinv)))
-
-    def __getstate__(self):
-        """Both halves are built before pickling, so that a pickled copy
-        carries their tables instead of building its own; the u-indexed
-        off-diagonal parts, and the block tables read from them, are built
-        where first used. (The forked children of `split_sum` inherit the
-        tables and pickle nothing.)"""
-        _ = self._plus, self._minus
-        return self.__dict__
 
     # Each determinant's tables are built on its first use: a sum that
     # needs only K, or only K-bar, builds only that half.

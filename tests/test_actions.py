@@ -1,20 +1,17 @@
 """Multiple-action and scalar-product evaluators against the chain oracle."""
 
-import pickle
-
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mbethe.actions import (ActionRequest, WeightOracle, _SPfinTerm,
-                            eval_action, eval_request, eval_scalar,
-                            eval_vacuum_average, phi_transform)
+from mbethe.actions import (ActionRequest, WeightOracle, eval_action,
+                            eval_request, eval_scalar, eval_vacuum_average,
+                            phi_transform)
 from mbethe.chain import (ChainSpec, apply_entry_product, direct_scalar,
                           vacuum_state)
 from mbethe.errors import (CapabilityError, CardinalityError, DomainError)
 from mbethe.izergin import _KBlocks
-from mbethe.partitions import (MIN_POOL_SPLITS, _range_sum, bits_of,
-                               count_splits, enumerate_splits)
+from mbethe.partitions import MIN_POOL_SPLITS, count_splits, enumerate_splits
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData,
                             kernel_h, sample_generic, with_shifts)
 
@@ -325,41 +322,38 @@ class TestScalarFormsProperty:
 
 class TestSPfinBlocks:
     """The SPfin term reads K and K-bar from block tables built in the
-    process that reads them: a worker builds only the blocks of its own
-    rank range, and a pickled term carries none."""
+    process that reads them: the caller of a forked sum builds only the
+    blocks of its own rank range, and a serial sum builds each block once."""
 
     def test_workers_build_only_their_blocks(self, monkeypatch):
         spec = chain(3, 90)
         us, vs = spectra(spec, [5, 5], 91)
         oracle = WeightOracle.fundamental(spec)
-        values = us.values + vs.values
-        term = _SPfinTerm(us.values, values, C, TWIST.twist(),
-                          [oracle.lambda1(x) for x in values],
-                          [oracle.lambda2(x) for x in values])
-        copy = pickle.loads(pickle.dumps(term))
-        assert copy.k_plus.__self__._block is None
-        assert copy.k_minus.__self__._block is None
+        direct = direct_scalar(spec, TWIST, "nu21", us, "nu12", vs)
+        p = len(us) + len(vs)
+        blocks_per_reader = 1 << (p - p // 2)
+        assert count_splits(p, 2) >= MIN_POOL_SPLITS
         built = []
         build = _KBlocks._build
 
         def counted(blocks, hi):
-            built.append((blocks, hi))
+            built.append((id(blocks), hi))
             return build(blocks, hi)
 
         monkeypatch.setattr(_KBlocks, "_build", counted)
-        p, half = len(values), 1 << (len(values) - 1)
-        first = _range_sum(p, 2, term, None, False, 0, half)
-        second = _range_sum(p, 2, copy, None, False, half, None)
-        for done in (term, copy):
-            for reader in (done.k_plus, done.k_minus):
-                his = [hi for blocks, hi in built if blocks is reader.__self__]
-                assert len(his) == len(set(his))
-                assert 0 < len(his) <= (1 << (p - p // 2)) // 2 + 1
-        used = pickle.loads(pickle.dumps(term))
-        assert used.k_plus.__self__._block is None
-        assert used.k_minus.__self__._block is None
-        assert first + second == direct_scalar(spec, TWIST, "nu21", us,
-                                               "nu12", vs)
+        for jobs in (2, 1):
+            built.clear()
+            assert eval_scalar("SPfin", us, vs, oracle, TWIST, C,
+                               jobs=jobs) == direct
+            readers = {reader for reader, _ in built}
+            assert len(readers) == 2  # K and K-bar
+            for reader in readers:
+                his = [hi for r, hi in built if r == reader]
+                if jobs == 1:
+                    assert sorted(his) == list(range(blocks_per_reader))
+                else:  # only the caller's builds are seen here
+                    assert len(his) == len(set(his))
+                    assert 0 < len(his) <= blocks_per_reader // 2 + 1
 
 
 class TestVacuumAverage:

@@ -1,0 +1,55 @@
+"""Every module of the package uses every name it imports.
+
+No linter ships with the test dependencies, so this reads each module's
+syntax tree: a name bound by an import must be read somewhere else in the
+module. An import statement marked `# noqa` on any of its lines is exempt
+(a re-export that an outside caller looks up by name).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import mbethe
+
+MODULES = sorted(p for p in Path(mbethe.__file__).resolve().parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each imported name that the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_modules_found():
+    assert MODULES  # an empty parameter list would skip the check silently
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.stem)
+def test_no_unused_imports(module):
+    assert unused_imports(module.read_text()) == []
+
+
+def test_guard_sees_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "from math import gcd, lcm\n"
+              "from .linalg import det  # noqa: F401\n"
+              "x = gcd(4, 6)\n")
+    assert unused_imports(source) == [(2, "os"), (3, "lcm")]

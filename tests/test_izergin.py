@@ -1,7 +1,6 @@
 """Deformed determinants: closed forms, representation equivalence, the full
 law suite at small sizes, and the residue machinery."""
 
-import pickle
 from collections import Counter
 from functools import partial
 
@@ -317,30 +316,6 @@ class TestDetTables:
         tables = DetTables(us.values, xs.values, C)
         for z in (mu, Rat(0), Rat(1), Rat(7, 4), Rat(-7, 4)):
             assert_matches_direct(tables, us, xs, z)
-
-    def test_pickled_tables_give_same_pairs(self):
-        """A DetTables sent to a pool worker gives the same pairs, whether or
-        not a block table was read before pickling."""
-        us, xs = spectra(38, [5, 10])
-        mu = sample_twist(38, C).mu
-        full = (1 << 10) - 1
-        tables = DetTables(us.values, xs.values, C)
-        fresh = pickle.loads(pickle.dumps(tables))
-        tables.side(False).reader(mu)(full)
-        used = pickle.loads(pickle.dumps(tables))
-        for copy in (fresh, used):
-            for mask in range(1 << 10):
-                for z in (mu, Rat(-7, 4)):
-                    assert (copy.side(False).k_pair(z, mask)
-                            == tables.side(False).k_pair(z, mask))
-                    assert (copy.side(True).k_pair(z, mask)
-                            == tables.side(True).k_pair(z, mask))
-                assert (copy.side(False).factors.row(0, mask)
-                        == tables.side(False).factors.row(0, mask))
-                assert (copy.side(True).factors.row(0, mask)
-                        == tables.side(True).factors.row(0, mask))
-                assert (copy.side(False).pair(full ^ mask, mask)
-                        == tables.side(False).pair(full ^ mask, mask))
 
     @pytest.mark.parametrize("c", [C, Rat(-3, 2)])
     def test_every_shift(self, c):

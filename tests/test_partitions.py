@@ -18,7 +18,7 @@ from mbethe.scalars import Rat, SpectralSet, sample_generic, set_product
 
 
 class MaskTerm:
-    """A picklable term whose value differs from split to split."""
+    """A term whose value differs from split to split."""
 
     def __call__(self, *split):
         num = sum((k + 2) * mask for k, mask in enumerate(split))
@@ -26,8 +26,8 @@ class MaskTerm:
 
 
 class PairTerm:
-    """A picklable term returning unreduced integer pairs: common factors,
-    negative denominators and a zero numerator."""
+    """A term returning unreduced integer pairs: common factors, negative
+    denominators and a zero numerator."""
 
     def __call__(self, *split):
         num = sum((k + 2) * mask for k, mask in enumerate(split))
@@ -122,18 +122,23 @@ class TestSplitSum:
     @pytest.mark.parametrize("p, parts, cards",
                              [(10, 2, None), (7, 3, None), (13, 2, (6, 7))])
     def test_jobs_bit_identical(self, p, parts, cards):
+        # a lambda cannot be pickled: the forked children inherit the term
         assert count_splits(p, parts, cards) >= MIN_POOL_SPLITS
-        serial = split_sum(p, parts, MaskTerm(), cards)
-        keyed = split_sum(p, parts, MaskTerm(), cards, keyed=True)
-        for jobs in (2, 3):
-            pooled = split_sum(p, parts, MaskTerm(), cards, jobs=jobs)
-            assert ((pooled.numerator, pooled.denominator)
-                    == (serial.numerator, serial.denominator))
-            assert split_sum(p, parts, MaskTerm(), cards, jobs=jobs,
-                             keyed=True).items() == keyed.items()
+        mask_term = MaskTerm()
+        for term in (mask_term, lambda *split: mask_term(*split)):
+            serial = split_sum(p, parts, term, cards)
+            keyed = split_sum(p, parts, term, cards, keyed=True)
+            for jobs in (2, 3):
+                pooled = split_sum(p, parts, term, cards, jobs=jobs)
+                assert ((pooled.numerator, pooled.denominator)
+                        == (serial.numerator, serial.denominator))
+                assert split_sum(p, parts, term, cards, jobs=jobs,
+                                 keyed=True).items() == keyed.items()
 
     def test_worker_error_reaches_the_parent(self, run_script):
-        # the split with second mask 100 lies in the second worker's range
+        # the split with second mask 600 has rank 600 of 1024, so it lies in
+        # the range of the forked child
+        assert count_splits(10, 2) >= MIN_POOL_SPLITS
         done = run_script("""
 from mbethe.errors import PoleError
 from mbethe.partitions import split_sum
@@ -141,19 +146,19 @@ from mbethe.partitions import split_sum
 
 class PoleTerm:
     def __call__(self, mask1, mask2):
-        if mask2 == 100:
+        if mask2 == 600:
             raise PoleError("f", mask1, mask2)
         return 1
 
 
 if __name__ == "__main__":
     try:
-        split_sum(7, 2, PoleTerm(), jobs=2)
+        split_sum(10, 2, PoleTerm(), jobs=2)
     except PoleError as exc:
         print("raised", exc.kind, exc.left, exc.right)
 """, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "raised f 27 100"
+        assert done.stdout.strip() == "raised f 423 600"
 
     # The outcomes of forked ranges: the script's term tells the caller's
     # range (by its pid) from a child's, and the script prints what the
