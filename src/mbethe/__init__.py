@@ -22,7 +22,6 @@ from .izergin import (conj_mod_izergin, izergin_convolution,
 from .partitions import CoefficientMap, GroundSet, enumerate_splits
 from .ratfunc import RationalFunction, rational_interpolate
 from .scalars import (ModelParams, Rat, SpectralSet, TwistData, kernel_f,
-                      kernel_g, kernel_h, rat, rat_str, sample_generic,
-                      set_product)
+                      kernel_g, kernel_h, rat_str, sample_generic, set_product)
 
 __version__ = "0.1.0"

@@ -33,39 +33,29 @@ DIAGONAL_TRANSPOSE = {
 # Weight oracles
 # ---------------------------------------------------------------------------
 
-class HashRational:
+def hash_rational(seed: int, salt: str) -> Callable:
     """Pure pseudo-random nonzero rational of a spectral point.
 
     Deterministic across processes and sessions (keyed hashing, not Python's
     salted hash), so formula-level tests can use independent weight values at
-    every spectral point without storing a table.
+    every spectral point without storing a table. Numerator and denominator
+    lie in 1..40.
     """
-
-    def __init__(self, seed: int, salt: str, bound: int = 40):
-        self.seed = seed
-        self.salt = salt
-        self.bound = bound
-
-    def __call__(self, u) -> Rat:
+    def weight(u) -> Rat:
         u = Rat(u)
         digest = hashlib.sha256(
-            f"{self.seed}|{self.salt}|{u.numerator}|{u.denominator}".encode()
-        ).digest()
+            f"{seed}|{salt}|{u.numerator}|{u.denominator}".encode()).digest()
         big = int.from_bytes(digest, "big")
-        num = 1 + big % self.bound
-        den = 1 + (big >> 64) % self.bound
+        num = 1 + big % 40
+        den = 1 + (big >> 64) % 40
         sign = -1 if (big >> 128) & 1 else 1
         return Rat(sign * num, den)
+    return weight
 
 
-class NegatedArgWeight:
-    """w(-u) for a wrapped weight function; involutive."""
-
-    def __init__(self, inner: Callable):
-        self.inner = inner
-
-    def __call__(self, u) -> Rat:
-        return self.inner(-Rat(u))
+def negated_arg(inner: Callable) -> Callable:
+    """u -> inner(-u); involutive."""
+    return lambda u: inner(-Rat(u))
 
 
 @dataclass(frozen=True)
@@ -90,16 +80,14 @@ class WeightOracle:
                    spec.sites)
 
     @classmethod
-    def random_seeded(cls, seed: int, bound: int = 40) -> "WeightOracle":
-        return cls(HashRational(seed, "lam1", bound),
-                   HashRational(seed, "lam2", bound))
+    def random_seeded(cls, seed: int) -> "WeightOracle":
+        return cls(hash_rational(seed, "lam1"), hash_rational(seed, "lam2"))
 
     def transposed(self) -> "WeightOracle":
         """Swap the two weights and negate their arguments (involutive)."""
-        new_red = (NegatedArgWeight(self.reduction_weight)
+        new_red = (negated_arg(self.reduction_weight)
                    if self.reduction_weight is not None else None)
-        return WeightOracle(NegatedArgWeight(self.lambda2),
-                            NegatedArgWeight(self.lambda1),
+        return WeightOracle(negated_arg(self.lambda2), negated_arg(self.lambda1),
                             new_red, self.reduction_order)
 
 

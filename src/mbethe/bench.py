@@ -14,7 +14,7 @@ import time
 from .actions import WeightOracle, eval_scalar
 from .chain import ChainSpec, direct_scalar
 from .report import digest
-from .scalars import rat, sample_generic, sample_twist, with_shifts
+from .scalars import Rat, sample_generic, sample_twist, with_shifts
 
 
 def bench_sizes(max_size: int) -> list:
@@ -32,10 +32,11 @@ def jobs_sweep(max_jobs: int) -> list:
     return out
 
 
-def run_bench(sizes, jobs_list, seed: int = 0, c=1, bound: int = 30) -> dict:
+def run_bench(sizes, jobs_list, seed: int = 0) -> dict:
     """Time the twisted scalar product at each size for each worker count,
-    and check each value against the chain oracle."""
-    c = rat(c)
+    and check each value against the chain oracle. The coupling is c = 1 and
+    sampled parameters have numerators and denominators bounded by 30."""
+    c, bound = Rat(1), 30
     rows = []
     consistent = True
     for size in sizes:

@@ -142,7 +142,7 @@ def monodromy_columns(spec: ChainSpec, u, psi, aux, rows) -> list:
     u = Rat(u)
     for site in range(spec.sites):
         ratio = (u - spec.theta[site]) / spec.c
-        p, q = int(ratio.numerator), int(ratio.denominator)
+        p, q = ratio.numerator, ratio.denominator
         pq = p + q
         bit = 1 << site
         # lo has this site's spin up and hi = lo | bit has it down: E11 and

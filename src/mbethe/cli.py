@@ -25,7 +25,7 @@ from .actions import WeightOracle, eval_scalar
 from .errors import CardinalityError, ConfigError, DomainError, MbetheError
 from .partitions import MAX_GROUND
 from .report import ERROR_DIGEST, build_report, machine_facts, write_report
-from .scalars import ModelParams, rat, rat_str, sample_generic, with_shifts
+from .scalars import ModelParams, Rat, rat_str, sample_generic, with_shifts
 from .suites import SUITES, RunConfig, config_number, run_suites
 
 SCALAR_FORMS = ("SCe", "SCbe", "SPfin", "SPfinIK")
@@ -132,7 +132,7 @@ def cmd_scalar(args) -> int:
     if args.n + args.m > MAX_GROUND:
         raise ConfigError(f"--n plus --m must be at most {MAX_GROUND}, "
                           f"got {args.n + args.m}")
-    c, rho1, rho2, kp, km = (config_number(rat, getattr(args, key), f"--{key}")
+    c, rho1, rho2, kp, km = (config_number(Rat, getattr(args, key), f"--{key}")
                              for key in ("c", "rho1", "rho2", "kp", "km"))
     theta = sample_generic(args.sites, seed=args.seed ^ 0x7E7A, bound=args.bound,
                            c=c, label="theta")

@@ -16,11 +16,6 @@ from math import gcd, prod
 
 from .scalars import ZERO, Rat
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # gmpy2 is optional (the `gmpy2` extra)
-    mpz = int
-
 
 def det(matrix) -> Rat:
     """Determinant of a square matrix of rationals or ints; the 0x0
@@ -41,9 +36,9 @@ def clear_denominators(matrix):
     for row in matrix:
         lcm = 1
         for x in row:
-            d = int(x.denominator)
+            d = x.denominator
             lcm = lcm // gcd(lcm, d) * d
-        rows.append([mpz(x.numerator * (lcm // int(x.denominator))) for x in row])
+        rows.append([x.numerator * (lcm // x.denominator) for x in row])
         dens.append(lcm)
     return rows, dens
 
@@ -57,9 +52,9 @@ def det_int(rows):
     """
     n = len(rows)
     if n == 0:
-        return mpz(1)
+        return 1
     sign = 1
-    prev = mpz(1)
+    prev = 1
     for k in range(n - 1):
         rk = rows[k]
         if rk[k] == 0:
@@ -69,7 +64,7 @@ def det_int(rows):
                     sign = -sign
                     break
             else:
-                return mpz(0)
+                return 0
             rk = rows[k]
         pivot = rk[k]
         rest = range(k + 1, n)
@@ -82,7 +77,7 @@ def det_int(rows):
             else:
                 for j in rest:
                     ri[j] = (pivot * ri[j] - lead * rk[j]) // prev
-            ri[k] = mpz(0)
+            ri[k] = 0
         prev = pivot
     return sign * rows[n - 1][n - 1]
 

@@ -10,26 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 is optional (the `gmpy2` extra)
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
+from typing import Callable, Sequence
 
 from .errors import DomainError, ExhaustionError, PoleError
 
-RatLike = Union[int, str, "Rat"]
-
 ZERO = Rat(0)
 ONE = Rat(1)
-
-
-def rat(value: RatLike, den: int | None = None) -> Rat:
-    """Coerce ints, 'p/q' strings, Fractions, or (p, q) pairs to an exact rational."""
-    if den is not None:
-        return Rat(value, den)
-    return Rat(value)
 
 
 def rat_str(value) -> str:
@@ -277,9 +264,7 @@ def sample_twist(seed: int, c, bound: int = 9) -> ModelParams:
 
 def _flatten_context(context) -> list:
     out = []
-    if context is None:
-        return out
-    for item in (context if isinstance(context, (tuple, list)) else [context]):
+    for item in context or ():
         out.extend(_as_values(item))
     return out
 
@@ -330,7 +315,8 @@ _RETRY_BUDGET = 2000
 
 def sample_generic(count: int, context=None, seed: int = 0,
                    bound: int = 50, c=1, label: str = "") -> SpectralSet:
-    """Draw `count` rationals, generic against `context` and each other.
+    """Draw `count` rationals, generic against `context` and each other;
+    `context` is None or a sequence of sets, as `with_shifts` returns.
 
     Numerators and denominators are bounded by `bound`; the draw is
     deterministic for a fixed seed. Raises ExhaustionError if the genericity

@@ -39,9 +39,9 @@ from .linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_scale, mat_sub
 from .partitions import (enumerate_splits, mask_values,
                          pole_extraction_sum, single_extraction_sum, split_sum)
 from .report import CheckRecord, Recorder, digest
-from .scalars import (Rat, SpectralSet, TwistData, kernel_f,
-                      kernel_g, rat, rat_str, sample_generic,
-                      sample_nonzero, sample_twist, set_product, with_shifts)
+from .scalars import (Rat, SpectralSet, TwistData, kernel_f, kernel_g,
+                      rat_str, sample_generic, sample_nonzero, sample_twist,
+                      set_product, with_shifts)
 
 DEFAULT_SIZES = {
     "izergin-laws": {
@@ -69,7 +69,7 @@ DEFAULT_SIZES = {
 
 
 def config_number(parse, value, name: str):
-    """`value` from a flag or a config file, read by `parse` (int or rat);
+    """`value` from a flag or a config file, read by `parse` (int or Rat);
     a ConfigError naming it when it is not such a number. JSON booleans,
     and floats that the parse would round, are not numbers here."""
     try:
@@ -100,7 +100,7 @@ class RunConfig:
             raise ConfigError(f"suites must be a list, got {self.suites!r}")
         self.suites = tuple(self.suites)
         self.seed = config_number(int, self.seed, "seed")
-        self.c = config_number(rat, self.c, "c")
+        self.c = config_number(Rat, self.c, "c")
         self.bound = config_number(int, self.bound, "bound")
         self.jobs = config_number(int, self.jobs, "jobs")
         unknown = [s for s in self.suites if s not in SUITES]

@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, reports, determinism, and a mutation smoke test."""
 
 import hashlib
-import importlib.util
 import json
 import platform
 import subprocess
@@ -18,7 +17,6 @@ from mbethe.cli import main
 from mbethe.report import strip_timing
 from mbethe.suites import SUITES, RunConfig
 from mbethe.errors import PoleError
-from mbethe.scalars import Rat
 
 SMALL_SIZES = {
     "izergin-laws": {"max_n": 2, "max_m": 2, "samples": 1, "equiv_max": 2,
@@ -323,9 +321,7 @@ class TestBench:
 
 class TestMachineBlock:
     def expect_machine(self, block):
-        assert block["rational_backend"] == Rat.__module__
-        if importlib.util.find_spec("gmpy2") is None:
-            assert block["rational_backend"] == "fractions"
+        assert block["rational_backend"] == "fractions"
         assert block["python"] == platform.python_version()
         assert isinstance(block["nproc"], int) and block["nproc"] >= 1
 

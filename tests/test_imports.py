@@ -1,20 +1,24 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and imports
+nothing from outside the standard library.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree: a name bound by an import must be read somewhere else in the
 module. An import statement marked `# noqa` on any of its lines is exempt
-(a re-export that an outside caller looks up by name).
+(a re-export that an outside caller looks up by name). Every absolute import
+must name a standard-library module, so the package has no runtime
+dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import mbethe
 
-MODULES = sorted(p for p in Path(mbethe.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(mbethe.__file__).resolve().parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -53,3 +57,36 @@ def test_guard_sees_an_unused_import():
               "from .linalg import det  # noqa: F401\n"
               "x = gcd(4, 6)\n")
     assert unused_imports(source) == [(2, "os"), (3, "lcm")]
+
+
+def outside_imports(source: str) -> list:
+    """(line, module) of each absolute import from outside the standard
+    library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name.split(".")[0] not in sys.stdlib_module_names)
+    return found
+
+
+@pytest.mark.parametrize("module", SOURCES, ids=lambda path: path.stem)
+def test_only_standard_library_imports(module):
+    assert outside_imports(module.read_text()) == []
+
+
+def test_guard_sees_an_outside_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy as np\n"
+              "from fractions import Fraction\n"
+              "from .linalg import det\n"
+              "try:\n"
+              "    from sympy import Rational\n"
+              "except ImportError:\n"
+              "    pass\n")
+    assert outside_imports(source) == [(2, "numpy"), (6, "sympy")]
