@@ -323,15 +323,16 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
         p = n + m
         tables = DetTables(u_set.values, values, c)
         plus, minus = tables.side(False), tables.side(True)
-        k_plus, k_minus = plus.reader(twist.mu), minus.reader(twist.mu)
-        weight1 = _weight_table([lam1(x) for x in values])
-        weight2 = _weight_table([lam2(x) for x in values])
+        # lambda2 over the first part rides on K, lambda1 over the second
+        # on K-bar: the block tables fold each weight into their contents
+        k_plus = plus.reader(twist.mu, _weight_table([lam2(x) for x in values]))
+        k_minus = minus.reader(twist.mu,
+                               _weight_table([lam1(x) for x in values]))
         beta_pow = by_popcount(lambda l1: (rat_pow(-twist.beta1, n - l1)
                                            * rat_pow(-twist.beta2, l1 - m)), p)
 
         def spfin_term(mask1, mask2):
             return term_pair(beta_pow[mask1.bit_count()],
-                             weight2.row(0, mask1), weight1.row(0, mask2),
                              plus.pair(mask1, mask2), k_plus(mask1),
                              k_minus(mask2))
 

@@ -23,19 +23,21 @@ assembles that one determinant from the ground-indexed rows; the block
 tables of `_KBlocks` sum the u-indexed expansion over every subset at
 once. A sum over splits takes one reader per determinant
 (`_Side.reader`), which reads the blocks at z != 1 and `k_pair` where the
-expansion does not apply or does not pay (`_Side.k_blocks`).
+expansion does not apply or does not pay (`_Side.k_blocks`). A reader can
+carry a one-row weight table, which the blocks fold into their own
+tables, so that a term reads the determinant and the weight as one pair.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefined
 # det is no longer called here, but stays bound as izergin.det: the tracer
 # in perfbench/ wraps it under this name.
-from .linalg import (clear_denominators, det, det_int,  # noqa: F401
-                     principal_minors)
+from .linalg import det, det_int, principal_minors  # noqa: F401
 from .partitions import split_sum
 from .ratfunc import rational_interpolate
 from .scalars import (Rat, SpectralSet, f_pair, h_pair, is_generic, kernel_f,
@@ -508,19 +510,26 @@ class _Side(FTable):
     @cached_property
     def uoff(self):
         """The u-indexed off-diagonal parts f(u_j, u-rest) / h(u_j, u_k), or
-        their conjugates; None where two values of u collide (f or 1/h has a
-        pole between them), since only the ground-indexed rows are defined
-        there."""
-        c, conj, u = self.c, self.conjugated, _parts(self.u)
-        rows = []
+        their conjugates, as (integer rows, row denominators), each row over
+        its least denominator; None where two values of u collide (f or 1/h
+        has a pole between them), since only the ground-indexed rows are
+        defined there."""
+        cn, cd, conj = self.c.numerator, self.c.denominator, self.conjugated
+        u = _parts(self.u)
+        rows, dens = [], []
         try:
             for j, uj in enumerate(u):
-                rest = [(uj, ut) for t, ut in enumerate(u) if t != j]
-                comp = Rat(*_f_prod(rest, c.numerator, c.denominator, conj))
-                rows.append([comp * _inv_h(uj[0], uk[0], c, conj) for uk in u])
+                comp = _f_prod([(uj, ut) for t, ut in enumerate(u) if t != j],
+                               cn, cd, conj)
+                inv_h = [(1, 1) if k == j else _inv_h_pair(uj, uk, cn, cd, conj)
+                         for k, uk in enumerate(u)]
+                row, den = _row(comp, (0, 1), inv_h, j)
+                g = gcd(den, *row)
+                rows.append([x // g for x in row])
+                dens.append(den // g)
         except PoleError:
             return None
-        return rows
+        return rows, dens
 
     def k_pair(self, z, mask: int):
         """(numerator, denominator) of the determinant over the subset mask,
@@ -551,34 +560,67 @@ class _Side(FTable):
             den *= zd * bd * hden
         return det_int(rows), den
 
-    def k_blocks(self, z) -> _KBlocks | None:
-        """The determinant at deformation z over every subset, as a block
-        table (`_KBlocks`); None where the u-indexed expansion does not
-        apply (at z = 1, or where two values of u collide) or does not pay:
-        on a ground set no larger than u, `k_pair` assembles at most #u
-        rows per subset and never builds the 2^#u principal minors that
-        the table needs."""
+    def k_blocks(self, z, weight: FTable | None = None) -> _KBlocks | None:
+        """The determinant at deformation z over every subset, times the
+        one-row table `weight` if given, as a block table (`_KBlocks`);
+        None where the u-indexed expansion does not apply (at z = 1, or
+        where two values of u collide) or does not pay: on a ground set no
+        larger than u, `k_pair` assembles at most #u rows per subset and
+        never builds the 2^#u principal minors that the table needs."""
         if z == 1 or self.size <= self.n_left or self.uoff is None:
             return None
-        return _KBlocks(self, z)
+        return _KBlocks(self, z, weight)
 
-    def reader(self, z):
-        """mask -> the unreduced pair of the determinant at deformation z:
-        the block table's `pair` where it applies, else `k_pair` at z."""
-        blocks = self.k_blocks(z)
-        return partial(self.k_pair, z) if blocks is None else blocks.pair
+    def reader(self, z, weight: FTable | None = None):
+        """mask -> the unreduced pair of the determinant at deformation z,
+        times weight.row(0, mask) when a one-row table `weight` is given:
+        the block table's `pair` where it applies, which folds the weight
+        into its tables, else `k_pair` at z times the weight's row."""
+        blocks = self.k_blocks(z, weight)
+        if blocks is not None:
+            return blocks.pair
+        if weight is None:
+            return partial(self.k_pair, z)
+
+        def weighted(mask):
+            (kn, kd), (wn, wd) = self.k_pair(z, mask), weight.row(0, mask)
+            return kn * wn, kd * wd
+
+        return weighted
 
 
-def _fold_rows(tables, num, den) -> list:
-    """Each table times num, then each times den, entry by entry: doubles a
-    list of tables indexed by a mask of rows, the new row the highest bit."""
-    return ([[x * y for x, y in zip(t, num)] for t in tables]
-            + [[x * y for x, y in zip(t, den)] for t in tables])
+def _fold_columns(columns, num, den) -> list:
+    """Each column times num[i], then times den[i], i its index: doubles
+    columns indexed by a mask of rows, the new row the highest bit."""
+    return [[x * a for x in col] + [x * b for x in col]
+            for col, a, b in zip(columns, num, den)]
+
+
+def _strip(columns, dens, kept, weight) -> list:
+    """Keep the entries `kept` of each column and divide the column by its
+    content, in place. Returns, per column, its content times the weight's
+    entry and its denominator times the weight's denominator, both divided
+    by their gcd (`weight` is a pair of lists of numerators and
+    denominators, or None for 1)."""
+    parts = []
+    for i, col in enumerate(columns):
+        col = [col[k] for k in kept]
+        g = gcd(*col) or 1
+        columns[i] = [x // g for x in col]
+        den = dens[i]
+        if weight is not None:
+            g *= weight[0][i]
+            den *= weight[1][i]
+        r = gcd(g, den)
+        parts.append((g // r, den // r))
+    return parts
 
 
 class _KBlocks:
     """The determinant of one `_Side` at one deformation z != 1, over every
-    subset mask of the ground set, from the u-indexed representation.
+    subset mask of the ground set, from the u-indexed representation; with
+    a one-row `FTable` `weight`, each determinant times that weight's
+    product over the mask.
 
     Row j of that representation is a_j e_j + b_j A_j with a_j(S) = od_j
     prod_{t in S} fn_jt and b_j(S) = prod_{t in S} fd_jt. Here the rows of
@@ -595,60 +637,78 @@ class _KBlocks:
     fd_jt prod_{j not in K} fn_jt. It holds at every #S, since (1-z)^(#S-n)
     is defined for z != 1; the factor (1-z) per element of S is folded into
     g_K and the denominators. Every factor is multiplicative over S, so the
-    masks that share a high half form a block: the sum over K of a constant
-    times the low-half subset products of g_K. A block is built when a mask
-    outside the block last read is read, and only that block is kept: a sum
-    over splits in rank order reads each side's blocks one after another,
-    so it builds each once, and holds 2^(p/2) entries per side instead of
-    2^p. A forked child of `split_sum` inherits the table and builds the
-    blocks of its own rank range.
+    masks that share a high half form a block: the sum over K of a
+    coefficient times the subset products of g_K over the high half and
+    over the low half.
+
+    The integers are kept small once per table. The coefficients are
+    divided by their gcd with the constant denominator. The subset products
+    over one half mask, read across every K with a nonzero minor, form a
+    column, and each column is divided by its content (the gcd of its
+    entries). That content, times the weight's product over the half mask,
+    is reduced against the half mask's denominator and multiplied back once
+    per entry. The low-half columns are stored by low half, so each entry
+    of a block is one dot product with the block's scales.
+
+    A block is built when a mask outside the block last read is read, and
+    only that block is kept: a sum over splits in rank order reads each
+    side's blocks one after another, so it builds each once, and holds
+    2^(p/2) entries per side instead of 2^p. The factors are computed in
+    `__init__`, so a forked child of `split_sum` inherits them and builds
+    only the blocks of its own rank range.
     """
 
-    def __init__(self, side: _Side, z):
-        self.side, self.z = side, z
-        self._half, self._low = side._half, side._low
+    def __init__(self, side: _Side, z, weight: FTable | None = None):
+        half = self._half = side._half
+        self._low = side._low
         self._hi, self._block = None, None
-
-    @cached_property
-    def _factors(self) -> tuple:
-        """For each K with a nonzero minor: its constant and the subset
-        products of g_K over the low and the high half of the ground set;
-        then the denominator's constant and subset products. Those of g_K
-        are folded from the u-indexed rows' own subset products, one row at
-        a time (bit j of K: row j kept). The principal minors are computed
-        here, once per table."""
-        side, half, z = self.side, self._half, self.z
         n, p = side.n_left, side.size
-        rows, od = clear_denominators([[z * x for x in row] for row in side.uoff])
-        minors = principal_minors([[-x for x in row] for row in rows])
-        wn, wd = z.denominator - z.numerator, z.denominator  # 1 - z = wn / wd
+        zn, zd = z.numerator, z.denominator
+        rows, od = [], []
+        for row, o in zip(*side.uoff):
+            # z times the row over its least denominator: zn and zd share
+            # no factor, nor do the row's content and o
+            g = gcd(zd, *row) * gcd(o, zn)
+            rows.append([-zn * x // g for x in row])
+            od.append(zd * o // g)
+        minors = principal_minors(rows)
+        wn, wd = zd - zn, zd  # 1 - z = wn / wd
         coefs = [wd ** n]
-        low, high = [_products([wn] * half)], [_products([wn] * (p - half))]
+        low = [[x] for x in _products([wn] * half)]
+        high = [[x] for x in _products([wn] * (p - half))]
         den_low, den_high = _products([wd] * half), _products([wd] * (p - half))
         for (ln, hn, ld, hd), o in zip(side._subsets[p:], od):
             coefs = [k * o for k in coefs] + coefs
-            low = _fold_rows(low, ln, ld)
-            high = _fold_rows(high, hn, hd)
+            low = _fold_columns(low, ln, ld)
+            high = _fold_columns(high, hn, hd)
             den_low = [x * y for x, y in zip(den_low, ld)]
             den_high = [x * y for x, y in zip(den_high, hd)]
-        terms = [(minor * k, lo, hi) for minor, k, lo, hi
-                 in zip(minors, coefs, low, high) if minor]
-        return terms, prod(od) * wn ** n, den_low, den_high
+        kept = [k for k, minor in enumerate(minors) if minor]
+        coefs = [minors[k] * coefs[k] for k in kept]
+        den = prod(od) * wn ** n
+        g = gcd(den, *coefs)
+        self._coefs, self._den = [k // g for k in coefs], den // g
+        w_low = w_high = None
+        if weight is not None:
+            ln, hn, ld, hd = weight._subsets[0]
+            w_low, w_high = (ln, ld), (hn, hd)
+        self._low_parts = _strip(low, den_low, kept, w_low)
+        self._high_parts = _strip(high, den_high, kept, w_high)
+        self._low_cols, self._high_cols = low, high
 
     def _build(self, hi: int) -> list:
         """The (numerator, denominator) pairs of the masks with high half
         hi, indexed by their low half."""
-        terms, den, den_low, den_high = self._factors
-        nums = [0] * len(den_low)
-        for coef, low, high in terms:
-            scale = coef * high[hi]
-            nums = [v + scale * x for v, x in zip(nums, low)]
-        scale = den * den_high[hi]
-        return list(zip(nums, [scale * x for x in den_low]))
+        scales = list(map(mul, self._coefs, self._high_cols[hi]))
+        content, den = self._high_parts[hi]
+        den *= self._den
+        return [(k * content * sum(map(mul, scales, col)), d * den)
+                for (k, d), col in zip(self._low_parts, self._low_cols)]
 
     def pair(self, mask: int) -> tuple:
-        """The determinant over the subset mask as an unreduced pair, equal
-        as a rational to `_Side.k_pair`."""
+        """The determinant over the subset mask, times the weight, as an
+        unreduced pair, equal as a rational to `_Side.k_pair` times the
+        weight's `row(0, mask)`."""
         hi = mask >> self._half
         if hi != self._hi:
             self._hi, self._block = hi, self._build(hi)

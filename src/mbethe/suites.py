@@ -70,14 +70,17 @@ DEFAULT_SIZES = {
 
 def config_number(parse, value, name: str):
     """`value` from a flag or a config file, read by `parse` (int or Rat);
-    a ConfigError naming it when it is not such a number. JSON booleans,
-    and floats that the parse would round, are not numbers here."""
+    a ConfigError naming it when it is not such a number. JSON booleans are
+    not numbers here, and a float is one only when the parse gives the
+    rational its shortest repr denotes: 0.5 reads as 1/2, but 0.1, whose
+    binary value is not 1/10, and 2.5 for an integer are rejected."""
     try:
         number = parse(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+        if isinstance(value, float) and number != Rat(repr(value)):
+            number = None
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         number = None
-    if (number is None or isinstance(value, bool)
-            or isinstance(value, float) and number != value):
+    if number is None or isinstance(value, bool):
         kind = "an integer" if parse is int else "a rational p/q"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
     return number

@@ -1,9 +1,12 @@
 """Multiple-action and scalar-product evaluators against the chain oracle."""
 
+import os
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mbethe import izergin
 from mbethe.actions import (ActionRequest, WeightOracle, eval_action,
                             eval_request, eval_scalar, eval_vacuum_average,
                             phi_transform)
@@ -354,6 +357,24 @@ class TestSPfinBlocks:
                 else:  # only the caller's builds are seen here
                     assert len(his) == len(set(his))
                     assert 0 < len(his) <= blocks_per_reader // 2 + 1
+
+    def test_children_inherit_the_factors(self, monkeypatch):
+        """The block tables compute their factors before the sum forks, so
+        no forked child computes principal minors."""
+        spec = chain(3, 92)
+        us, vs = spectra(spec, [5, 5], 93)
+        oracle = WeightOracle.fundamental(spec)
+        assert count_splits(len(us) + len(vs), 2) >= MIN_POOL_SPLITS
+        own, minors = os.getpid(), izergin.principal_minors
+
+        def parent_only(rows):
+            if os.getpid() != own:
+                raise AssertionError("a forked child computed minors")
+            return minors(rows)
+
+        monkeypatch.setattr(izergin, "principal_minors", parent_only)
+        assert (eval_scalar("SPfin", us, vs, oracle, TWIST, C, jobs=2)
+                == direct_scalar(spec, TWIST, "nu21", us, "nu12", vs))
 
 
 class TestVacuumAverage:

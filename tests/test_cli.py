@@ -131,6 +131,7 @@ class TestVerify:
         {"seed": 2.7},
         {"bound": True},
         {"c": "2/x"},
+        {"c": 0.1},
         {"report_path": 7},
         {"sizes": {"proof-steps": {"samples": "x"}}},
         {"sizes": {"proof-steps": [1]}},

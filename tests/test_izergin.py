@@ -3,6 +3,7 @@ law suite at small sizes, and the residue machinery."""
 
 from collections import Counter
 from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -440,25 +441,94 @@ class TestOrientation:
         assert shifted_unit_sum(us, vs, xs, C, conjugated=True) == unit
 
 
+def weight_rows(p):
+    """Weights on a ground set of p values, for the readers: None, generic
+    nonzero values, and values with a zero (at t = 1) and negative ones."""
+    generic = [Rat((7 * t + 3) % 11 + 1, (5 * t) % 7 + 2) for t in range(p)]
+    signed = [Rat(0) if t == 1 else Rat((-1) ** (t + 1) * (t + 2), 3)
+              for t in range(p)]
+    return None, generic, signed
+
+
+def weight_table(weights):
+    if weights is None:
+        return None
+    return FTable.of_ints([[w.numerator for w in weights]],
+                          [[w.denominator for w in weights]])
+
+
+def weight_products(weights, p):
+    """The product of the weights over every mask of range(p), as rationals
+    (1 throughout for no weight)."""
+    out = [Rat(1)]
+    for w in weights or [Rat(1)] * p:
+        out += [x * w for x in out]
+    return out
+
+
 class TestKBlocks:
     """The block tables of the u-indexed expansion against `k_pair`, as
     rationals, and the cases that read `k_pair` instead."""
 
     def test_every_mask_matches_k_pair(self):
         # masks with #S < n, #S = n and #S > n; the expansion holds at
-        # p <= n too, where k_blocks leaves the sum to k_pair
+        # p <= n too, where k_blocks leaves the sum to k_pair. Each weight
+        # is folded into the tables; the signed one has a zero entry (at
+        # t = 1) and negative ones
         for n in range(6):
             for p in range(1, 11):
                 us, xs = spectra(40 + 10 * n + p, [n, p])
                 tables = DetTables(us.values, xs.values, C)
                 mu = sample_twist(n * 11 + p, C).mu
+                weights = weight_rows(p)
+                products = [weight_products(w, p) for w in weights]
                 for z in (mu, Rat(0), Rat(-7, 4)):
                     for side in (tables._plus, tables._minus):
                         assert (side.k_blocks(z) is None) == (p <= n)
-                        blocks = _KBlocks(side, z)
+                        reads = [_KBlocks(side, z, weight_table(w)).pair
+                                 for w in weights]
                         for mask in range(1 << p):
-                            assert (Rat(*blocks.pair(mask))
-                                    == Rat(*side.k_pair(z, mask)))
+                            want = Rat(*side.k_pair(z, mask))
+                            for prods, read in zip(products, reads):
+                                assert Rat(*read(mask)) == prods[mask] * want
+        # the fallback reads k_pair times the weight: at z = 1, and where u
+        # collides or f or 1/h has a pole in u
+        us, xs = spectra(41, [3, 5])
+        _, ys = spectra(36, [0, 5])
+        weights = weight_rows(5)
+        products = [weight_products(w, 5) for w in weights]
+        for u_values, ground, z in ((us.values, xs, Rat(1)),
+                                    ((Rat(1, 3), Rat(1, 3)), ys, Rat(-7, 4)),
+                                    ((Rat(1, 3), Rat(4, 3)), ys, Rat(-7, 4))):
+            tables = DetTables(u_values, ground.values, C)
+            for side in (tables._plus, tables._minus):
+                reads = [side.reader(z, weight_table(w)) for w in weights]
+                assert side.k_blocks(z, weight_table(weights[1])) is None
+                for mask in range(1 << 5):
+                    want = Rat(*side.k_pair(z, mask))
+                    for prods, read in zip(products, reads):
+                        assert Rat(*read(mask)) == prods[mask] * want
+
+    @pytest.mark.parametrize("n,p", [(0, 5), (2, 5), (3, 8), (5, 10)])
+    def test_tables_hold_no_content(self, n, p):
+        """Every stored column of subset products has content 1, the
+        coefficients share no factor with the constant denominator, and
+        each half mask's content, with the weight folded in, shares none
+        with that half mask's denominator."""
+        us, xs = spectra(60 + n + p, [n, p])
+        tables = DetTables(us.values, xs.values, C)
+        for w in weight_rows(p):
+            for side in (tables._plus, tables._minus):
+                blocks = _KBlocks(side, Rat(-7, 4), weight_table(w))
+                assert gcd(blocks._den, *blocks._coefs) == 1
+                for cols, parts in ((blocks._low_cols, blocks._low_parts),
+                                    (blocks._high_cols, blocks._high_parts)):
+                    assert len(cols) == len(parts) > 1
+                    for col in cols:
+                        assert len(col) == len(blocks._coefs)
+                        assert gcd(*col) == 1
+                    for content, den in parts:
+                        assert gcd(content, den) == 1
 
     def test_unit_deformation_reads_k_pair(self):
         us, xs = spectra(41, [3, 6])

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from mbethe.errors import ConfigError
+from mbethe.scalars import Rat
 from mbethe.suites import CHECKS, SUITES, RunConfig, run_check, run_suites
 
 # Every suite, at sizes where the action and scalar suites run two trials, so
@@ -59,3 +60,13 @@ def test_check_outside_the_table_is_config_error(suite, identity, trial, named):
                            "izergin-laws": {"residue_samples": 1}})
     with pytest.raises(ConfigError, match=named):
         run_check(cfg, suite, identity, trial)
+
+
+def test_a_float_coupling_is_read_as_written():
+    """A config file's float is the rational its repr denotes, or an error
+    naming the key: 0.1 is not exactly 1/10 in binary."""
+    assert RunConfig(c=0.5).c == Rat(1, 2)
+    with pytest.raises(ConfigError, match="^c must"):
+        RunConfig(c=0.1)
+    with pytest.raises(ConfigError, match="^seed must"):
+        RunConfig(seed=2.5)
