@@ -102,14 +102,6 @@ def _inv_h_pair(left, right, cn, cd, conjugated) -> tuple:
     return hd, hn
 
 
-def _inv_h(a, b, c, conjugated=False) -> Rat:
-    """1 / h(a, b), or 1 / h(b, a) when conjugated; raises PoleError where
-    h = 0."""
-    left, right = _parts((a, b))
-    return Rat(*_inv_h_pair(left, right, c.numerator, c.denominator,
-                            conjugated))
-
-
 def _row(scale, diag, inv_h, j) -> tuple:
     """The row scale * inv_h[k], plus diag at k = j, as integers over one
     denominator: returns (row, denominator). Every argument is an integer
@@ -596,6 +588,13 @@ def _fold_columns(columns, num, den) -> list:
             for col, a, b in zip(columns, num, den)]
 
 
+def _nonzero(col) -> tuple:
+    """The positions of the column's nonzero entries, ascending, and those
+    entries."""
+    idx = [k for k, x in enumerate(col) if x]
+    return idx, [col[k] for k in idx]
+
+
 def _strip(columns, dens, kept, weight) -> list:
     """Keep the entries `kept` of each column and divide the column by its
     content, in place. Returns, per column, its content times the weight's
@@ -648,7 +647,14 @@ class _KBlocks:
     entries). That content, times the weight's product over the half mask,
     is reduced against the half mask's denominator and multiplied back once
     per entry. The low-half columns are stored by low half, so each entry
-    of a block is one dot product with the block's scales.
+    of a block is one dot product with the block's scales, and each keeps
+    only its nonzero entries, with their positions among the coefficients,
+    so that the dot product runs over those alone. On SPfin's tables most
+    are 0: the ground set holds u itself at shift c, f(u_j, u_j + c) = 0,
+    and so g_K over a low half mask vanishes where K misses a u index of
+    that mask (76% of the low-half entries at n = m = 5, 90% at
+    n + m = 16). The zeros are found in the columns, not from that rule,
+    so the dense tables of shift 0 take the same form.
 
     A block is built when a mask outside the block last read is read, and
     only that block is kept: a sum over splits in rank order reads each
@@ -694,16 +700,17 @@ class _KBlocks:
             w_low, w_high = (ln, ld), (hn, hd)
         self._low_parts = _strip(low, den_low, kept, w_low)
         self._high_parts = _strip(high, den_high, kept, w_high)
-        self._low_cols, self._high_cols = low, high
+        self._low_cols = [_nonzero(col) for col in low]
+        self._high_cols = high
 
     def _build(self, hi: int) -> list:
         """The (numerator, denominator) pairs of the masks with high half
         hi, indexed by their low half."""
-        scales = list(map(mul, self._coefs, self._high_cols[hi]))
+        scale = list(map(mul, self._coefs, self._high_cols[hi])).__getitem__
         content, den = self._high_parts[hi]
         den *= self._den
-        return [(k * content * sum(map(mul, scales, col)), d * den)
-                for (k, d), col in zip(self._low_parts, self._low_cols)]
+        return [(k * content * sum(map(mul, map(scale, idx), vals)), d * den)
+                for (k, d), (idx, vals) in zip(self._low_parts, self._low_cols)]
 
     def pair(self, mask: int) -> tuple:
         """The determinant over the subset mask, times the weight, as an

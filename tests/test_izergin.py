@@ -4,6 +4,7 @@ law suite at small sizes, and the residue machinery."""
 from collections import Counter
 from functools import partial
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -521,14 +522,62 @@ class TestKBlocks:
             for side in (tables._plus, tables._minus):
                 blocks = _KBlocks(side, Rat(-7, 4), weight_table(w))
                 assert gcd(blocks._den, *blocks._coefs) == 1
-                for cols, parts in ((blocks._low_cols, blocks._low_parts),
-                                    (blocks._high_cols, blocks._high_parts)):
-                    assert len(cols) == len(parts) > 1
-                    for col in cols:
-                        assert len(col) == len(blocks._coefs)
-                        assert gcd(*col) == 1
-                    for content, den in parts:
-                        assert gcd(content, den) == 1
+                size = len(blocks._coefs)
+                assert len(blocks._low_cols) == len(blocks._low_parts) > 1
+                for idx, vals in blocks._low_cols:
+                    # positions into the coefficients, strictly increasing
+                    assert len(idx) == len(vals)
+                    assert all(a < b for a, b in zip([-1, *idx], [*idx, size]))
+                    assert gcd(*vals) == 1
+                assert len(blocks._high_cols) == len(blocks._high_parts) > 1
+                for col in blocks._high_cols:
+                    assert len(col) == size
+                    assert gcd(*col) == 1
+                for content, den in blocks._low_parts + blocks._high_parts:
+                    assert gcd(content, den) == 1
+
+    @pytest.mark.parametrize("shape", ["spfin", "shift-0"])
+    def test_sparse_build_matches_dense(self, shape, monkeypatch):
+        """Every block equals, integer for integer, the dense dot products
+        over full low-half columns, which a table that keeps every entry
+        holds; no stored low-half entry is 0. SPfin's tables (ground u + v
+        at shift c) hold u at u + c, where f vanishes, so fewer than half
+        of their low-half entries are stored; the shift-0 tables of the
+        convolution and deformation sums are dense."""
+        n, m = 5, 5
+        us, vs = spectra(70, [n, m])
+        if shape == "spfin":
+            tables = DetTables(us.values, us.values + vs.values, C)
+        else:
+            tables = DetTables(us.values, vs.values, C, shift=0)
+        p = len(tables._g)
+
+        def keep_all(col):
+            return list(range(len(col))), col
+
+        for w in weight_rows(p):
+            for side in (tables._plus, tables._minus):
+                sparse = _KBlocks(side, Rat(-7, 4), weight_table(w))
+                with monkeypatch.context() as patch:
+                    patch.setattr(izergin, "_nonzero", keep_all)
+                    dense = _KBlocks(side, Rat(-7, 4), weight_table(w))
+                stored = 0
+                for (idx, vals), (_, col) in zip(sparse._low_cols,
+                                                 dense._low_cols):
+                    assert all(vals)
+                    assert [col[k] for k in idx] == vals
+                    assert sum(map(bool, col)) == len(vals)
+                    stored += len(vals)
+                if shape == "spfin":
+                    assert stored < (1 << n) * (1 << (p // 2)) // 2
+                for hi in range(len(sparse._high_cols)):
+                    scales = list(map(mul, dense._coefs, dense._high_cols[hi]))
+                    content, den = dense._high_parts[hi]
+                    want = [(k * content * sum(map(mul, scales, col)),
+                             d * den * dense._den)
+                            for (k, d), (_, col) in zip(dense._low_parts,
+                                                        dense._low_cols)]
+                    assert sparse._build(hi) == want
 
     def test_unit_deformation_reads_k_pair(self):
         us, xs = spectra(41, [3, 6])
