@@ -13,6 +13,10 @@ is one switch, set once per determinant, sum or table: the `conjugated` flag
 of the row assemblies (`_v_side`, `_u_side`), of `FTable` and of
 `DetTables.side`. So each formula, sum and action term is written once.
 
+A row assembly keeps the z-free parts of its integer rows and returns a
+reader of z (`izergin_reader`), so one (u, v) read at several z is
+assembled once. Every f, there and in an `FTable`, comes from `f_pair`.
+
 A partition-sum term reads every product over a split part by bitmask from
 an `FTable` (or those inside `DetTables`) and returns the unreduced integer
 pair of their product (`term_pair`); `partitions.split_sum` adds the pairs
@@ -40,11 +44,11 @@ from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefin
 from .linalg import det, det_int, principal_minors  # noqa: F401
 from .partitions import split_sum
 from .ratfunc import rational_interpolate
-from .scalars import (Rat, SpectralSet, f_pair, h_pair, is_generic, kernel_f,
+from .scalars import (Rat, SpectralSet, f_pair, h_pair, is_generic,
                       set_product)
 
 __all__ = [
-    "mod_izergin", "conj_mod_izergin", "ordinary_izergin",
+    "mod_izergin", "conj_mod_izergin", "izergin_reader", "ordinary_izergin",
     "izergin_partition_sum", "izergin_convolution", "izergin_deformation_sum",
     "residue_check", "rat_pow", "by_popcount", "term_pair", "DetTables",
     "FTable",
@@ -73,10 +77,24 @@ def _parts(values) -> list:
     return [(x, x.numerator, x.denominator) for x in values]
 
 
+def _f_entry(left, right, cn, cd, conjugated) -> tuple:
+    """f(a, b) for two triples, or f(b, a) when conjugated, as an unreduced
+    integer pair; PoleError("f") where a = b, naming the pair in the order
+    read."""
+    a, an, ad = left
+    b, bn, bd = right
+    dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
+    pn, pd = f_pair(dn, ad * bd, cn, cd)
+    if not pd:
+        raise PoleError("f", *((b, a) if conjugated else (a, b)))
+    return pn, pd
+
+
 def _f_prod(pairs, cn, cd, conjugated) -> tuple:
     """Product of f(a, b) over pairs of triples, or of f(b, a) when
     conjugated, as an integer pair reduced by one gcd; PoleError("f") at the
-    first pair with a = b, naming it in the order read."""
+    first pair with a = b. `_f_entry` is inlined here: a call per pair
+    would add about half again to the product."""
     num = den = 1
     for (a, an, ad), (b, bn, bd) in pairs:
         dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
@@ -102,78 +120,118 @@ def _inv_h_pair(left, right, cn, cd, conjugated) -> tuple:
     return hd, hn
 
 
-def _row(scale, diag, inv_h, j) -> tuple:
-    """The row scale * inv_h[k], plus diag at k = j, as integers over one
-    denominator: returns (row, denominator). Every argument is an integer
-    pair; inv_h[j] is (1, 1)."""
-    sn, sd = scale
-    tn, td = diag
-    common = lcm(td, *[d for _, d in inv_h])
-    row = [sn * n * (common // d) for n, d in inv_h]
-    row[j] += tn * sd * (common // td)
-    return row, sd * common
+def _inv_h_row(scale, values, j, cn, cd, conjugated) -> tuple:
+    """The row 1 / h(x_j, x_k) over the triples x, 1 at k = j, times the
+    integer scale, as integers over the lcm of its denominators: returns
+    (row, lcm)."""
+    xj = values[j]
+    inv_h = [(1, 1) if k == j else _inv_h_pair(xj, xk, cn, cd, conjugated)
+             for k, xk in enumerate(values)]
+    common = lcm(*[d for _, d in inv_h])
+    return [scale * n * (common // d) for n, d in inv_h], common
 
 
-def _u_side_prefactor(zn, zd, n, m) -> tuple:
-    """(1 - z)^(m-n) as an integer pair; VariantUndefined at z = 1 when the
-    cardinalities differ."""
+def _det_at(rows, p, q) -> int:
+    """The determinant of the rows p * a + q * b e_j, for the z-free parts
+    (a, b) of row j."""
+    out = []
+    for j, (a, b) in enumerate(rows):
+        row = [p * x for x in a]
+        row[j] += q * b
+        out.append(row)
+    return det_int(out)
+
+
+def _check_u_side(zn, zd, n, m):
+    """VariantUndefined at z = 1 when the cardinalities differ."""
     if zn == zd and m != n:
         raise VariantUndefined(
             "u-side representation carries (1-z)^(m-n) and is undefined "
             f"at z=1 with m={m}, n={n}; use the v-side")
-    num, den = zd - zn, zd
-    if m < n:
-        num, den = den, num
-    return num ** abs(m - n), den ** abs(m - n)
 
 
-def _v_side(zn, zd, u, v, cn, cd, conjugated) -> tuple:
-    """The #v-sized determinant as an integer pair: row j is
-    f(u, v_j) f(v_j, v-rest) / h(v_j, v_k), minus z at k = j."""
+# Each representation is assembled in two steps. The assembly reads every
+# kernel once and keeps the z-free parts of each row, as integers over one
+# row denominator: the row a_j and the weight b_j of z's term on the
+# diagonal. The reader it returns, (zn, zd) -> integer pair, applies z and
+# eliminates. Kernels are read, and poles raised, in the order of the rows.
+
+def _v_side(u, v, cn, cd, conjugated):
+    """The #v-sized determinant: row j is f(u, v_j) f(v_j, v-rest) /
+    h(v_j, v_k), minus z at k = j. Over zd * sd * lcm, row j is
+    zd * a_j - zn * b_j e_j, with a_j the f product sn / sd times the 1/h
+    row and b_j = sd * lcm."""
     rows, den = [], 1
     for j, vj in enumerate(v):
-        base = _f_prod([(a, vj) for a in u]
-                       + [(vj, b) for t, b in enumerate(v) if t != j],
-                       cn, cd, conjugated)
-        inv_h = [(1, 1) if k == j else _inv_h_pair(vj, vk, cn, cd, conjugated)
-                 for k, vk in enumerate(v)]
-        row, row_den = _row(base, (-zn, zd), inv_h, j)
-        rows.append(row)
-        den *= row_den
-    return det_int(rows), den
+        sn, sd = _f_prod([(a, vj) for a in u]
+                         + [(vj, b) for t, b in enumerate(v) if t != j],
+                         cn, cd, conjugated)
+        row, common = _inv_h_row(sn, v, j, cn, cd, conjugated)
+        rows.append((row, sd * common))
+        den *= sd * common
+
+    def at(zn, zd):
+        return _det_at(rows, zd, -zn), zd ** len(rows) * den
+
+    return at
 
 
-def _u_side(zn, zd, u, v, cn, cd, conjugated) -> tuple:
-    """The #u-sized determinant with its (1-z)^(m-n) prefactor as an integer
-    pair: row j is -z f(u_j, u-rest) / h(u_j, u_k), plus f(u_j, v) at
-    k = j."""
-    num, den = _u_side_prefactor(zn, zd, len(u), len(v))
-    rows = []
+def _u_side(u, v, cn, cd, conjugated):
+    """The #u-sized determinant with its (1-z)^(m-n) prefactor: row j is
+    -z f(u_j, u-rest) / h(u_j, u_k), plus f(u_j, v) = dn / dd at k = j.
+    With the off-diagonal f product on / od, row j over
+    zd * od * dd * lcm is -zn * a_j + zd * b_j e_j, with a_j = on * dd times
+    the 1/h row and b_j = dn * od * lcm."""
+    n, m = len(u), len(v)
+    rows, den = [], 1
     for j, uj in enumerate(u):
-        diag = _f_prod([(uj, b) for b in v], cn, cd, conjugated)
-        off_n, off_d = _f_prod([(uj, a) for t, a in enumerate(u) if t != j],
-                               cn, cd, conjugated)
-        inv_h = [(1, 1) if k == j else _inv_h_pair(uj, uk, cn, cd, conjugated)
-                 for k, uk in enumerate(u)]
-        row, row_den = _row((-zn * off_n, zd * off_d), diag, inv_h, j)
-        rows.append(row)
-        den *= row_den
-    return num * det_int(rows), den
+        dn, dd = _f_prod([(uj, b) for b in v], cn, cd, conjugated)
+        on, od = _f_prod([(uj, a) for t, a in enumerate(u) if t != j],
+                         cn, cd, conjugated)
+        row, common = _inv_h_row(on * dd, u, j, cn, cd, conjugated)
+        rows.append((row, dn * od * common))
+        den *= od * dd * common
+
+    def at(zn, zd):
+        _check_u_side(zn, zd, n, m)
+        num, pre = zd - zn, zd   # (1 - z)^(m-n)
+        if m < n:
+            num, pre = pre, num
+        return (num ** abs(m - n) * _det_at(rows, -zn, zd),
+                pre ** abs(m - n) * zd ** n * den)
+
+    return at
 
 
 _VARIANTS = {"v-side": _v_side, "u-side": _u_side}
 
 
-def _izergin(z, u_set: SpectralSet, v_set: SpectralSet, c, variant: str,
-             conjugated: bool) -> Rat:
-    """The determinant of one variant, with every kernel read in the
-    orientation of `conjugated`."""
-    z, c = Rat(z), Rat(c)
+def izergin_reader(u_set: SpectralSet, v_set: SpectralSet, c,
+                   variant: str = "v-side", conjugated: bool = False):
+    """z -> K^(z)(u_set | v_set) of one variant, or K-bar^(z) when
+    conjugated, as a rational, for z an int or a rational.
+
+    The z-free parts of the rows are assembled here, once, and each read
+    applies z and eliminates, so one (u, v) read at several z pays for one
+    assembly. The assembly raises the PoleError of the first pole in the
+    rows; a u-side read at z = 1 with #u != #v raises VariantUndefined.
+    """
+    c = Rat(c)
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    return Rat(*_VARIANTS[variant](z.numerator, z.denominator,
-                                   _parts(u_set.values), _parts(v_set.values),
-                                   c.numerator, c.denominator, conjugated))
+    at = _VARIANTS[variant](_parts(u_set.values), _parts(v_set.values),
+                            c.numerator, c.denominator, conjugated)
+    return lambda z: Rat(*at(z.numerator, z.denominator))
+
+
+def _izergin(z, u_set: SpectralSet, v_set: SpectralSet, c, variant: str,
+             conjugated: bool) -> Rat:
+    """The determinant of one variant at one z, with every kernel read in
+    the orientation of `conjugated`."""
+    z = Rat(z)
+    if variant == "u-side":   # VariantUndefined comes before any pole
+        _check_u_side(z.numerator, z.denominator, len(u_set), len(v_set))
+    return izergin_reader(u_set, v_set, c, variant, conjugated)(z)
 
 
 def mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
@@ -398,15 +456,21 @@ def _products(factors) -> list:
 
 def _f_ints(c, left, right=None, conjugated=False) -> tuple:
     """f(a, b) for a in `left` and b in `right`, or f(b, a) when conjugated
-    (with `right` omitted, the pairs within `left`, 1 on the diagonal) read
-    through kernel_f, as integer numerator and denominator tables, one row
-    per a."""
-    same = right is None
-    right = left if same else right
-    one = Rat(1)
-    return _ints([[one if same and i == j
-                   else kernel_f(b, a, c) if conjugated else kernel_f(a, b, c)
-                   for j, b in enumerate(right)] for i, a in enumerate(left)])
+    (with `right` omitted, the pairs within `left`, 1 on the diagonal), as
+    integer numerator and denominator tables in lowest terms, one row per a;
+    PoleError("f") at the first pole in row-major order."""
+    c, same = Rat(c), right is None
+    cn, cd = c.numerator, c.denominator
+    left = _parts(left)
+    right = left if same else _parts(right)
+    num, den = [], []
+    for i, a in enumerate(left):
+        row = [(1, 1) if same and i == j
+               else _reduced(*_f_entry(a, b, cn, cd, conjugated))
+               for j, b in enumerate(right)]
+        num.append([x for x, _ in row])
+        den.append([y for _, y in row])
+    return num, den
 
 
 class FTable:
@@ -511,11 +575,10 @@ class _Side(FTable):
         rows, dens = [], []
         try:
             for j, uj in enumerate(u):
-                comp = _f_prod([(uj, ut) for t, ut in enumerate(u) if t != j],
-                               cn, cd, conj)
-                inv_h = [(1, 1) if k == j else _inv_h_pair(uj, uk, cn, cd, conj)
-                         for k, uk in enumerate(u)]
-                row, den = _row(comp, (0, 1), inv_h, j)
+                fn, fd = _f_prod([(uj, ut) for t, ut in enumerate(u) if t != j],
+                                 cn, cd, conj)
+                row, common = _inv_h_row(fn, u, j, cn, cd, conj)
+                den = fd * common
                 g = gcd(den, *row)
                 rows.append([x // g for x in row])
                 dens.append(den // g)
@@ -740,12 +803,6 @@ def _cleared(rows):
         out.append([n * (common // d) for n, d in row])
         dens.append(common)
     return out, dens
-
-
-def _ints(table):
-    """Numerators and denominators of a table of rationals, as two tables."""
-    return ([[x.numerator for x in row] for row in table],
-            [[x.denominator for x in row] for row in table])
 
 
 def _transposed(pair):

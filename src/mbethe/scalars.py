@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Rat
+from math import gcd
 from typing import Callable, Sequence
 
 from .errors import DomainError, ExhaustionError, PoleError
@@ -21,7 +22,8 @@ ONE = Rat(1)
 
 def rat_str(value) -> str:
     """Serialize a rational as 'p/q', omitting '/q' when the denominator is 1."""
-    value = Rat(value)
+    if type(value) is not Rat:
+        value = Rat(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -313,21 +315,27 @@ def with_shifts(c, *sets) -> tuple:
 _RETRY_BUDGET = 2000
 
 
-def sample_generic(count: int, context=None, seed: int = 0,
-                   bound: int = 50, c=1, label: str = "") -> SpectralSet:
-    """Draw `count` rationals, generic against `context` and each other;
-    `context` is None or a sequence of sets, as `with_shifts` returns.
+def _shift_pairs(pairs, c) -> list:
+    """Integer (p, q) pairs (q > 0), each followed by its +c and -c copies
+    (p*cd +- cn*q, q*cd) for c = cn/cd, left unreduced: the integer form of
+    a `with_shifts` context, which `_separated` reads by cross-multiplying."""
+    cn, cd = c.numerator, c.denominator
+    out = []
+    for p, q in pairs:
+        out += [(p, q), (p * cd + cn * q, q * cd), (p * cd - cn * q, q * cd)]
+    return out
 
-    Numerators and denominators are bounded by `bound`; the draw is
-    deterministic for a fixed seed. Raises ExhaustionError if the genericity
-    requirement cannot be met within a fixed retry budget.
-    """
+
+def _generic_pairs(count: int, taken, seed: int, bound: int, c) -> list:
+    """The rejection loop of `sample_generic` on integer pairs: `count`
+    pairs (p, q) with |p| <= bound and 1 <= q <= bound, as drawn
+    (unreduced), each differing from every pair in `taken` and from the
+    pairs picked before it by neither 0 nor +-c. Deterministic for a fixed
+    seed; ExhaustionError when the retry budget runs out."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
-    c = _rat(c)
     cn, cd = abs(c.numerator), c.denominator
     rng = random.Random(seed)
-    taken = [(v.numerator, v.denominator) for v in _flatten_context(context)]
     picked: list = []
     attempts = 0
     while len(picked) < count:
@@ -337,18 +345,32 @@ def sample_generic(count: int, context=None, seed: int = 0,
                 f"{_RETRY_BUDGET} attempts (bound={bound})")
         attempts += 1
         p, q = rng.randint(-bound, bound), rng.randint(1, bound)
-        if _separated(taken, p, q, cn, cd):
-            picked.append(Rat(p, q))
-            taken.append((p, q))
-    return SpectralSet(tuple(picked), label)
+        if _separated(taken, p, q, cn, cd) and _separated(picked, p, q, cn, cd):
+            picked.append((p, q))
+    return picked
+
+
+def sample_generic(count: int, context=None, seed: int = 0,
+                   bound: int = 50, c=1, label: str = "") -> SpectralSet:
+    """Draw `count` rationals, generic against `context` and each other;
+    `context` is None or a sequence of sets, as `with_shifts` returns.
+
+    Numerators and denominators are bounded by `bound`; the draw is
+    deterministic for a fixed seed. Raises ExhaustionError if the genericity
+    requirement cannot be met within a fixed retry budget.
+    """
+    taken = [(v.numerator, v.denominator) for v in _flatten_context(context)]
+    picked = _generic_pairs(count, taken, seed, bound, _rat(c))
+    return SpectralSet(tuple(Rat(p, q) for p, q in picked), label)
 
 
 def sample_nonzero(seed: int, bound: int = 50, exclude: Sequence = ()) -> Rat:
     """One nonzero bounded rational avoiding the `exclude` values; deterministic."""
     rng = random.Random(seed)
-    banned = {Rat(x) for x in exclude} | {ZERO}
+    banned = {(x.numerator, x.denominator) for x in map(Rat, exclude)}
     for _ in range(_RETRY_BUDGET):
-        cand = Rat(rng.randint(-bound, bound), rng.randint(1, bound))
-        if cand not in banned:
-            return cand
+        p, q = rng.randint(-bound, bound), rng.randint(1, bound)
+        g = gcd(p, q)
+        if p and (p // g, q // g) not in banned:
+            return Rat(p, q)
     raise ExhaustionError("could not sample a nonzero rational")

@@ -33,15 +33,15 @@ from .chain import (MAX_SITES, ChainSpec, apply_entry_product, apply_nu,
 from .errors import ConfigError
 from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
                       izergin_convolution, izergin_deformation_sum,
-                      izergin_partition_sum, mod_izergin, ordinary_izergin,
-                      rat_pow, residue_check, term_pair)
+                      izergin_partition_sum, izergin_reader, mod_izergin,
+                      ordinary_izergin, rat_pow, residue_check, term_pair)
 from .linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_scale, mat_sub
 from .partitions import (enumerate_splits, mask_values,
                          pole_extraction_sum, single_extraction_sum, split_sum)
 from .report import CheckRecord, Recorder, digest
-from .scalars import (Rat, SpectralSet, TwistData, kernel_f, kernel_g,
-                      rat_str, sample_generic, sample_nonzero, sample_twist,
-                      set_product, with_shifts)
+from .scalars import (Rat, SpectralSet, TwistData, _generic_pairs, _shift_pairs,
+                      kernel_f, kernel_g, rat_str, sample_nonzero, sample_twist,
+                      set_product)
 
 DEFAULT_SIZES = {
     "izergin-laws": {
@@ -173,15 +173,18 @@ class Context(NamedTuple):
 
 def _spectra(ctx, seed, counts, labels, chain=None):
     """Jointly generic sets drawn one after another, each apart (with +-c
-    shifts) from the sets before it and from the sites of `chain`."""
+    shifts) from the sets before it and from the sites of `chain`: the sets
+    `sample_generic` draws from `with_shifts` contexts, with the context
+    kept as integer pairs throughout."""
     out = []
-    context = [] if chain is None else list(with_shifts(ctx.c, chain.theta))
+    context = [] if chain is None else _shift_pairs(
+        [(x.numerator, x.denominator) for x in chain.theta], ctx.c)
     rng = random.Random(seed)
     for count, label in zip(counts, labels):
-        s = sample_generic(count, context=tuple(context), seed=rng.getrandbits(48),
-                           bound=ctx.bound, c=ctx.c, label=label)
-        out.append(s)
-        context.extend(with_shifts(ctx.c, s))
+        picked = _generic_pairs(count, context, rng.getrandbits(48), ctx.bound,
+                                ctx.c)
+        out.append(SpectralSet(tuple(Rat(p, q) for p, q in picked), label))
+        context += _shift_pairs(picked, ctx.c)
     return out
 
 
@@ -205,11 +208,15 @@ def _equivalence(ctx, rng):
         for m in range(1, top + 1):
             us, vs = _spectra(ctx, rng.getrandbits(48), [n, m], ["u", "v"])
             params.append((us, vs))
+            # one assembly per orientation and variant, read at every z
+            readers = [(izergin_reader(us, vs, c, "v-side", conj),
+                        izergin_reader(us, vs, c, "u-side", conj))
+                       for conj in (False, True)]
             for z in (sample_nonzero(rng.getrandbits(48), 9, exclude=(1,)),
                       Rat(0), Rat(2)):
-                for fn in (mod_izergin, conj_mod_izergin):
-                    lhs.append(fn(z, us, vs, c, variant="v-side"))
-                    rhs.append(fn(z, us, vs, c, variant="u-side"))
+                for v_side, u_side in readers:
+                    lhs.append(v_side(z))
+                    rhs.append(u_side(z))
     return digest(params), lhs, rhs, lhs == rhs
 
 

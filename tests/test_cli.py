@@ -16,7 +16,6 @@ from mbethe.chain import MAX_SITES
 from mbethe.cli import main
 from mbethe.report import strip_timing
 from mbethe.suites import SUITES, RunConfig
-from mbethe.errors import PoleError
 
 SMALL_SIZES = {
     "izergin-laws": {"max_n": 2, "max_m": 2, "samples": 1, "equiv_max": 2,
@@ -54,6 +53,18 @@ def write_config(tmp_path, **kwargs):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(kwargs))
     return str(path)
+
+
+def negate_f(monkeypatch):
+    """Make every f that izergin reads, in the direct determinants and in
+    the f tables, come out negated."""
+    true_f = mbethe.izergin.f_pair
+
+    def skewed(dn, dd, cn, cd):
+        num, den = true_f(dn, dd, cn, cd)
+        return -num, den
+
+    monkeypatch.setattr(mbethe.izergin, "f_pair", skewed)
 
 
 class TestVerify:
@@ -148,12 +159,7 @@ class TestVerify:
 
     def test_tampered_kernel_fails_with_named_identity(self, tmp_path,
                                                        monkeypatch, capsys):
-        true_f = mbethe.izergin.kernel_f
-
-        def skewed(u, v, c):
-            return -true_f(u, v, c)
-
-        monkeypatch.setattr(mbethe.izergin, "kernel_f", skewed)
+        negate_f(monkeypatch)
         cfg = write_config(tmp_path, suites=["izergin-laws"],
                            sizes={"izergin-laws": SMALL_SIZES["izergin-laws"]})
         path = tmp_path / "bad.json"
@@ -186,9 +192,7 @@ class TestVerify:
         assert "passed" not in captured.out
 
     def test_fail_line_shows_both_sides(self, tmp_path, monkeypatch, capsys):
-        true_f = mbethe.izergin.kernel_f
-        monkeypatch.setattr(mbethe.izergin, "kernel_f",
-                            lambda u, v, c: -true_f(u, v, c))
+        negate_f(monkeypatch)
         cfg = write_config(tmp_path, suites=["izergin-laws"],
                            sizes={"izergin-laws": SMALL_SIZES["izergin-laws"]})
         path = tmp_path / "bad.json"
@@ -203,10 +207,10 @@ class TestVerify:
                     f"seed={r['seed']}: lhs={r['lhs']} rhs={r['rhs']}\n") in err
 
     def test_fail_line_names_the_error(self, tmp_path, monkeypatch, capsys):
-        def pole(u, v, c):
-            raise PoleError("f", u, v)
+        def pole(dn, dd, cn, cd):
+            return dn * cd + cn * dd, 0
 
-        monkeypatch.setattr(mbethe.izergin, "kernel_f", pole)
+        monkeypatch.setattr(mbethe.izergin, "f_pair", pole)
         cfg = write_config(tmp_path, suites=["proof-steps"],
                            sizes={"proof-steps": SMALL_SIZES["proof-steps"]})
         path = tmp_path / "bad.json"

@@ -21,7 +21,7 @@ from mbethe.actions import (WeightOracle, eval_action, eval_scalar,
 from mbethe.errors import PoleError, VariantUndefined
 from mbethe.izergin import (DetTables, FTable, conj_mod_izergin,
                             izergin_convolution, izergin_deformation_sum,
-                            izergin_partition_sum, mod_izergin)
+                            izergin_partition_sum, izergin_reader, mod_izergin)
 from mbethe.linalg import clear_denominators, det_int
 from mbethe.partitions import (CoefficientMap, bits_of, enumerate_splits,
                                mask_values)
@@ -353,12 +353,14 @@ def ref_vacuum_average(w, oracle, twist, c):
 class LoopFTable:
     """A copy of the FTable that products over index lists read: one
     Fraction per entry, read in row-major order (so the first pole met is
-    the one raised), and products multiplied out factor by factor."""
+    the one raised), and products multiplied out factor by factor. The
+    conjugated table reads f(b, a) at row a and column b."""
 
-    def __init__(self, c, left, right=None):
+    def __init__(self, c, left, right=None, conjugated=False):
         same = right is None
         right = left if same else right
-        self.table = [[Fraction(1) if same and i == j else ref_f(a, b, c)
+        self.table = [[Fraction(1) if same and i == j
+                       else ref_f(b, a, c) if conjugated else ref_f(a, b, c)
                        for j, b in enumerate(right)]
                       for i, a in enumerate(left)]
 
@@ -513,6 +515,30 @@ class TestIntegerRowsMatchReference:
             assert got[0] == "VariantUndefined"
             got = same_outcome(fast, reference, 2, us, vs, 1, variant="w-side")
             assert got[0] == "ValueError"
+
+
+class TestReaderMatchesOneZ:
+    @pytest.mark.parametrize("c", CONSTANTS)
+    def test_every_deformation(self, c):
+        """One assembly per (u, v, orientation, variant), read at every z:
+        the value or the error of the one-z path and of the reference."""
+        rng = random.Random(43)
+        for n in range(6):
+            for m in range(6):
+                us, vs = generic_sets(rng.getrandbits(32), [n, m], c)
+                zs = deformations(rng)
+                for conj, (fast, reference) in zip((False, True), DIRECT):
+                    for variant in ("v-side", "u-side"):
+                        read = izergin_reader(us, vs, c, variant, conj)
+                        for z in zs:
+                            got = outcome(read, z)
+                            assert got == outcome(fast, z, us, vs, c,
+                                                  variant=variant)
+                            assert got == outcome(reference, z, us, vs, c,
+                                                  variant=variant)
+                            undefined = variant == "u-side" and z == 1 and n != m
+                            assert got[0] == ("VariantUndefined" if undefined
+                                              else "value")
 
 
 class TestTableSumsMatchReference:
@@ -670,15 +696,21 @@ class TestFTableMatchesLoops:
 
     @pytest.mark.parametrize("c", CONSTANTS)
     def test_every_mask(self, c):
+        """Plain and conjugated tables, against the loop over f(a, b) and
+        over f(b, a)."""
         rng = random.Random(50)
         for rows in range(8):
             for cols in range(8):
                 left, right = generic_sets(rng.getrandbits(32), [rows, cols], c)
-                cases = [(FTable(c, left.values, right.values),
-                          LoopFTable(c, left.values, right.values), cols)]
-                if rows == cols:  # right omitted: the pairs within left
-                    cases.append((FTable(c, left.values),
-                                  LoopFTable(c, left.values), rows))
+                cases = []
+                for conj in (False, True):
+                    cases.append((FTable(c, left.values, right.values, conj),
+                                  LoopFTable(c, left.values, right.values, conj),
+                                  cols))
+                    if rows == cols:  # right omitted: the pairs within left
+                        cases.append((FTable(c, left.values, None, conj),
+                                      LoopFTable(c, left.values, None, conj),
+                                      rows))
                 for table, loop, width in cases:
                     for rm in range(1 << rows):
                         r = list(bits_of(rm))
@@ -709,32 +741,34 @@ class TestFTableMatchesLoops:
 
     @pytest.mark.parametrize("c", CONSTANTS)
     def test_collisions(self, c):
-        """Values from a small pool: the same PoleError (kind and pair) as
-        the loop table, or the same products."""
+        """Values from a small pool: the same PoleError (kind and pair, the
+        pair reversed on a conjugated table) as the loop table, or the same
+        products."""
         rng = random.Random(52)
-        poles = 0
+        poles = set()
         for trial in range(300):
             left = [rng.choice(POOL) for _ in range(rng.randint(0, 5))]
             right = (None if trial % 3 == 0 else
                      [rng.choice(POOL) for _ in range(rng.randint(0, 5))])
-            got = want = None
-            try:
-                loop = LoopFTable(c, left, right)
-            except PoleError as err:
-                want = (err.kind, err.left, err.right)
-            try:
-                table = FTable(c, left, right)
-            except PoleError as err:
-                got = (err.kind, err.left, err.right)
-            assert got == want, (left, right)
-            if want is not None:
-                poles += 1
-                continue
-            width = len(left if right is None else right)
-            for rm in range(1 << len(left)):
-                assert table.pair(rm, (1 << width) - 1) == loop.pair(
-                    list(bits_of(rm)), range(width))
-        assert poles > 0
+            for conjugated in (False, True):
+                got = want = None
+                try:
+                    loop = LoopFTable(c, left, right, conjugated)
+                except PoleError as err:
+                    want = (err.kind, err.left, err.right)
+                try:
+                    table = FTable(c, left, right, conjugated)
+                except PoleError as err:
+                    got = (err.kind, err.left, err.right)
+                assert got == want, (left, right, conjugated)
+                if want is not None:
+                    poles.add(conjugated)
+                    continue
+                width = len(left if right is None else right)
+                for rm in range(1 << len(left)):
+                    assert table.pair(rm, (1 << width) - 1) == loop.pair(
+                        list(bits_of(rm)), range(width))
+        assert poles == {False, True}
 
 
 def coefficients(result):

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbethe.chain import ChainSpec
 from mbethe.errors import DomainError, ExhaustionError, PoleError
 from mbethe.izergin import _inv_h_pair, _parts
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData, is_generic,
                             kernel_f, kernel_g, kernel_h, rat_str,
-                            sample_generic, set_product, with_shifts)
+                            sample_generic, sample_nonzero, set_product,
+                            with_shifts)
+from mbethe.suites import Context, _spectra
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(Rat)
 constants = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(Rat).filter(lambda x: x != 0)
@@ -27,6 +30,7 @@ class TestRationalScalar:
         assert rat_str(Rat(3, 4)) == "3/4"
         assert rat_str(Rat(8, 4)) == "2"
         assert rat_str(Rat(-3, 9)) == "-1/3"
+        assert rat_str(-4) == "-4" and rat_str("6/4") == "3/2"
 
     def test_exact_field_ops(self):
         a, b = Rat("2/3"), Rat("-7/5")
@@ -370,3 +374,75 @@ class TestSamplingMatchesReference:
     def test_genericity_scan(self, values, c, split):
         sets = (SpectralSet(tuple(values[:split])), tuple(values[split:]))
         assert is_generic(c, *sets) == ref_is_generic(c, values)
+
+
+def fraction_spectra(c, bound, seed, counts, labels, chain=None):
+    """The sets `_spectra` draws, by the route through Fraction contexts:
+    `sample_generic` on `with_shifts` of the sets drawn before."""
+    out = []
+    context = [] if chain is None else list(with_shifts(c, chain.theta))
+    rng = random.Random(seed)
+    for count, label in zip(counts, labels):
+        s = sample_generic(count, context=tuple(context),
+                           seed=rng.getrandbits(48), bound=bound, c=c,
+                           label=label)
+        out.append(s)
+        context.extend(with_shifts(c, s))
+    return out
+
+
+def ref_sample_nonzero(seed, bound, exclude):
+    """The loop of sample_nonzero, on Fractions."""
+    rng = random.Random(seed)
+    banned = {Fraction(x) for x in exclude} | {Fraction(0)}
+    for _ in range(2000):
+        cand = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        if cand not in banned:
+            return cand
+    raise ExhaustionError("reference exhausted")
+
+
+def drawn(fn, *args):
+    """The sets a sampler draws, as typed exact values with their labels,
+    or its ExhaustionError."""
+    try:
+        sets = fn(*args)
+    except ExhaustionError:
+        return "exhausted"
+    return [(s.label, [(type(v), v.numerator, v.denominator) for v in s])
+            for s in sets]
+
+
+class TestIntegerSamplingMatchesFractions:
+    """The integer-pair contexts of `_spectra` and the integer draws of
+    `sample_nonzero` against the Fraction routes they replaced."""
+
+    @given(seed=st.integers(0, 2**32), c=pool_constants,
+           counts=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+           bound=st.integers(1, 30), sites=st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_spectra(self, seed, c, counts, bound, sites):
+        labels = [f"s{i}" for i in range(len(counts))]
+        ctx = Context(Rat(c), bound, 1, {}, 0, seed)
+        chains = [None]
+        if sites:
+            theta = sample_generic(sites, seed=seed + 1, bound=30, c=c)
+            chains.append(ChainSpec(sites, theta, Rat(c)))
+        for chain in chains:
+            assert (drawn(_spectra, ctx, seed, counts, labels, chain)
+                    == drawn(fraction_spectra, Rat(c), bound, seed, counts,
+                             labels, chain))
+
+    @given(seed=st.integers(0, 2**32), bound=st.integers(1, 12),
+           exclude=st.lists(st.sampled_from(POOL + [0, 1, -1, 2]), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_sample_nonzero(self, seed, bound, exclude):
+        try:
+            want = ref_sample_nonzero(seed, bound, exclude)
+        except ExhaustionError:
+            with pytest.raises(ExhaustionError):
+                sample_nonzero(seed, bound, exclude)
+            return
+        got = sample_nonzero(seed, bound, exclude)
+        assert (type(got), got.numerator, got.denominator) == (
+            Rat, want.numerator, want.denominator)
