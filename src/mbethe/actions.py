@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, Optional
 
-from .chain import (ChainSpec, apply_entry_product, vacuum_state,
-                    vacuum_weights)
+from .chain import ChainSpec, entry_product_states, vacuum_weights
 from .errors import CapabilityError, CardinalityError, DomainError
 from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
                       mod_izergin, rat_pow, term_pair)
 from .partitions import (CoefficientMap, GroundSet, bits_of, mask_values,
                          split_sum)
-from .scalars import (ModelParams, Rat, SpectralSet, TwistData, prod_over,
-                      rat_str, set_product)
+from .scalars import (ModelParams, Rat, SpectralSet, TwistData, rat_str,
+                      set_product)
 
 DIAGONAL_TRANSPOSE = {
     "t11": "t22", "t22": "t11", "t12": "t12", "t21": "t21",
@@ -141,14 +140,16 @@ class ActionResult:
                 for mask, value in self.coefficients.items()]
 
     def materialize(self, spec: ChainSpec, params: Optional[ModelParams]) -> list:
-        """Apply the surviving creation products to the vacuum and sum."""
+        """Apply the surviving creation products to the vacuum and sum.
+
+        The products come from `entry_product_states`, so survivors that
+        share a tail of their mask share its sweeps.
+        """
         out = [Rat(0)] * spec.dim
-        family = self.survivor_family()
+        states = entry_product_states(spec, params, self.survivor_family(),
+                                      self.values, self.coefficients)
         for mask, coeff in self.coefficients.items():
-            args = SpectralSet(mask_values(self.values, mask))
-            state = apply_entry_product(spec, params, family, args,
-                                        vacuum_state(spec))
-            for i, x in enumerate(state):
+            for i, x in enumerate(states[mask]):
                 if x != 0:
                     out[i] += coeff * x
         return out
@@ -308,12 +309,14 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
 
     if form == "SCbe":
         low = (1 << n) - 1
+        weights = _independent_weights(u_set, v_set, oracle)
 
         def scbe_term(mask1, mask2):
             if (mask1 & low).bit_count() != (mask1 >> n).bit_count():
                 return Rat(0)
             return _independent_term(1, *_uv_parts(u_set, v_set, mask1),
-                                     *_uv_parts(u_set, v_set, mask2), oracle, c)
+                                     *_uv_parts(u_set, v_set, mask2),
+                                     weights(mask1, mask2), c)
 
         return split_sum(2 * n, 2, scbe_term)
 
@@ -349,13 +352,15 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
         twist = _require_twist(params, "SPfinIK")
         inv_mu = 1 / mu
         prefactor = rat_pow(mu, 2 * n) * rat_pow(1 - mu, m - n)
+        weights = _independent_weights(u_set, v_set, oracle)
 
         def spfinik_term(mask1, mask2):
             u1, v1 = _uv_parts(u_set, v_set, mask1)
             u2, v2 = _uv_parts(u_set, v_set, mask2)
             term = (rat_pow(-twist.beta1, len(u2) - len(v2))
                     * rat_pow(-twist.beta2, len(u1) - len(v1)))
-            return term * _independent_term(inv_mu, u1, v1, u2, v2, oracle, c)
+            return term * _independent_term(inv_mu, u1, v1, u2, v2,
+                                            weights(mask1, mask2), c)
 
         return prefactor * split_sum(n + m, 2, spfinik_term)
 
@@ -370,11 +375,30 @@ def _uv_parts(u_set: SpectralSet, v_set: SpectralSet, mask: int) -> tuple:
             SpectralSet(mask_values(v_set.values, mask >> n)))
 
 
-def _independent_term(z, u1, v1, u2, v2, oracle: WeightOracle, c) -> Rat:
-    """Weights, f-products and the two z-deformed determinants of one term of
-    the independent-partition forms SCbe (z = 1) and SPfinIK (z = 1/mu)."""
-    term = prod_over(oracle.lambda2, u1) * prod_over(oracle.lambda2, v2)
-    term *= prod_over(oracle.lambda1, u2) * prod_over(oracle.lambda1, v1)
+def _independent_weights(u_set: SpectralSet, v_set: SpectralSet,
+                         oracle: WeightOracle) -> Callable:
+    """(mask1, mask2) -> lambda2 over u1∪v2 times lambda1 over u2∪v1, as an
+    unreduced integer pair, for the splits mask1 = u1∪v1 and mask2 = u2∪v2
+    of u∪v (low bits index u). Each weight is read once per element of u∪v,
+    not once per term."""
+    values = u_set.values + v_set.values
+    weight1 = _weight_table([oracle.lambda1(x) for x in values])
+    weight2 = _weight_table([oracle.lambda2(x) for x in values])
+    low = (1 << len(u_set)) - 1
+
+    def weights(mask1, mask2):
+        return term_pair(weight2.row(0, (mask1 & low) | (mask2 & ~low)),
+                         weight1.row(0, (mask2 & low) | (mask1 & ~low)))
+
+    return weights
+
+
+def _independent_term(z, u1, v1, u2, v2, weights: tuple, c) -> Rat:
+    """One term of the independent-partition forms SCbe (z = 1) and SPfinIK
+    (z = 1/mu): the weight pair of `_independent_weights`, the f-products
+    and the two z-deformed determinants, which are read for every split
+    because they are the route that checks the block tables."""
+    term = Rat(*weights)
     term *= set_product("f", u1, u2, c) * set_product("f", v2, v1, c)
     term *= mod_izergin(z, v2, u2, c)
     term *= conj_mod_izergin(z, v1, u1, c)

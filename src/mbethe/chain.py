@@ -15,6 +15,11 @@ clears the state to integers over one denominator, updates each pair of basis
 states that differ at one site in place, and builds one rational per entry at
 the end. A twisted entry nu_ij is one sweep started from the auxiliary vector
 B0 e_j and read out along the row mu * e_i^T A0.
+
+Materializing a multiple action needs one creation product per surviving
+subset. `entry_product_states` builds them in one call, where each subset's
+state is one sweep on the state of the subset without its lowest element, so
+subsets that share a tail share its sweeps.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .linalg import clear_denominators, zeros
-from .scalars import ZERO, ModelParams, Rat, SpectralSet, kernel_h
+from .scalars import ZERO, ModelParams, Rat, SpectralSet, diff_pair, h_pair
 
 MAX_SITES = 10
 
@@ -223,14 +228,18 @@ def build_monodromy(spec: ChainSpec, u, params: ModelParams | None = None):
 
 
 def vacuum_weights(spec: ChainSpec, u) -> tuple[Rat, Rat]:
-    """Vacuum eigenvalues of the diagonal entries, in closed form."""
+    """Vacuum eigenvalues of the diagonal entries, in closed form: lam1 is
+    the product of h(u, theta_k) and lam2 that of (u - theta_k) / c. Each
+    product is kept as an unreduced integer pair and reduced once."""
     u = Rat(u)
-    lam1 = Rat(1)
-    lam2 = Rat(1)
+    cn, cd = spec.c.numerator, spec.c.denominator
+    n1 = d1 = n2 = d2 = 1
     for th in spec.theta:
-        lam1 *= kernel_h(u, th, spec.c)
-        lam2 *= (u - th) / spec.c
-    return lam1, lam2
+        dn, dd = diff_pair(u, th)
+        hn, hd = h_pair(dn, dd, cn, cd)
+        n1, d1 = n1 * hn, d1 * hd
+        n2, d2 = n2 * dn * cd, d2 * dd * cn
+    return Rat(n1, d1), Rat(n2, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +297,32 @@ def apply_entry_product(spec: ChainSpec, params: ModelParams | None, kind: str,
     return out
 
 
+def entry_product_states(spec: ChainSpec, params: ModelParams | None,
+                         kind: str, values, masks) -> dict:
+    """{mask: the product of `kind` over the values the mask selects,
+    applied to the vacuum}, for each mask of `masks`.
+
+    The product runs its factors from the highest bit down, as
+    `apply_entry_product` does on `mask_values(values, mask)`. So a mask's
+    state is one sweep of its lowest bit's value on the state of the rest
+    of the mask, and masks that share a tail share its sweeps. The frame is
+    checked once per call, and the states live only for the call.
+    """
+    vacuum = vacuum_state(spec)
+    aux, row = _frame(spec, params, kind, vacuum)
+    states = {0: vacuum}
+
+    def state(mask):
+        if mask not in states:
+            low = mask & -mask
+            states[mask] = monodromy_columns(
+                spec, values[low.bit_length() - 1], state(mask ^ low), aux,
+                row)[0]
+        return states[mask]
+
+    return {mask: state(mask) for mask in masks}
+
+
 def bethe_state(spec: ChainSpec, params: ModelParams | None, kind: str,
                 v_set: SpectralSet) -> list:
     """Creation-operator product state over v_set applied to the vacuum."""
@@ -307,14 +342,6 @@ def direct_scalar(spec: ChainSpec, params: ModelParams | None,
     psi = apply_entry_product(spec, params, right_kind, v_set, vacuum_state(spec))
     psi = apply_entry_product(spec, params, left_kind, u_set, psi)
     return psi[0]
-
-
-def dual_pairing(spec: ChainSpec, operator, state=None) -> Rat | list:
-    """<0| O or <0| O |0> for a dense operator (row 0 of the matrix)."""
-    row = operator[0]
-    if state is None:
-        return list(row)
-    return sum((row[k] * state[k] for k in range(len(state))), Rat(0))
 
 
 def gl2_random_matrix(rng) -> list:

@@ -133,10 +133,11 @@ def _inv_h_row(scale, values, j, cn, cd, conjugated) -> tuple:
 
 def _det_at(rows, p, q) -> int:
     """The determinant of the rows p * a + q * b e_j, for the z-free parts
-    (a, b) of row j."""
+    (a, b) of row j. At p = 1 (the v-side at integer z) a is copied as it
+    is."""
     out = []
     for j, (a, b) in enumerate(rows):
-        row = [p * x for x in a]
+        row = a[:] if p == 1 else [p * x for x in a]
         row[j] += q * b
         out.append(row)
     return det_int(out)

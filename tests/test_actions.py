@@ -7,16 +7,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mbethe import izergin
-from mbethe.actions import (ActionRequest, WeightOracle, eval_action,
-                            eval_request, eval_scalar, eval_vacuum_average,
-                            phi_transform)
+from mbethe.actions import (ActionRequest, WeightOracle, _independent_weights,
+                            _uv_parts, eval_action, eval_request, eval_scalar,
+                            eval_vacuum_average, phi_transform)
 from mbethe.chain import (ChainSpec, apply_entry_product, direct_scalar,
                           vacuum_state)
 from mbethe.errors import (CapabilityError, CardinalityError, DomainError)
 from mbethe.izergin import _KBlocks
 from mbethe.partitions import MIN_POOL_SPLITS, count_splits, enumerate_splits
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData,
-                            kernel_h, sample_generic, with_shifts)
+                            kernel_h, prod_over, sample_generic, with_shifts)
 
 C = Rat(1)
 TWIST = ModelParams(C, Rat(1, 2), Rat(2, 3), Rat(3), Rat(5, 2))
@@ -198,6 +198,30 @@ class TestScalarForms:
                                 c=C, bound=30, label="v")
             assert (eval_scalar("SPfin", us, vs, oracle, TWIST, C)
                     == eval_scalar("SPfinIK", us, vs, oracle, TWIST, C))
+
+    def test_independent_weights_match_prod_over(self):
+        # the SCbe / SPfinIK weight pair read from tables, against the
+        # products over u1, v2 (lambda2) and u2, v1 (lambda1) of each term
+        spec = chain(3, 68)
+        for oracle in (WeightOracle.fundamental(spec),
+                       WeightOracle.random_seeded(10)):
+            for n in range(4):
+                for m in range(4):
+                    us, vs = spectra(spec, [n, m], 69 + 4 * n + m)
+                    weights = _independent_weights(us, vs, oracle)
+                    top = (1 << (n + m)) - 1
+                    for mask1 in range(top + 1):
+                        rest = top ^ mask1
+                        for mask2 in range(rest + 1):
+                            if mask2 & ~rest:
+                                continue
+                            u1, v1 = _uv_parts(us, vs, mask1)
+                            u2, v2 = _uv_parts(us, vs, mask2)
+                            want = (prod_over(oracle.lambda2, u1)
+                                    * prod_over(oracle.lambda2, v2)
+                                    * prod_over(oracle.lambda1, u2)
+                                    * prod_over(oracle.lambda1, v1))
+                            assert Rat(*weights(mask1, mask2)) == want
 
     def test_independent_form_domain(self):
         oracle = WeightOracle.random_seeded(8)

@@ -1,14 +1,17 @@
 """Spin-chain oracle: R-matrix structure, monodromy, twist, states, pairings."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from mbethe.chain import (UNIT_ROWS, ChainSpec, apply_nu, apply_t,
-                          bethe_state, build_monodromy, direct_scalar,
-                          dual_pairing, embed_two, gl2_random_matrix,
-                          modified_entry, monodromy_columns, r_matrix,
-                          twist_pair, vacuum_state, vacuum_weights)
+from mbethe import chain as chain_module
+from mbethe.chain import (UNIT_ROWS, ChainSpec, apply_entry_product, apply_nu,
+                          apply_t, bethe_state, build_monodromy,
+                          direct_scalar, embed_two, entry_product_states,
+                          gl2_random_matrix, modified_entry,
+                          monodromy_columns, r_matrix, twist_pair,
+                          vacuum_state, vacuum_weights)
 from mbethe.errors import DomainError
 from mbethe.linalg import (identity, kron, mat_add, mat_eq, mat_mul,
                            mat_scale, mat_vec, zeros)
@@ -154,9 +157,10 @@ class TestMonodromy:
         lam1, lam2 = vacuum_weights(spec, u)
         dim = spec.dim
         e0 = [Rat(1)] + [Rat(0)] * (dim - 1)
-        assert dual_pairing(spec, t[0][1]) == [Rat(0)] * dim  # <0| t12 = 0
-        assert dual_pairing(spec, t[0][0]) == [lam1 * x for x in e0]
-        assert dual_pairing(spec, t[1][1]) == [lam2 * x for x in e0]
+        # <0| O is row 0 of the dense block
+        assert t[0][1][0] == [Rat(0)] * dim  # <0| t12 = 0
+        assert t[0][0][0] == [lam1 * x for x in e0]
+        assert t[1][1][0] == [lam2 * x for x in e0]
 
     def test_vacuum_weights_example(self):
         spec = ChainSpec(1, SpectralSet([0], "theta"), C)
@@ -171,6 +175,21 @@ class TestMonodromy:
         for th in spec.theta:
             product *= kernel_h(u, th, C) / kernel_g(u, th, C)
         assert lam1 * lam2 == product
+
+    @pytest.mark.parametrize("c", [C, Rat(-1), Rat(3, 2)])
+    def test_integer_weights_match_fraction_products(self, c):
+        # the closed form, multiplied in Fractions one kernel at a time
+        for sites in range(1, 6):
+            spec = chain(sites, 140 + sites, c)
+            for u in points(spec, 3, 150 + sites).values + spec.theta.values:
+                lam1, lam2 = Rat(1), Rat(1)
+                for th in spec.theta:
+                    lam1 *= kernel_h(u, th, c)
+                    lam2 *= (u - th) / c
+                got = vacuum_weights(spec, u)
+                assert same_bits(got, (lam1, lam2))
+                if u in spec.theta.values:
+                    assert got[1] == 0
 
     def test_rtt_relation(self):
         for sites in (1, 2, 3):
@@ -354,6 +373,71 @@ class TestStates:
             bethe_state(spec, None, "t21", vs)
         with pytest.raises(DomainError):
             bethe_state(spec, None, "nu12", vs)  # twist data missing
+
+
+class TestEntryProductStates:
+    """The shared-sweep states against one `apply_entry_product` per mask."""
+
+    @staticmethod
+    def _tails(masks):
+        """Every nonzero mask reached by dropping lowest bits from `masks`."""
+        out = set()
+        for mask in masks:
+            while mask:
+                out.add(mask)
+                mask &= mask - 1
+        return out
+
+    @pytest.mark.parametrize("kind", ["t12", "nu12"])
+    def test_every_mask_matches_apply_entry_product(self, kind):
+        params = TWIST if kind == "nu12" else None
+        for sites in range(1, 6):
+            spec = chain(sites, 160 + sites)
+            values = points(spec, 4, 170 + sites).values
+            masks = range(1 << len(values))
+            states = entry_product_states(spec, params, kind, values, masks)
+            assert list(states) == list(masks)
+            for mask in masks:
+                args = SpectralSet(tuple(x for i, x in enumerate(values)
+                                         if mask >> i & 1))
+                want = apply_entry_product(spec, params, kind, args,
+                                           vacuum_state(spec))
+                assert same_bits(states[mask], want)
+
+    def test_one_sweep_per_tail(self, monkeypatch):
+        spec = chain(3, 180)
+        values = points(spec, 5, 181).values
+        masks = [0b10110, 0b11110, 0b00111, 0b10100, 0b10110, 0b00001]
+        swept = []
+        sweep = chain_module.monodromy_columns
+
+        def counted(spec, u, psi, aux, rows):
+            swept.append(u)
+            return sweep(spec, u, psi, aux, rows)
+
+        monkeypatch.setattr(chain_module, "monodromy_columns", counted)
+        entry_product_states(spec, TWIST, "nu12", values, masks)
+        tails = self._tails(masks)
+        assert len(swept) == len(tails) == 10
+        lowest = Counter(values[(t & -t).bit_length() - 1] for t in tails)
+        assert Counter(swept) == lowest
+
+    def test_empty_masks(self):
+        spec = chain(2, 182)
+        assert entry_product_states(spec, None, "t12", (), []) == {}
+        assert entry_product_states(spec, None, "t12", (), [0]) == {
+            0: vacuum_state(spec)}
+
+    @pytest.mark.parametrize("kind, params", [("t13", None), ("nu12", None)])
+    def test_same_errors_as_apply_entry_product(self, kind, params):
+        spec = chain(2, 183)
+        values = points(spec, 2, 184).values
+        with pytest.raises(DomainError) as want:
+            apply_entry_product(spec, params, kind, SpectralSet(values),
+                                vacuum_state(spec))
+        with pytest.raises(DomainError) as got:
+            entry_product_states(spec, params, kind, values, [0b11])
+        assert str(got.value) == str(want.value)
 
 
 class TestDirectScalar:
