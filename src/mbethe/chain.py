@@ -7,14 +7,20 @@ is up; the vacuum (all up) is index 0. The monodromy is the ordered
 auxiliary-space product with the highest site leftmost, so every oracle value
 is reproducible bit for bit.
 
-Dense operators are built only where an operator-level identity is checked
-(small N). State-level work goes through an auxiliary-space sweep that applies
-a monodromy entry to a vector in O(N * 2^N) integer operations, which is what
+State-level work goes through an auxiliary-space sweep that applies a
+monodromy entry to a vector in O(N * 2^N) integer operations, which is what
 makes vector and scalar-product comparisons cheap at N = 5, 6. The sweep
-clears the state to integers over one denominator, updates each pair of basis
-states that differ at one site in place, and builds one rational per entry at
-the end. A twisted entry nu_ij is one sweep started from the auxiliary vector
-B0 e_j and read out along the row mu * e_i^T A0.
+clears the state to integers over one denominator, reads each site's offset
+(u - theta)/c as an integer pair, updates each pair of basis states that
+differ at one site in place, and builds one rational per entry at the end. A
+twisted entry nu_ij is one sweep started from the auxiliary vector B0 e_j and
+read out along the row mu * e_i^T A0.
+
+Dense operators are built only where an operator-level identity is checked
+(small N). `monodromy_ints` runs the same sweep once over every basis column
+and returns the four blocks as integer matrices over one denominator, so the
+operator checks multiply integers; `build_monodromy` reads its rationals from
+it.
 
 Materializing a multiple action needs one creation product per surviving
 subset. `entry_product_states` builds them in one call, where each subset's
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .linalg import clear_denominators, zeros
+from .linalg import clear_denominators, clear_matrix, rat_matrix, zeros
 from .scalars import ZERO, ModelParams, Rat, SpectralSet, diff_pair, h_pair
 
 MAX_SITES = 10
@@ -124,35 +130,36 @@ def _check_state(spec: ChainSpec, kind: str, psi) -> None:
                           f"{spec.dim} for a {spec.sites}-site chain")
 
 
-def monodromy_columns(spec: ChainSpec, u, psi, aux, rows) -> list:
-    """Auxiliary components of T(u) applied to aux (x) psi, one per row.
+def _offsets(spec: ChainSpec, u) -> list:
+    """The site offsets (u - theta_k)/c = p/q of a spectral point, one
+    unreduced integer pair (p, q) with q > 0 per site."""
+    cn, cd = spec.c.numerator, spec.c.denominator
+    if cn < 0:
+        cn, cd = -cn, -cd
+    return [(dn * cd, dd * cn)
+            for dn, dd in (diff_pair(u, th) for th in spec.theta)]
 
-    The sweep starts from the auxiliary vector aux = (a1, a2), so it yields
-    W_i = sum_j T_ij(u) a_j psi, and each row (r1, r2) gives the chain vector
-    r1 W1 + r2 W2. With aux the j-th unit vector and rows UNIT_ROWS this is
-    (T_1j psi, T_2j psi).
 
-    The site factor at spectral offset x = (u - theta)/c = p/q contributes
-    x * id + permutation, which in auxiliary components reads
-    W1' = x W1 + E11 W1 + E21 W2 and W2' = x W2 + E12 W1 + E22 W2. W1 and W2
-    are kept as integers over one denominator D, multiplied through by q at
-    each site: W1' = p W1 + q (E11 W1 + E21 W2), the same for W2, and
-    D' = q D. One rational is built per returned entry, at the end.
+def _sweep(offsets, w1, w2) -> int:
+    """Apply the site factors of T(u), lowest site first, in place to the
+    integer auxiliary components w1, w2, and return the denominator the
+    sweep adds, the product of the q.
+
+    The site factor at offset x = p/q contributes x * id + permutation,
+    which in auxiliary components reads W1' = x W1 + E11 W1 + E21 W2 and
+    W2' = x W2 + E12 W1 + E22 W2; multiplied through by q,
+    W1' = p W1 + q (E11 W1 + E21 W2), and the same for W2. The components
+    may hold several chain vectors back to back, each of the chain's
+    dimension: a site pairs basis states within each vector.
     """
-    dim = spec.dim
-    (start, (a1, a2)), (den, aux_den) = clear_denominators([psi, aux])
-    w1 = [a1 * x for x in start]
-    w2 = [a2 * x for x in start]
-    den *= aux_den
-    u = Rat(u)
-    for site in range(spec.sites):
-        ratio = (u - spec.theta[site]) / spec.c
-        p, q = ratio.numerator, ratio.denominator
+    size = len(w1)
+    den = 1
+    for site, (p, q) in enumerate(offsets):
         pq = p + q
         bit = 1 << site
         # lo has this site's spin up and hi = lo | bit has it down: E11 and
         # E22 keep the spin, E21 lowers it and E12 raises it
-        for base in range(0, dim, bit << 1):
+        for base in range(0, size, bit << 1):
             for lo in range(base, base + bit):
                 hi = lo | bit
                 x1, x2, y1, y2 = w1[lo], w2[lo], w1[hi], w2[hi]
@@ -161,12 +168,62 @@ def monodromy_columns(spec: ChainSpec, u, psi, aux, rows) -> list:
                 w2[lo] = p * x2 + q * y1
                 w2[hi] = pq * y2
         den *= q
+    return den
+
+
+def monodromy_columns(spec: ChainSpec, u, psi, aux, rows) -> list:
+    """Auxiliary components of T(u) applied to aux (x) psi, one per row.
+
+    The sweep starts from the auxiliary vector aux = (a1, a2), so it yields
+    W_i = sum_j T_ij(u) a_j psi, and each row (r1, r2) gives the chain vector
+    r1 W1 + r2 W2. With aux the j-th unit vector and rows UNIT_ROWS this is
+    (T_1j psi, T_2j psi). W1 and W2 are kept as integers over one
+    denominator, and one rational is built per returned entry, at the end.
+    """
+    (start, (a1, a2)), (den, aux_den) = clear_denominators([psi, aux])
+    w1 = [a1 * x for x in start]
+    w2 = [a2 * x for x in start]
+    den *= aux_den * _sweep(_offsets(spec, u), w1, w2)
     out = []
     for (r1, r2), row_den in zip(*clear_denominators(rows)):
         total = den * row_den
         sums = [r1 * x + r2 * y for x, y in zip(w1, w2)]
         out.append([Rat(s, total) if s else ZERO for s in sums])
     return out
+
+
+def monodromy_ints(spec: ChainSpec, u, params: ModelParams | None = None):
+    """The 2x2 blocks of T(u), or with twist params those of
+    mu * A0 T(u) B0, as dim x dim integer matrices over one denominator:
+    returns (blocks, den), the block (i+1, j+1) being blocks[i][j] / den.
+
+    One sweep builds every column: the components hold, for each auxiliary
+    column j and chain basis vector b, the vector aux_j (x) e_b, cleared
+    over the lcm of the auxiliary columns' denominators. The rows are read
+    out over the lcm of theirs, so den is the sweep's product of q times
+    both lcms.
+    """
+    aux, rows = UNIT_ROWS, UNIT_ROWS
+    if params is not None:
+        aux, rows = _twisted_frame(params)
+    aux, aux_den = clear_matrix(aux)
+    rows, row_den = clear_matrix(rows)
+    dim = spec.dim
+    size = 2 * dim * dim
+    w1, w2 = [0] * size, [0] * size
+    for j, (a1, a2) in enumerate(aux):
+        for b in range(dim):
+            at = (j * dim + b) * dim + b
+            w1[at], w2[at] = a1, a2
+    den = _sweep(_offsets(spec, u), w1, w2) * aux_den * row_den
+    blocks = []
+    for r1, r2 in rows:
+        # column b of block (i, j) is the vector at (j * dim + b) * dim, so
+        # its row r is every dim-th entry from j * dim * dim + r
+        out = [r1 * x + r2 * y for x, y in zip(w1, w2)]
+        blocks.append([[out[j + r:j + dim * dim:dim] for r in range(dim)]
+                       for j in (0, dim * dim)])
+    return blocks, den
 
 
 def _twisted_frame(params: ModelParams) -> tuple:
@@ -210,21 +267,8 @@ def apply_nu(spec: ChainSpec, params: ModelParams, i: int, j: int, u, psi) -> li
 def build_monodromy(spec: ChainSpec, u, params: ModelParams | None = None):
     """Dense 2x2 block decomposition [[t11, t12], [t21, t22]] of T(u); with
     twist params, of mu * A0 T(u) B0, that is [[nu11, nu12], [nu21, nu22]]."""
-    aux, rows = UNIT_ROWS, UNIT_ROWS
-    if params is not None:
-        aux, rows = _twisted_frame(params)
-    dim = spec.dim
-    blocks = [[zeros(dim) for _ in range(2)] for _ in range(2)]
-    for b in range(dim):
-        basis = [0] * dim
-        basis[b] = 1
-        for j in (0, 1):
-            for i, col in enumerate(monodromy_columns(spec, u, basis, aux[j],
-                                                      rows)):
-                block = blocks[i][j]
-                for r in range(dim):
-                    block[r][b] = col[r]
-    return blocks
+    blocks, den = monodromy_ints(spec, u, params)
+    return [[rat_matrix(block, den) for block in pair] for pair in blocks]
 
 
 def vacuum_weights(spec: ChainSpec, u) -> tuple[Rat, Rat]:

@@ -8,11 +8,17 @@ rows with `clear_denominators`; `izergin.DetTables` assembles its rows as
 integers and calls `det_int` directly. `principal_minors` tabulates the 2^n
 principal minors of an integer matrix, for the expansion of a determinant
 by multilinearity in its rows (`izergin._KBlocks`).
+
+Matrix products run on integers: `int_mat_mul` is Gustavson's row-wise
+product, and `mat_mul` clears a rational product's rows and columns into
+it. `clear_matrix` and `rat_matrix` move a matrix to integers over one
+denominator and back, which is how the dense operator checks keep every
+product of monodromy blocks on integers.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .scalars import ZERO, Rat
 
@@ -93,31 +99,53 @@ def principal_minors(rows) -> list:
     return minors
 
 
-def mat_mul(a, b):
-    """Exact product a b: Gustavson's row-wise product on integers.
+def clear_matrix(matrix):
+    """A rational matrix as integer rows over one denominator, the lcm of
+    its rows' denominators: returns (integer rows, denominator)."""
+    rows, dens = clear_denominators(matrix)
+    den = lcm(*dens)
+    return [[x * (den // d) for x in row] for row, d in zip(rows, dens)], den
 
-    Each row of a is cleared to integers over the lcm of its denominators,
-    and each column of b over its own. The nonzero entries of a row of a
-    then meet only the nonzero entries of the matching rows of b, so a zero
-    in either factor costs nothing, and one rational is built per nonzero
-    entry of the product. A right factor with no rows has no column count,
-    so its product has no columns.
+
+def rat_matrix(rows, den):
+    """The integer rows over `den` as a rational matrix, one rational built
+    per nonzero entry."""
+    return [[Rat(x, den) if x else ZERO for x in row] for row in rows]
+
+
+def int_mat_mul(a, b):
+    """Exact product a b of integer matrices: Gustavson's row-wise product.
+
+    The nonzero entries of a row of a meet only the nonzero entries of the
+    matching rows of b, so a zero in either factor costs nothing. A right
+    factor with no rows has no column count, so its product has no columns.
     """
     cols = len(b[0]) if b else 0
-    bcols, col_dens = clear_denominators(list(zip(*b)))
-    nonzero = [[(j, col[k]) for j, col in enumerate(bcols) if col[k]]
-               for k in range(len(b))]
-    arows, row_dens = clear_denominators(a)
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for arow, row_den in zip(arows, row_dens):
+    for arow in a:
         acc = [0] * cols
         for x, brow in zip(arow, nonzero, strict=True):
             if x:
                 for j, y in brow:
                     acc[j] += x * y
-        out.append([Rat(s, row_den * d) if s else ZERO
-                    for s, d in zip(acc, col_dens)])
+        out.append(acc)
     return out
+
+
+def mat_mul(a, b):
+    """Exact product a b of rational matrices, through `int_mat_mul`.
+
+    Each row of a is cleared to integers over the lcm of its denominators,
+    and each column of b over its own, and one rational is built per
+    nonzero entry of the integer product.
+    """
+    arows, row_dens = clear_denominators(a)
+    col_dens = [lcm(*(x.denominator for x in col)) for col in zip(*b)]
+    brows = [[x.numerator * (d // x.denominator) for x, d in zip(row, col_dens)]
+             for row in b]
+    return [[Rat(s, row_den * d) if s else ZERO for s, d in zip(row, col_dens)]
+            for row, row_den in zip(int_mat_mul(arows, brows), row_dens)]
 
 
 def mat_add(a, b):

@@ -20,22 +20,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from typing import NamedTuple
 
 from .actions import (ActionRequest, WeightOracle, eval_action, eval_request,
                       eval_scalar, eval_vacuum_average, phi_transform)
 from .chain import (MAX_SITES, ChainSpec, apply_entry_product, apply_nu,
-                    build_monodromy, direct_scalar, embed_two,
-                    gl2_random_matrix, r_matrix,
-                    vacuum_state, vacuum_weights)
+                    direct_scalar, embed_two, gl2_random_matrix,
+                    monodromy_ints, r_matrix, vacuum_state, vacuum_weights)
 from .errors import ConfigError
 from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
                       izergin_convolution, izergin_deformation_sum,
                       izergin_partition_sum, izergin_reader, mod_izergin,
                       ordinary_izergin, rat_pow, residue_check, term_pair)
-from .linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_scale, mat_sub
+from .linalg import (clear_denominators, clear_matrix, identity, int_mat_mul,
+                     kron, mat_add, mat_eq, mat_mul, rat_matrix)
 from .partitions import (enumerate_splits, mask_values,
                          pole_extraction_sum, single_extraction_sum, split_sum)
 from .report import CheckRecord, Recorder, digest
@@ -476,49 +476,68 @@ def _gl2_invariance(ctx, rng, summed):
 
 
 def _rtt(ctx, rng):
+    """R(u - v) T_a(u) T_b(v) = T_b(v) T_a(u) R(u - v), on integer matrices:
+    both sides carry the denominators of R and of the two monodromies, and
+    are reported as rationals."""
     lhs_all, rhs_all, ok = [], [], True
     for sites in range(1, ctx.sizes["sites"] + 1):
         spec = _chain(ctx, rng.getrandbits(48), sites)
         uv, = _spectra(ctx, rng.getrandbits(48) ^ 1, [2], ["uv"], chain=spec)
         u, v = uv.values
-        t_u = build_monodromy(spec, u)
-        t_v = build_monodromy(spec, v)
+        (t_u, du), (t_v, dv) = monodromy_ints(spec, u), monodromy_ints(spec, v)
         dim = spec.dim
         ta = _aux_embed(t_u, dim, "a")
         tb = _aux_embed(t_v, dim, "b")
-        rab = kron(r_matrix(u - v, ctx.c), identity(dim))
-        lhs = mat_mul(rab, mat_mul(ta, tb))
-        rhs = mat_mul(mat_mul(tb, ta), rab)
-        ok = ok and mat_eq(lhs, rhs)
-        lhs_all.append(lhs)
-        rhs_all.append(rhs)
+        r, dr = clear_matrix(r_matrix(u - v, ctx.c))
+        # R (x) 1 on the chain
+        rab = [[x if p == q else 0 for x in row for q in range(dim)]
+               for row in r for p in range(dim)]
+        lhs = int_mat_mul(rab, int_mat_mul(ta, tb))
+        rhs = int_mat_mul(int_mat_mul(tb, ta), rab)
+        ok = ok and lhs == rhs
+        lhs_all.append(rat_matrix(lhs, dr * du * dv))
+        rhs_all.append(rat_matrix(rhs, dr * du * dv))
     return digest(ctx.seed), lhs_all, rhs_all, ok
+
+
+def _vanishes(terms) -> bool:
+    """Whether the sum of r * P over the (r, P) of `terms` is 0, for
+    rationals r and integer matrices P over one shared denominator.
+
+    The r are brought to the lcm of their denominators once, so a relation
+    L = g R with g = gn/gd is checked as gd L - gn R = 0 on integers.
+    """
+    (ks,), _ = clear_denominators([[r for r, _ in terms]])
+    return not any(sum(k * x for k, x in zip(ks, xs))
+                   for rows in zip(*(p for _, p in terms)) for xs in zip(*rows))
 
 
 def _monodromy_pairs(ctx, rng):
     """For the plain family "t", then the twisted family "nu": a chain, a
     twist and two generic points u, v, drawn in that order; yields the
-    family, u, v and the monodromy blocks T(u), T(v) of that family."""
+    family, u, v and the integer monodromy blocks of T(u), T(v) of that
+    family. Each product of a u-block and a v-block carries the same
+    denominator, so the relations never read it."""
     for family in ("t", "nu"):
         spec = _chain(ctx, rng.getrandbits(48), ctx.sizes["sites"])
         params = sample_twist(rng.getrandbits(48), ctx.c)
         uv, = _spectra(ctx, rng.getrandbits(48) ^ 1, [2], ["uv"], chain=spec)
         u, v = uv.values
         twist = params if family == "nu" else None
-        yield family, u, v, *(build_monodromy(spec, x, twist) for x in (u, v))
+        yield family, u, v, *(monodromy_ints(spec, x, twist)[0] for x in (u, v))
 
 
 def _exchange(ctx, rng):
     ok = True
     collected = []
+    mm = int_mat_mul
     for family, u, v, mu_, mv_ in _monodromy_pairs(ctx, rng):
         g = kernel_g(u, v, ctx.c)
         for i, j, k, l in product(range(2), repeat=4):
-            lhs = mat_sub(mat_mul(mu_[i][j], mv_[k][l]),
-                          mat_mul(mv_[k][l], mu_[i][j]))
-            rhs = mat_scale(g, mat_sub(mat_mul(mv_[k][j], mu_[i][l]),
-                                       mat_mul(mu_[k][j], mv_[i][l])))
-            ok = ok and mat_eq(lhs, rhs)
+            ok = ok and _vanishes([(1, mm(mu_[i][j], mv_[k][l])),
+                                   (-1, mm(mv_[k][l], mu_[i][j])),
+                                   (-g, mm(mv_[k][j], mu_[i][l])),
+                                   (g, mm(mu_[k][j], mv_[i][l]))])
             collected.append((family, i, j, k, l))
     return digest(ctx.seed), collected, collected, ok
 
@@ -526,60 +545,57 @@ def _exchange(ctx, rng):
 def _triangular(ctx, rng):
     ok = True
     c = ctx.c
+    mm = int_mat_mul
     for _, u, v, A, B in _monodromy_pairs(ctx, rng):
         fvu, fuv = kernel_f(v, u, c), kernel_f(u, v, c)
         guv, gvu = kernel_g(u, v, c), kernel_g(v, u, c)
         # same-entry commutativity
         for i, j in product(range(2), repeat=2):
-            ok = ok and mat_eq(mat_mul(A[i][j], B[i][j]), mat_mul(B[i][j], A[i][j]))
+            ok = ok and _vanishes([(1, mm(A[i][j], B[i][j])),
+                                   (-1, mm(B[i][j], A[i][j]))])
         # diagonal-by-creation exchange, both diagonal entries
-        lhs = mat_mul(A[0][0], B[0][1])
-        rhs = mat_add(mat_scale(fvu, mat_mul(B[0][1], A[0][0])),
-                      mat_scale(guv, mat_mul(A[0][1], B[0][0])))
-        ok = ok and mat_eq(lhs, rhs)
-        lhs = mat_mul(A[1][1], B[0][1])
-        rhs = mat_add(mat_scale(fuv, mat_mul(B[0][1], A[1][1])),
-                      mat_scale(gvu, mat_mul(A[0][1], B[1][1])))
-        ok = ok and mat_eq(lhs, rhs)
+        ok = ok and _vanishes([(1, mm(A[0][0], B[0][1])),
+                               (-fvu, mm(B[0][1], A[0][0])),
+                               (-guv, mm(A[0][1], B[0][0]))])
+        ok = ok and _vanishes([(1, mm(A[1][1], B[0][1])),
+                               (-fuv, mm(B[0][1], A[1][1])),
+                               (-gvu, mm(A[0][1], B[1][1]))])
         # annihilation-by-creation commutator
-        lhs = mat_sub(mat_mul(A[1][0], B[0][1]), mat_mul(B[0][1], A[1][0]))
-        rhs = mat_scale(guv, mat_sub(mat_mul(B[0][0], A[1][1]),
-                                     mat_mul(A[0][0], B[1][1])))
-        ok = ok and mat_eq(lhs, rhs)
+        ok = ok and _vanishes([(1, mm(A[1][0], B[0][1])),
+                               (-1, mm(B[0][1], A[1][0])),
+                               (-guv, mm(B[0][0], A[1][1])),
+                               (guv, mm(A[0][0], B[1][1]))])
     return digest(ctx.seed), "all-relations", "all-relations", ok
 
 
 def _multiple_exchange(ctx, rng):
+    """Both lines of the multiple exchange relation on integer monodromy
+    blocks: every product on either side runs over u and v once each, so
+    all carry the same denominator, and the Izergin-f coefficients are
+    brought to their lcm once per relation."""
     c, sz = ctx.c, ctx.sizes
     ok = True
     for family in ("t", "nu"):
         spec = _chain(ctx, rng.getrandbits(48), sz["sites"])
         params = sample_twist(rng.getrandbits(48), c)
-        dim = spec.dim
         twist = params if family == "nu" else None
-        blocks = {}   # one dense monodromy per spectral point
-
-        def entry(i, j, x):
-            if x not in blocks:
-                blocks[x] = build_monodromy(spec, x, twist)
-            return blocks[x][i - 1][j - 1]
+        blocks = {}   # one integer monodromy per spectral point
 
         def prodop(i, j, vals):
-            out = identity(dim)
             for x in vals:
-                out = mat_mul(out, entry(i, j, x))
-            return out
+                if x not in blocks:
+                    blocks[x] = monodromy_ints(spec, x, twist)[0]
+            return reduce(int_mat_mul, (blocks[x][i - 1][j - 1] for x in vals))
 
         for n in range(1, sz["mcr_max"] + 1):
             for m in range(1, sz["mcr_max"] + 1):
                 us, vs = _spectra(ctx, rng.getrandbits(48), [n, m], ["u", "v"],
                                   chain=spec)
                 wall = us.union(vs, "w")
-                lhs11 = mat_mul(prodop(1, 1, us.values),
-                                prodop(1, 2, vs.values))
-                lhs22 = mat_mul(prodop(2, 2, us.values),
-                                prodop(1, 2, vs.values))
-                acc11 = acc22 = None
+                creation = prodop(1, 2, vs.values)
+                line11 = [(1, int_mat_mul(prodop(1, 1, us.values), creation))]
+                line22 = [(1, int_mat_mul(prodop(2, 2, us.values), creation))]
+                sign = (-1) ** n
                 for m1, m2 in enumerate_splits(n + m, 2, cards=(n, m)):
                     w1 = SpectralSet(mask_values(wall.values, m1))
                     w2 = mask_values(wall.values, m2)
@@ -588,26 +604,22 @@ def _multiple_exchange(ctx, rng):
                     k22 = (mod_izergin(1, us, w1.shifted(c), c)
                            * set_product("f", w1, w2, c))
                     op12 = prodop(1, 2, w2)
-                    term11 = mat_scale(k11, mat_mul(op12, prodop(1, 1, w1.values)))
-                    term22 = mat_scale(k22, mat_mul(op12, prodop(2, 2, w1.values)))
-                    acc11 = term11 if acc11 is None else mat_add(acc11, term11)
-                    acc22 = term22 if acc22 is None else mat_add(acc22, term22)
-                sign = rat_pow(-1, n)
-                ok = ok and mat_eq(lhs11, mat_scale(sign, acc11))
-                ok = ok and mat_eq(lhs22, mat_scale(sign, acc22))
+                    line11.append((-sign * k11,
+                                   int_mat_mul(op12, prodop(1, 1, w1.values))))
+                    line22.append((-sign * k22,
+                                   int_mat_mul(op12, prodop(2, 2, w1.values))))
+                ok = ok and _vanishes(line11) and _vanishes(line22)
     return digest(ctx.seed), "both-lines", "both-lines", ok
 
 
 def _aux_embed(blocks, dim: int, which: str):
-    out = None
-    for i, j in product(range(2), repeat=2):
-        e = [[Rat(1) if (r, s) == (i, j) else Rat(0) for s in range(2)]
-             for r in range(2)]
-        if which == "a":
-            piece = kron(kron(e, identity(2)), blocks[i][j])
-        else:
-            piece = kron(kron(identity(2), e), blocks[i][j])
-        out = piece if out is None else mat_add(out, piece)
+    """The integer monodromy blocks placed on C^2 (x) C^2 (x) chain, acting
+    on the first auxiliary space ("a") or the second ("b")."""
+    out = [[0] * (4 * dim) for _ in range(4 * dim)]
+    for i, j, s in product(range(2), repeat=3):
+        row, col = (2 * i + s, 2 * j + s) if which == "a" else (2 * s + i, 2 * s + j)
+        for r, vals in enumerate(blocks[i][j]):
+            out[row * dim + r][col * dim:(col + 1) * dim] = vals
     return out
 
 

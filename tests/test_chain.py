@@ -10,7 +10,8 @@ from mbethe.chain import (UNIT_ROWS, ChainSpec, apply_entry_product, apply_nu,
                           apply_t, bethe_state, build_monodromy,
                           direct_scalar, embed_two, entry_product_states,
                           gl2_random_matrix, modified_entry,
-                          monodromy_columns, r_matrix, twist_pair,
+                          monodromy_columns, monodromy_ints, r_matrix,
+                          twist_pair,
                           vacuum_state, vacuum_weights)
 from mbethe.errors import DomainError
 from mbethe.linalg import (identity, kron, mat_add, mat_eq, mat_mul,
@@ -275,6 +276,25 @@ class TestSweepMatchesReference:
             spec = chain(sites, 120 + sites)
             u = points(spec, 1, 125 + sites)[0]
             assert build_monodromy(spec, u) == reference_blocks(spec, u)
+
+    @pytest.mark.parametrize("c", [C, Rat(-1), Rat(3, 2)])
+    def test_integer_blocks(self, c):
+        """Each integer block over the common denominator, plain and
+        twisted, against the Fraction reference entry by entry."""
+        params = ModelParams(c, Rat(1, 2), Rat(2, 3), Rat(3), Rat(5, 2))
+        for sites in range(1, 6):
+            spec = chain(sites, 190 + sites, c)
+            u = points(spec, 1, 195 + sites)[0]
+            for twist, want in ((None, reference_blocks(spec, u)),
+                                (params, reference_nu(spec, params, u))):
+                blocks, den = monodromy_ints(spec, u, twist)
+                assert type(den) is int and den > 0
+                for i in (0, 1):
+                    for j in (0, 1):
+                        assert len(blocks[i][j]) == spec.dim
+                        for got, ref in zip(blocks[i][j], want[i][j]):
+                            assert all(type(x) is int for x in got)
+                            assert same_bits([Rat(x, den) for x in got], ref)
 
 
 class TestBadInput:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mbethe.linalg import (det, identity, kron, mat_eq, mat_mul,
+from mbethe.linalg import (det, identity, int_mat_mul, kron, mat_eq, mat_mul,
                            nullspace_vector, principal_minors)
 from mbethe.scalars import Rat
 
@@ -185,6 +185,27 @@ def test_mat_mul_matches_triple_loop():
         want = reference_mat_mul(a, b)
         assert got == want
         assert all(type(x) is Rat for row in got for x in row)
+
+
+def test_int_mat_mul_matches_mat_mul():
+    rng = random.Random(13)
+    for trial in range(40):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        share = (0.0, 0.5, 0.9, 1.0)[trial % 4]
+        a = [[0 if rng.random() < share else rng.randint(-50, 50)
+              for _ in range(k)] for _ in range(n)]
+        b = [[0 if rng.random() < share else rng.randint(-50, 50)
+              for _ in range(m)] for _ in range(k)]
+        a[rng.randrange(n)] = [0] * k   # a zero row on each side
+        b[rng.randrange(k)] = [0] * m
+        got = int_mat_mul(a, b)
+        assert all(type(x) is int for row in got for x in row)
+        assert [[Rat(x) for x in row] for row in got] == mat_mul(a, b)
+    assert int_mat_mul([[]], []) == mat_mul([[]], []) == [[]]
+    assert int_mat_mul([[], []], []) == [[], []]
+    assert int_mat_mul([], [[1, 2]]) == []
+    with pytest.raises(ValueError):
+        int_mat_mul([[1, 2]], [[1, 2]])
 
 
 def test_mat_mul_all_zero_and_empty():
