@@ -4,6 +4,10 @@ formulas, plus the diagonal-transposition symmetry on evaluation requests.
 Evaluators return coefficient maps over surviving subsets (or plain scalars),
 so formula-to-formula comparisons never pay the 2^N materialization cost;
 materializing against the chain oracle is an explicit separate step.
+
+Each formula is written once. The specialised forms call the formula they
+specialise: SCe is the t21 action's coefficient of the empty survivor at
+#u = #v, and the twisted vacuum average is SPfin with no u.
 """
 
 from __future__ import annotations
@@ -282,8 +286,10 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
     twisted form over unconstrained splits of the merged set; SPfinIK is its
     rearrangement into independent splits of the two sets. SCbe and SPfinIK
     sum over splits of the merged set u∪v too, each split of it being a pair
-    of splits of u and of v. Every form is one `split_sum`. Only SPfin honors
-    `jobs` (its split count is 2^(n+m); the others stay serial).
+    of splits of u and of v. SCe is not written out: at #u = #v the t21
+    action's only survivor is the empty set, and its coefficient is SCe's
+    sum, term for term. Every other form is one `split_sum`. Only SPfin
+    honors `jobs` (its split count is 2^(n+m); the others stay serial).
     """
     c = Rat(c)
     n, m = len(u_set), len(v_set)
@@ -294,18 +300,7 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
         if n != m:
             raise CardinalityError(f"{form} needs #u = #v, got {n} and {m}")
     if form == "SCe":
-        values = u_set.values + v_set.values
-        tables = DetTables(u_set.values, values, c)
-        plus, minus = tables.side(False), tables.side(True)
-        weight1 = _weight_table([lam1(x) for x in values])
-        weight2 = _weight_table([lam2(x) for x in values])
-
-        def sce_term(mask1, mask2):
-            return term_pair(plus.k_pair(1, mask1), minus.k_pair(1, mask2),
-                             plus.pair(mask1, mask2),
-                             weight2.row(0, mask1), weight1.row(0, mask2))
-
-        return split_sum(2 * n, 2, sce_term, (n, n))
+        return eval_action("t21", u_set, v_set, oracle, None, c).coefficients[0]
 
     if form == "SCbe":
         low = (1 << n) - 1
@@ -413,20 +408,7 @@ def _weight_table(weights) -> FTable:
 
 def eval_vacuum_average(w_set: SpectralSet, oracle: WeightOracle,
                         params, c) -> Rat:
-    """Vacuum expectation of a product of twisted creation operators."""
-    twist = _require_twist(params, "the vacuum average")
-    c = Rat(c)
-    p = len(w_set)
-    values = w_set.values
-    power1 = by_popcount(lambda k: rat_pow(-twist.beta1, -k), p)
-    power2 = by_popcount(lambda k: rat_pow(-twist.beta2, -k), p)
-    weight1 = _weight_table([oracle.lambda1(x) for x in values])
-    weight2 = _weight_table([oracle.lambda2(x) for x in values])
-    f = FTable(c, values)
-
-    def average_term(mask1, mask2):
-        return term_pair(power2[mask2.bit_count()], power1[mask1.bit_count()],
-                         weight2.row(0, mask1), weight1.row(0, mask2),
-                         f.pair(mask1, mask2))
-
-    return rat_pow(1 - twist.mu, p) * split_sum(p, 2, average_term)
+    """Vacuum expectation of a product of twisted creation operators: SPfin
+    with no u, where K^(mu)(empty | x) = (1-mu)^#x."""
+    _require_twist(params, "the vacuum average")
+    return eval_scalar("SPfin", SpectralSet(()), w_set, oracle, params, c)

@@ -79,34 +79,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    file_values = {}
+    values = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
+                values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
-        if not isinstance(file_values, dict):
+        if not isinstance(values, dict):
             raise ConfigError("config file must hold one JSON object")
-        unknown = set(file_values) - {"suites", "seed", "c", "bound", "sizes",
-                                      "parallelism", "report_path"}
+        unknown = set(values) - set(RunConfig().to_json())
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(file_key, default)
-
-    cfg = RunConfig(
-        suites=pick(args.suites, "suites", tuple(SUITES)),
-        seed=pick(args.seed, "seed", 0),
-        c=pick(args.c, "c", 1),
-        bound=pick(args.bound, "bound", 30),
-        sizes=file_values.get("sizes", {}),
-        jobs=pick(args.jobs, "parallelism", 1),
-        report_path=pick(args.report, "report_path", None),
-    )
+    flags = {"suites": args.suites, "seed": args.seed, "c": args.c,
+             "bound": args.bound, "parallelism": args.jobs,
+             "report_path": args.report}
+    values.update({key: v for key, v in flags.items() if v is not None})
+    if "parallelism" in values:
+        values["jobs"] = values.pop("parallelism")
+    cfg = RunConfig(**values)
     records = run_suites(cfg)
     report = build_report(cfg.to_json(), records)
     if cfg.report_path:

@@ -39,13 +39,11 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefined
-# det is no longer called here, but stays bound as izergin.det: the tracer
-# in perfbench/ wraps it under this name.
-from .linalg import det, det_int, principal_minors  # noqa: F401
+from .linalg import det, det_int, principal_minors
 from .partitions import split_sum
 from .ratfunc import rational_interpolate
-from .scalars import (Rat, SpectralSet, f_pair, h_pair, is_generic,
-                      set_product)
+from .scalars import (Rat, SpectralSet, diff_pair, f_pair, g_pair, h_pair,
+                      is_generic, set_product)
 
 __all__ = [
     "mod_izergin", "conj_mod_izergin", "izergin_reader", "ordinary_izergin",
@@ -259,12 +257,34 @@ def conj_mod_izergin(z, u_set: SpectralSet, v_set: SpectralSet, c,
 
 def ordinary_izergin(u_set: SpectralSet, v_set: SpectralSet, c,
                      conjugated: bool = False) -> Rat:
-    """Undeformed Izergin determinant; requires equal cardinalities."""
-    if len(u_set) != len(v_set):
+    """Undeformed Izergin determinant in the Izergin-Korepin form (Izergin
+    1987), prod_{j<k} g(u_j, u_k) g(v_k, v_j) prod h(u, v)
+    det[g(u_j, v_k) / h(u_j, v_k)], its own route beside K^(1); requires
+    equal cardinalities. A pole of g or of 1/h raises PoleError.
+
+    Conjugated, every kernel is read with its arguments reversed, which is
+    the same form with u and v swapped (the determinant transposes).
+    """
+    n = len(u_set)
+    if n != len(v_set):
         raise CardinalityError(
-            f"ordinary determinant needs #u = #v, got {len(u_set)} and {len(v_set)}")
-    fn = conj_mod_izergin if conjugated else mod_izergin
-    return fn(Rat(1), u_set, v_set, c, variant="v-side")
+            f"ordinary determinant needs #u = #v, got {n} and {len(v_set)}")
+    u, v = (v_set, u_set) if conjugated else (u_set, v_set)
+    c = Rat(c)
+    cn, cd = c.numerator, c.denominator
+
+    def g_over_h(a, b):
+        d = diff_pair(a, b)
+        (gn, gd), (hn, hd) = g_pair(*d, cn, cd), h_pair(*d, cn, cd)
+        if not gd or not hn:
+            raise PoleError("g" if not gd else "1/h", a, b)
+        return Rat(gn * hd, gd * hn)
+
+    pre = set_product("h", u, v, c)
+    for j in range(n):
+        pre *= (set_product("g", u[j], u[j + 1:], c)
+                * set_product("g", v[j + 1:], v[j], c))
+    return pre * det([[g_over_h(a, b) for b in v] for a in u])
 
 
 def term_pair(*pairs) -> tuple:

@@ -432,13 +432,6 @@ class TestVacuumAverage:
         ws = sample_generic(2, seed=76, c=C, bound=30, label="w")
         assert eval_vacuum_average(ws, oracle, twist, C) == 0
 
-    def test_consistency_with_empty_left_scalar(self):
-        # the twisted scalar product with no left operators is the average
-        oracle = WeightOracle.random_seeded(12)
-        ws = sample_generic(3, seed=77, c=C, bound=30, label="v")
-        got = eval_scalar("SPfin", SpectralSet((), "u"), ws, oracle, TWIST, C)
-        assert got == eval_vacuum_average(ws, oracle, TWIST, C)
-
 
 class TestPhiTransform:
     def test_involution(self):

@@ -15,6 +15,7 @@ import mbethe.report
 from mbethe.chain import MAX_SITES
 from mbethe.cli import main
 from mbethe.report import strip_timing
+from mbethe.scalars import Rat
 from mbethe.suites import SUITES, RunConfig
 
 SMALL_SIZES = {
@@ -118,6 +119,21 @@ class TestVerify:
         report = json.loads(path.read_text())
         assert report["config"]["suites"] == ["proof-steps"]
         assert report["config"]["seed"] == 9
+
+    def test_config_file_reproduces_its_run_config(self, tmp_path):
+        # every key of a non-default config, read back as RunConfig wrote it
+        path = tmp_path / "r.json"
+        want = RunConfig(suites=("proof-steps",), seed=4, c=Rat(3, 2), bound=17,
+                         sizes={"proof-steps": SMALL_SIZES["proof-steps"]},
+                         jobs=2, report_path=str(path)).to_json()
+        assert all(value != RunConfig().to_json()[key]
+                   for key, value in want.items())
+        cfg = write_config(tmp_path, **want)
+        assert main(["verify", "--config", cfg]) == 0
+        assert json.loads(path.read_text())["config"] == want
+        assert main(["verify", "--config", cfg, "--jobs", "1", "--seed", "6"]) == 0
+        got = json.loads(path.read_text())["config"]
+        assert got == {**want, "parallelism": 1, "seed": 6}
 
     def test_unknown_suite_is_config_error(self):
         assert main(["verify", "--suite", "no-such-suite"]) == 2

@@ -74,9 +74,11 @@ class TestClosedForms:
     def test_ordinary_limit(self):
         us, vs = spectra(6, [1, 1])
         assert ordinary_izergin(us, vs, C) == kernel_g(us[0], vs[0], C)
-        for n in (2, 3, 4, 5):
+        for n in (0, 2, 3, 4, 5):
             us, vs = spectra(6 + n, [n, n])
             assert ordinary_izergin(us, vs, C) == mod_izergin(1, us, vs, C)
+            assert (ordinary_izergin(us, vs, C, conjugated=True)
+                    == conj_mod_izergin(1, us, vs, C))
 
     def test_ordinary_needs_equal_cardinalities(self):
         us, vs = spectra(7, [2, 3])

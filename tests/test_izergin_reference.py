@@ -1,7 +1,9 @@
 """The integer rows of the direct determinants and the table-driven partition
-sums (the Izergin sums, the action terms, SCe and the vacuum average), bit
-for bit against plain-Fraction copies of the code they replaced; and the
-FTable and DetTables pairs against copies of the loops they replaced.
+sums (the Izergin sums and the action terms), bit for bit against
+plain-Fraction copies of the code they replaced; SCe and the vacuum average,
+which read the t21 action and SPfin, against Fraction sums of their printed
+expressions; and the FTable and DetTables pairs against copies of the loops
+they replaced.
 
 The references below build one Fraction per kernel value and per entry, take
 determinants by Fraction elimination, and sum partitions over the direct
