@@ -18,13 +18,11 @@ from math import prod
 from typing import Callable, Optional
 
 from .chain import ChainSpec, entry_product_states, vacuum_weights
-from .errors import CapabilityError, CardinalityError, DomainError
-from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
-                      mod_izergin, rat_pow, term_pair)
-from .partitions import (CoefficientMap, GroundSet, bits_of, mask_values,
-                         split_sum)
-from .scalars import (ModelParams, Rat, SpectralSet, TwistData, rat_str,
-                      set_product)
+from .errors import CapabilityError, CardinalityError, DomainError, PoleError
+from .izergin import (DetTables, FTable, _f_prod, _parts, _v_side,
+                      by_popcount, rat_pow, term_pair)
+from .partitions import CoefficientMap, GroundSet, mask_values, split_sum
+from .scalars import ModelParams, Rat, SpectralSet, TwistData, g_pair, rat_str
 
 DIAGONAL_TRANSPOSE = {
     "t11": "t22", "t22": "t11", "t12": "t12", "t21": "t21",
@@ -255,18 +253,16 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
         if p < order:
             raise DomainError(
                 f"nu12 reduction applies only when #u + #v >= {order}, got {p}")
-        red = [oracle.reduction_weight(x) for x in values]
-        prefactor = rat_pow(
-            (twist.mu - 1) * (twist.beta1 + twist.beta2)
-            / (twist.beta1 * twist.beta2), p - order)
+        red = _weight_table([oracle.reduction_weight(x) for x in values])
+        pre = rat_pow((twist.mu - 1) * (twist.beta1 + twist.beta2)
+                      / (twist.beta1 * twist.beta2), p - order)
+        prefactor = pre.numerator, pre.denominator
+        parts = _parts(values)
 
         def reduction_term(mask1, mask2):
-            term = prefactor
-            for i in bits_of(mask1):
-                term *= red[i]
-            term *= set_product("g", mask_values(values, mask1),
-                                mask_values(values, mask2), c)
-            return term
+            return term_pair(prefactor, red.row(0, mask1),
+                             _g_prod(mask_values(parts, mask1),
+                                     mask_values(parts, mask2), c))
 
         return result(split_sum(p, 2, reduction_term, (p - order, order),
                                 keyed=True))
@@ -304,14 +300,12 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
 
     if form == "SCbe":
         low = (1 << n) - 1
-        weights = _independent_weights(u_set, v_set, oracle)
+        term = _independent_pairs(u_set, v_set, oracle, 1, c)
 
         def scbe_term(mask1, mask2):
             if (mask1 & low).bit_count() != (mask1 >> n).bit_count():
-                return Rat(0)
-            return _independent_term(1, *_uv_parts(u_set, v_set, mask1),
-                                     *_uv_parts(u_set, v_set, mask2),
-                                     weights(mask1, mask2), c)
+                return 0, 1
+            return term(mask1, mask2)
 
         return split_sum(2 * n, 2, scbe_term)
 
@@ -345,29 +339,21 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
                 "SPfinIK carries the prefactor (1-mu)^(m-n), which is 0 or "
                 f"singular at mu=1 with n={n}, m={m}; use SPfin instead")
         twist = _require_twist(params, "SPfinIK")
-        inv_mu = 1 / mu
         prefactor = rat_pow(mu, 2 * n) * rat_pow(1 - mu, m - n)
-        weights = _independent_weights(u_set, v_set, oracle)
+        term = _independent_pairs(u_set, v_set, oracle, 1 / mu, c)
+        # -beta1 to the #u2 - #v2 and -beta2 to the #u1 - #v1, by the size
+        # #u1 + #v2 of lambda2's part
+        beta_pow = by_popcount(lambda k: (rat_pow(-twist.beta1, n - k)
+                                          * rat_pow(-twist.beta2, k - m)), n + m)
+        low = (1 << n) - 1
 
         def spfinik_term(mask1, mask2):
-            u1, v1 = _uv_parts(u_set, v_set, mask1)
-            u2, v2 = _uv_parts(u_set, v_set, mask2)
-            term = (rat_pow(-twist.beta1, len(u2) - len(v2))
-                    * rat_pow(-twist.beta2, len(u1) - len(v1)))
-            return term * _independent_term(inv_mu, u1, v1, u2, v2,
-                                            weights(mask1, mask2), c)
+            k = (mask1 & low).bit_count() + (mask2 >> n).bit_count()
+            return term_pair(beta_pow[k], term(mask1, mask2))
 
         return prefactor * split_sum(n + m, 2, spfinik_term)
 
     raise ValueError(f"unknown scalar form {form!r}")
-
-
-def _uv_parts(u_set: SpectralSet, v_set: SpectralSet, mask: int) -> tuple:
-    """The u- and v-parts of a subset of the merged set u∪v, whose low bits
-    index u."""
-    n = len(u_set)
-    return (SpectralSet(mask_values(u_set.values, mask & ((1 << n) - 1))),
-            SpectralSet(mask_values(v_set.values, mask >> n)))
 
 
 def _independent_weights(u_set: SpectralSet, v_set: SpectralSet,
@@ -388,16 +374,51 @@ def _independent_weights(u_set: SpectralSet, v_set: SpectralSet,
     return weights
 
 
-def _independent_term(z, u1, v1, u2, v2, weights: tuple, c) -> Rat:
-    """One term of the independent-partition forms SCbe (z = 1) and SPfinIK
-    (z = 1/mu): the weight pair of `_independent_weights`, the f-products
-    and the two z-deformed determinants, which are read for every split
-    because they are the route that checks the block tables."""
-    term = Rat(*weights)
-    term *= set_product("f", u1, u2, c) * set_product("f", v2, v1, c)
-    term *= mod_izergin(z, v2, u2, c)
-    term *= conj_mod_izergin(z, v1, u1, c)
+def _independent_pairs(u_set: SpectralSet, v_set: SpectralSet,
+                       oracle: WeightOracle, z, c) -> Callable:
+    """(mask1, mask2) -> one term of the independent-partition forms SCbe
+    (z = 1) and SPfinIK (z = 1/mu), less SPfinIK's beta powers, as an
+    unreduced integer pair, for the splits mask1 = u1∪v1 and
+    mask2 = u2∪v2 of u∪v (low bits index u): the weight pair of
+    `_independent_weights`, f(u1, u2) f(v2, v1), and the z-deformed
+    K^(z)(v2 | u2) and K-bar^(z)(v1 | u1). The f products come from the
+    values' triples, and both determinants are assembled for each split by
+    the v-side row assembly (`izergin._v_side`), never from block tables:
+    this is the route that checks them."""
+    n = len(u_set)
+    low = (1 << n) - 1
+    us, vs = _parts(u_set.values), _parts(v_set.values)
+    z = Rat(z)
+    zn, zd, cn, cd = z.numerator, z.denominator, c.numerator, c.denominator
+    weights = _independent_weights(u_set, v_set, oracle)
+
+    def term(mask1, mask2):
+        u1, v1 = mask_values(us, mask1 & low), mask_values(vs, mask1 >> n)
+        u2, v2 = mask_values(us, mask2 & low), mask_values(vs, mask2 >> n)
+        return term_pair(weights(mask1, mask2),
+                         _f_prod([(a, b) for a in u1 for b in u2]
+                                 + [(a, b) for a in v2 for b in v1],
+                                 cn, cd, False),
+                         _v_side(v2, u2, cn, cd, False)(zn, zd),
+                         _v_side(v1, u1, cn, cd, True)(zn, zd))
+
     return term
+
+
+def _g_prod(left, right, c) -> tuple:
+    """Product of g(a, b) over the triples a in `left` and b in `right`, as
+    an unreduced integer pair; PoleError("g") at the first pair with
+    a = b."""
+    cn, cd = c.numerator, c.denominator
+    num = den = 1
+    for a, an, ad in left:
+        for b, bn, bd in right:
+            pn, pd = g_pair(an * bd - bn * ad, ad * bd, cn, cd)
+            if not pd:
+                raise PoleError("g", a, b)
+            num *= pn
+            den *= pd
+    return num, den
 
 
 def _weight_table(weights) -> FTable:

@@ -17,10 +17,12 @@ A row assembly keeps the z-free parts of its integer rows and returns a
 reader of z (`izergin_reader`), so one (u, v) read at several z is
 assembled once. Every f, there and in an `FTable`, comes from `f_pair`.
 
-A partition-sum term reads every product over a split part by bitmask from
-an `FTable` (or those inside `DetTables`) and returns the unreduced integer
-pair of their product (`term_pair`); `partitions.split_sum` adds the pairs
-and builds one rational per sum.
+A partition-sum term returns the unreduced integer pair of its product
+(`term_pair`); `partitions.split_sum` adds the pairs and builds one rational
+per sum. The table-driven terms read every product over a split part by
+bitmask from an `FTable` (or those inside `DetTables`); the
+independent-partition forms of `actions` assemble each split's
+determinants with `_v_side` instead.
 
 `DetTables` has two routes to a determinant over a subset mask. `k_pair`
 assembles that one determinant from the ground-indexed rows; the block

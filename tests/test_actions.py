@@ -1,20 +1,22 @@
 """Multiple-action and scalar-product evaluators against the chain oracle."""
 
 import os
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mbethe import izergin
+from mbethe import actions, izergin
 from mbethe.actions import (ActionRequest, WeightOracle, _independent_weights,
-                            _uv_parts, eval_action, eval_request, eval_scalar,
+                            eval_action, eval_request, eval_scalar,
                             eval_vacuum_average, phi_transform)
 from mbethe.chain import (ChainSpec, apply_entry_product, direct_scalar,
                           vacuum_state)
 from mbethe.errors import (CapabilityError, CardinalityError, DomainError)
 from mbethe.izergin import _KBlocks
-from mbethe.partitions import MIN_POOL_SPLITS, count_splits, enumerate_splits
+from mbethe.partitions import (MIN_POOL_SPLITS, count_splits, enumerate_splits,
+                               mask_values)
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData,
                             kernel_h, prod_over, sample_generic, with_shifts)
 
@@ -37,6 +39,13 @@ def spectra(spec, counts, seed, labels=("u", "v")):
         context = context + with_shifts(C, s)
         seed += 1
     return out
+
+
+def uv_parts(us, vs, mask):
+    """The u- and v-values of a subset of u∪v, whose low bits index u."""
+    n = len(us)
+    return (mask_values(us.values, mask & ((1 << n) - 1)),
+            mask_values(vs.values, mask >> n))
 
 
 def oracle_state(spec, params, kind, us, vs):
@@ -215,8 +224,8 @@ class TestScalarForms:
                         for mask2 in range(rest + 1):
                             if mask2 & ~rest:
                                 continue
-                            u1, v1 = _uv_parts(us, vs, mask1)
-                            u2, v2 = _uv_parts(us, vs, mask2)
+                            u1, v1 = uv_parts(us, vs, mask1)
+                            u2, v2 = uv_parts(us, vs, mask2)
                             want = (prod_over(oracle.lambda2, u1)
                                     * prod_over(oracle.lambda2, v2)
                                     * prod_over(oracle.lambda1, u2)
@@ -283,6 +292,49 @@ if __name__ == "__main__":
 """)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["True", "True"]
+
+
+class TestIndependentRoute:
+    """SCbe and SPfinIK read no determinant tables: each split they evaluate
+    assembles its own two direct determinants, K^(z)(v2 | u2) and
+    K-bar^(z)(v1 | u1)."""
+
+    def test_two_direct_determinants_per_split(self, monkeypatch):
+        oracle = WeightOracle.random_seeded(12)
+        cases = []
+        for n, m in ((0, 0), (1, 1), (2, 2), (3, 3), (1, 3), (3, 1), (2, 0)):
+            us = sample_generic(n, seed=100 + n, c=C, bound=30, label="u")
+            vs = sample_generic(m, context=with_shifts(C, us), seed=110 + m,
+                                c=C, bound=30, label="v")
+            cases.append((us, vs, eval_scalar("SPfin", us, vs, oracle, TWIST, C),
+                          eval_scalar("SCe", us, vs, oracle, None, C)
+                          if n == m else None))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the independent forms read no tables")
+
+        for owner in (actions, izergin):
+            monkeypatch.setattr(owner, "DetTables", refuse)
+        monkeypatch.setattr(_KBlocks, "__init__", refuse)
+        assembled = []
+        true_v_side = actions._v_side
+
+        def counted(u, v, cn, cd, conjugated):
+            assembled.append(conjugated)
+            return true_v_side(u, v, cn, cd, conjugated)
+
+        monkeypatch.setattr(actions, "_v_side", counted)
+        for us, vs, spfin, sce in cases:
+            n, m = len(us), len(vs)
+            assembled.clear()
+            assert eval_scalar("SPfinIK", us, vs, oracle, TWIST, C) == spfin
+            assert assembled.count(False) == assembled.count(True) == 2 ** (n + m)
+            if sce is not None:
+                # SCbe evaluates the splits with #u1 = #v1: comb(2n, n) of them
+                assembled.clear()
+                assert eval_scalar("SCbe", us, vs, oracle, None, C) == sce
+                assert (assembled.count(False) == assembled.count(True)
+                        == comb(2 * n, n))
 
 
 nonzero_rats = st.builds(Rat, st.integers(-9, 9).filter(bool),

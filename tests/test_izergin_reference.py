@@ -1,6 +1,7 @@
 """The integer rows of the direct determinants and the table-driven partition
 sums (the Izergin sums and the action terms), bit for bit against
-plain-Fraction copies of the code they replaced; SCe and the vacuum average,
+plain-Fraction copies of the code they replaced; so are SCbe, SPfinIK and
+the nu12 reduction, whose terms are integer pairs; SCe and the vacuum average,
 which read the t21 action and SPfin, against Fraction sums of their printed
 expressions; and the FTable and DetTables pairs against copies of the loops
 they replaced.
@@ -12,6 +13,7 @@ a collision the same PoleError (kind and pair) must be raised.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -19,7 +21,8 @@ import pytest
 
 from mbethe import suites
 from mbethe.actions import (WeightOracle, eval_action, eval_scalar,
-                            eval_vacuum_average)
+                            eval_vacuum_average, hash_rational)
+from mbethe.chain import ChainSpec
 from mbethe.errors import PoleError, VariantUndefined
 from mbethe.izergin import (DetTables, FTable, conj_mod_izergin,
                             izergin_convolution, izergin_deformation_sum,
@@ -352,6 +355,78 @@ def ref_vacuum_average(w, oracle, twist, c):
     return ref_pow(1 - twist.mu, p) * ref_split_sum(p, average_term)
 
 
+def ref_g(a, b, c):
+    if a == b:
+        raise PoleError("g", a, b)
+    return c / (a - b)
+
+
+def ref_weight(fn, *parts):
+    out = Fraction(1)
+    for part in parts:
+        for x in part:
+            out *= fn(x)
+    return out
+
+
+def ref_independent_term(z, u1, v1, u2, v2, oracle, c):
+    """One SCbe / SPfinIK term, factor by factor in Fractions: lambda2 over
+    u1∪v2, lambda1 over u2∪v1, f(u1, u2) f(v2, v1), K^(z)(v2 | u2) and
+    K-bar^(z)(v1 | u1)."""
+    term = (ref_weight(oracle.lambda2, u1, v2)
+            * ref_weight(oracle.lambda1, u2, v1))
+    term *= ref_fprod(u1, u2, c) * ref_fprod(v2, v1, c)
+    term *= ref_mod_izergin(z, v2, u2, c)
+    return term * ref_conj_mod_izergin(z, v1, u1, c)
+
+
+def ref_uv_parts(u, v, mask):
+    n = len(u)
+    return mask_values(u, mask & ((1 << n) - 1)), mask_values(v, mask >> n)
+
+
+def ref_scbe(u, v, oracle, c):
+    def term(mask1, mask2):
+        u1, v1 = ref_uv_parts(u, v, mask1)
+        if len(u1) != len(v1):
+            return Fraction(0)
+        return ref_independent_term(1, u1, v1, *ref_uv_parts(u, v, mask2),
+                                    oracle, Fraction(c))
+    return ref_split_sum(2 * len(u), term)
+
+
+def ref_spfinik(u, v, oracle, twist, c):
+    n, m, mu = len(u), len(v), twist.mu
+
+    def term(mask1, mask2):
+        u1, v1 = ref_uv_parts(u, v, mask1)
+        u2, v2 = ref_uv_parts(u, v, mask2)
+        return (ref_pow(-twist.beta1, len(u2) - len(v2))
+                * ref_pow(-twist.beta2, len(u1) - len(v1))
+                * ref_independent_term(1 / mu, u1, v1, u2, v2, oracle,
+                                       Fraction(c)))
+    return (ref_pow(mu, 2 * n) * ref_pow(1 - mu, m - n)
+            * ref_split_sum(n + m, term))
+
+
+def ref_nu12(u, v, oracle, twist, c):
+    values = list(u) + list(v)
+    p, order = len(values), oracle.reduction_order
+    red = [oracle.reduction_weight(x) for x in values]
+    prefactor = ref_pow((twist.mu - 1) * (twist.beta1 + twist.beta2)
+                        / (twist.beta1 * twist.beta2), p - order)
+
+    def term(mask1, mask2):
+        out = prefactor
+        for i in bits_of(mask1):
+            out *= red[i]
+        for a in mask_values(values, mask1):
+            for b in mask_values(values, mask2):
+                out *= ref_g(a, b, c)
+        return out
+    return ref_keyed_sum(p, 2, term, (p - order, order))
+
+
 class LoopFTable:
     """A copy of the FTable that products over index lists read: one
     Fraction per entry, read in row-major order (so the first pole met is
@@ -445,6 +520,8 @@ def outcome(fn, *args, **kwargs):
         return ("PoleError", err.kind, err.left, err.right)
     except (VariantUndefined, ValueError) as err:
         return (type(err).__name__, str(err))
+    if isinstance(value, CoefficientMap):
+        return ("value", coefficients(value))
     return ("value", type(value), value.numerator, value.denominator)
 
 
@@ -817,3 +894,83 @@ class TestActionTermsMatchReference:
             twist = sample_twist(rng.getrandbits(32), c)
             assert (exact(eval_vacuum_average(ws, oracle, twist, c))
                     == exact(ref_vacuum_average(ws.values, oracle, twist, c)))
+
+
+INDEPENDENT_CONSTANTS = [Rat(1), Rat(-1), Rat(3, 2)]
+
+
+def reduction_oracles(theta, seed, c):
+    """The fundamental oracle of the chain on `theta`, and a random-seeded
+    one given reduction data of the same order."""
+    fundamental = WeightOracle.fundamental(ChainSpec(len(theta), theta, c))
+    random_seeded = replace(WeightOracle.random_seeded(seed),
+                            reduction_weight=hash_rational(seed, "red"),
+                            reduction_order=len(theta))
+    return fundamental, random_seeded
+
+
+class TestIndependentPairsMatchReference:
+    """SCbe, SPfinIK and the nu12 reduction, whose terms are unreduced
+    integer pairs, against the Fraction terms they replaced, with Fraction
+    determinants: the same type, numerator and denominator, at every
+    (n, m) up to 3 + 3, with m < n as well as m > n for SPfinIK."""
+
+    @pytest.mark.parametrize("c", INDEPENDENT_CONSTANTS)
+    def test_generic_points(self, c):
+        rng = random.Random(56)
+        values = []
+        for n in range(4):
+            for m in range(4):
+                # a reduction of odd order (3 sites at n + m = 4, 6) sees
+                # the orientation of g: reversed, each term changes sign
+                sites = 3 if n + m >= 4 else 2
+                theta, us, vs = generic_sets(rng.getrandbits(32),
+                                             [sites, n, m], c)
+                u, v = us.values, vs.values
+                twist = sample_twist(rng.getrandbits(32), c)
+                for oracle in reduction_oracles(theta, rng.getrandbits(16), c):
+                    got = eval_scalar("SPfinIK", us, vs, oracle, twist, c)
+                    assert exact(got) == exact(
+                        ref_spfinik(u, v, oracle, twist, c)), (n, m)
+                    values.append(got)
+                    if n == m:
+                        got = eval_scalar("SCbe", us, vs, oracle, None, c)
+                        assert exact(got) == exact(
+                            ref_scbe(u, v, oracle, c)), n
+                        values.append(got)
+                    if n + m >= len(theta):
+                        got = eval_action("nu12", us, vs, oracle, twist,
+                                          c).coefficients
+                        assert coefficients(got) == coefficients(
+                            ref_nu12(u, v, oracle, twist, c)), (n, m)
+                        values += [x for _, x in got.items()]
+        assert len(values) > 100
+        assert sum(1 for x in values if x) >= len(values) - 2
+
+    def test_collisions(self):
+        """Values drawn from a small pool: the same value or the same
+        PoleError, with the same pair, as the reference."""
+        c = Rat(1)
+        rng = random.Random(57)
+        poles = set()
+        for trial in range(150):
+            n, m = rng.randint(0, 3), rng.randint(0, 3)
+            us = SpectralSet(tuple(rng.choice(POOL) for _ in range(n)))
+            vs = SpectralSet(tuple(rng.choice(POOL) for _ in range(m)))
+            u, v = us.values, vs.values
+            theta, = generic_sets(rng.getrandbits(32), [2], c)
+            oracle = reduction_oracles(theta, rng.getrandbits(16), c)[1]
+            twist = sample_twist(rng.getrandbits(32), c)
+            cases = [(lambda: eval_scalar("SPfinIK", us, vs, oracle, twist, c),
+                      lambda: ref_spfinik(u, v, oracle, twist, c))]
+            if n == m:
+                cases.append((lambda: eval_scalar("SCbe", us, vs, oracle, None, c),
+                              lambda: ref_scbe(u, v, oracle, c)))
+            if n + m >= 2:
+                cases.append((lambda: eval_action("nu12", us, vs, oracle, twist,
+                                                  c).coefficients,
+                              lambda: ref_nu12(u, v, oracle, twist, c)))
+            for fast, reference in cases:
+                got = same_outcome(fast, reference)
+                poles.add(got[1] if got[0] == "PoleError" else None)
+        assert {"f", "g", "1/h", None} <= poles

@@ -7,18 +7,22 @@ The rows cover the routes the specialised scalar forms now go through: SCe
 reads K's half of the t21 action (`_Side.k_pair`), the twisted vacuum
 average reads SPfin's block tables (`_KBlocks.pair`), and the ordinary
 determinant has its own Izergin-Korepin form beside K^(1), which reads
-`izergin.f_pair`.
+`izergin.f_pair`. SCbe and SPfinIK assemble their two determinants per split
+(`actions._v_side`), and the nu12 reduction multiplies its g kernels per
+split (`actions._g_prod`).
 """
 
 import pytest
 
-from mbethe import izergin
+from mbethe import actions, izergin
 from mbethe.izergin import _KBlocks, _Side
 from mbethe.suites import RunConfig, run_check
 
 TRUE_F_PAIR = izergin.f_pair
 TRUE_K_PAIR = _Side.k_pair
 TRUE_BLOCK_PAIR = _KBlocks.pair
+TRUE_V_SIDE = actions._v_side
+TRUE_G_PROD = actions._g_prod
 
 
 def f_at_twice_c(dn, dd, cn, cd):
@@ -35,6 +39,22 @@ def block_doubled(self, mask):
     return (2 * num if mask else num), den
 
 
+def v_side_doubled_on_conjugated(u, v, cn, cd, conjugated):
+    at = TRUE_V_SIDE(u, v, cn, cd, conjugated)
+    if not (conjugated and v):
+        return at
+
+    def doubled(zn, zd):
+        num, den = at(zn, zd)
+        return 2 * num, den
+
+    return doubled
+
+
+def g_at_twice_c(left, right, c):
+    return TRUE_G_PROD(left, right, 2 * c)
+
+
 TAMPERS = [
     ("f_pair", izergin, "f_pair", f_at_twice_c,
      [("izergin-laws", "izergin/ordinary-limit")]),
@@ -43,6 +63,11 @@ TAMPERS = [
       ("aba-actions", "actions/scalar-forms-random-weights")]),
     ("block_pair", _KBlocks, "pair", block_doubled,
      [("scalar-products", "scalar/twisted-vacuum-average")]),
+    ("independent_det", actions, "_v_side", v_side_doubled_on_conjugated,
+     [("scalar-products", "scalar/independent-partition-form"),
+      ("aba-actions", "actions/scalar-forms-random-weights")]),
+    ("reduction_g", actions, "_g_prod", g_at_twice_c,
+     [("maba-actions", "actions/creation-reduction")]),
 ]
 
 
