@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from .chain import ChainSpec, entry_product_states, vacuum_weights
 from .errors import CapabilityError, CardinalityError, DomainError, PoleError
 from .izergin import (DetTables, FTable, _f_prod, _parts, _v_side,
-                      by_popcount, rat_pow, term_pair)
+                      geometric, rat_pow, term_pair)
 from .partitions import CoefficientMap, GroundSet, mask_values, split_sum
 from .scalars import ModelParams, Rat, SpectralSet, TwistData, g_pair, rat_str
 
@@ -204,14 +204,17 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
 
     if kind in ("t11", "t22", "nu11", "nu22"):
         diagonal_one = kind in ("t11", "nu11")
-        # K-bar and f(x2, x1) for t11 / nu11, K and f(x1, x2) for t22 / nu22
-        half = DetTables(u_set.values, values, c).side(diagonal_one)
         twisted = kind.startswith("nu")
-        sign = by_popcount(lambda k: rat_pow(-1, n), p)
         if twisted:
             beta_name = "beta2" if diagonal_one else "beta1"
             beta = getattr(_require_twist(params, kind, (beta_name,)), beta_name)
-            sign = by_popcount(lambda k: rat_pow(beta, n) * rat_pow(-beta, -k), p)
+            bn, bd = beta.numerator, beta.denominator
+            # beta^n (-beta)^-k
+            sign = geometric((bn ** n, bd ** n), (-bd, bn), p)
+        else:
+            sign = geometric(((-1) ** n, 1), (1, 1), p)
+        # K-bar and f(x2, x1) for t11 / nu11, K and f(x1, x2) for t22 / nu22
+        half = DetTables(u_set.values, values, c).side(diagonal_one)
         weight = _weight_table(lam1 if diagonal_one else lam2)
 
         def diagonal_term(mask1, mask2):
@@ -222,15 +225,17 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
                                 None if twisted else (n, p - n), keyed=True))
 
     if kind in ("t21", "nu21"):
-        tables = DetTables(u_set.values, values, c)
-        plus, minus = tables.side(False), tables.side(True)
         twisted = kind == "nu21"
         power1 = power2 = [(1, 1)] * (p + 1)
         if twisted:
             twist = _require_twist(params, kind)
-            power1 = by_popcount(lambda k: rat_pow(-twist.beta1, n - k), p)
-            power2 = by_popcount(lambda k: rat_pow(-twist.beta2, n - k), p)
-        elif m < n:
+            power1, power2 = (
+                geometric(((-b.numerator) ** n, b.denominator ** n),
+                          (-b.denominator, b.numerator), p)   # (-beta)^(n-k)
+                for b in (twist.beta1, twist.beta2))
+        tables = DetTables(u_set.values, values, c)
+        plus, minus = tables.side(False), tables.side(True)
+        if not twisted and m < n:
             return result(CoefficientMap())
         weight1, weight2 = _weight_table(lam1), _weight_table(lam2)
 
@@ -320,8 +325,7 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
         k_plus = plus.reader(twist.mu, _weight_table([lam2(x) for x in values]))
         k_minus = minus.reader(twist.mu,
                                _weight_table([lam1(x) for x in values]))
-        beta_pow = by_popcount(lambda l1: (rat_pow(-twist.beta1, n - l1)
-                                           * rat_pow(-twist.beta2, l1 - m)), p)
+        beta_pow = _beta_powers(twist, n, m)
 
         def spfin_term(mask1, mask2):
             return term_pair(beta_pow[mask1.bit_count()],
@@ -343,8 +347,7 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
         term = _independent_pairs(u_set, v_set, oracle, 1 / mu, c)
         # -beta1 to the #u2 - #v2 and -beta2 to the #u1 - #v1, by the size
         # #u1 + #v2 of lambda2's part
-        beta_pow = by_popcount(lambda k: (rat_pow(-twist.beta1, n - k)
-                                          * rat_pow(-twist.beta2, k - m)), n + m)
+        beta_pow = _beta_powers(twist, n, m)
         low = (1 << n) - 1
 
         def spfinik_term(mask1, mask2):
@@ -354,6 +357,14 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
         return prefactor * split_sum(n + m, 2, spfinik_term)
 
     raise ValueError(f"unknown scalar form {form!r}")
+
+
+def _beta_powers(twist: TwistData, n: int, m: int) -> list:
+    """(-beta1)^(n-k) (-beta2)^(k-m) for k = 0..n+m, as integer pairs."""
+    an, ad = twist.beta1.numerator, twist.beta1.denominator
+    bn, bd = twist.beta2.numerator, twist.beta2.denominator
+    return geometric(((-an) ** n * bd ** m, ad ** n * (-bn) ** m),
+                     (bn * ad, bd * an), n + m)
 
 
 def _independent_weights(u_set: SpectralSet, v_set: SpectralSet,

@@ -15,12 +15,17 @@ of the row assemblies (`_v_side`, `_u_side`), of `FTable` and of
 
 A row assembly keeps the z-free parts of its integer rows and returns a
 reader of z (`izergin_reader`), so one (u, v) read at several z is
-assembled once. Every f, there and in an `FTable`, comes from `f_pair`.
+assembled once. Its rows, and those of `_Side.uoff`, come from one row pass
+(`_row`), which reads each pair's difference once and keeps a row over the
+product of its h numerators; `DetTables` reads its f and 1/h tables in one
+pass too. Every f of the rows and tables comes from `f_pair`, and every h
+from `h_pair`.
 
 A partition-sum term returns the unreduced integer pair of its product
 (`term_pair`); `partitions.split_sum` adds the pairs and builds one rational
-per sum. The table-driven terms read every product over a split part by
-bitmask from an `FTable` (or those inside `DetTables`); the
+per sum. The table-driven terms read a part's power weight by popcount
+from an integer geometric sequence (`geometric`), and every product over a
+split part by bitmask from an `FTable` (or those inside `DetTables`); the
 independent-partition forms of `actions` assemble each split's
 determinants with `_v_side` instead.
 
@@ -44,13 +49,13 @@ from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefin
 from .linalg import det, det_int, principal_minors
 from .partitions import split_sum
 from .ratfunc import rational_interpolate
-from .scalars import (Rat, SpectralSet, diff_pair, f_pair, g_pair, h_pair,
-                      is_generic, set_product)
+from .scalars import (Rat, SpectralSet, _rat, diff_pair, f_pair, g_pair,
+                      h_pair, is_generic, set_product)
 
 __all__ = [
     "mod_izergin", "conj_mod_izergin", "izergin_reader", "ordinary_izergin",
     "izergin_partition_sum", "izergin_convolution", "izergin_deformation_sum",
-    "residue_check", "rat_pow", "by_popcount", "term_pair", "DetTables",
+    "residue_check", "rat_pow", "geometric", "term_pair", "DetTables",
     "FTable",
 ]
 
@@ -77,24 +82,10 @@ def _parts(values) -> list:
     return [(x, x.numerator, x.denominator) for x in values]
 
 
-def _f_entry(left, right, cn, cd, conjugated) -> tuple:
-    """f(a, b) for two triples, or f(b, a) when conjugated, as an unreduced
-    integer pair; PoleError("f") where a = b, naming the pair in the order
-    read."""
-    a, an, ad = left
-    b, bn, bd = right
-    dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
-    pn, pd = f_pair(dn, ad * bd, cn, cd)
-    if not pd:
-        raise PoleError("f", *((b, a) if conjugated else (a, b)))
-    return pn, pd
-
-
 def _f_prod(pairs, cn, cd, conjugated) -> tuple:
     """Product of f(a, b) over pairs of triples, or of f(b, a) when
     conjugated, as an integer pair reduced by one gcd; PoleError("f") at the
-    first pair with a = b. `_f_entry` is inlined here: a call per pair
-    would add about half again to the product."""
+    first pair with a = b."""
     num = den = 1
     for (a, an, ad), (b, bn, bd) in pairs:
         dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
@@ -107,28 +98,36 @@ def _f_prod(pairs, cn, cd, conjugated) -> tuple:
     return num // g, den // g
 
 
-def _inv_h_pair(left, right, cn, cd, conjugated) -> tuple:
-    """1 / h(a, b) for two triples, or 1 / h(b, a) when conjugated, as an
-    integer pair; PoleError("1/h") where h = 0, naming the pair in the
-    order read."""
-    a, an, ad = left
-    b, bn, bd = right
-    dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
-    hn, hd = h_pair(dn, ad * bd, cn, cd)
-    if not hn:
-        raise PoleError("1/h", *((b, a) if conjugated else (a, b)))
-    return hd, hn
-
-
-def _inv_h_row(scale, values, j, cn, cd, conjugated) -> tuple:
-    """The row 1 / h(x_j, x_k) over the triples x, 1 at k = j, times the
-    integer scale, as integers over the lcm of its denominators: returns
-    (row, lcm)."""
-    xj = values[j]
-    inv_h = [(1, 1) if k == j else _inv_h_pair(xj, xk, cn, cd, conjugated)
-             for k, xk in enumerate(values)]
-    common = lcm(*[d for _, d in inv_h])
-    return [scale * n * (common // d) for n, d in inv_h], common
+def _row(values, j, cn, cd, conjugated) -> tuple:
+    """Row j of f(x_j, x-rest) / h(x_j, x_k), 1/h read as 1 at k = j, over
+    the triples x (every kernel reversed when conjugated), as (fn, fd, row,
+    hden): fn / fd times row / hden, hden the product of the h numerators.
+    Each pair's difference is read once; the first f pole is raised, else
+    the first 1/h pole."""
+    a, an, ad = values[j]
+    fn = fd = hden = 1
+    hs, h_pole = [], None
+    for t, (b, bn, bd) in enumerate(values):
+        if t == j:
+            continue
+        dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
+        dd = ad * bd
+        pn, pd = f_pair(dn, dd, cn, cd)
+        if not pd:
+            raise PoleError("f", *((b, a) if conjugated else (a, b)))
+        hn, hd = h_pair(dn, dd, cn, cd)
+        if not hn and h_pole is None:
+            h_pole = PoleError("1/h", *((b, a) if conjugated else (a, b)))
+        fn *= pn
+        fd *= pd
+        hden *= hn
+        hs.append((hn, hd))
+    if h_pole is not None:
+        raise h_pole
+    row = [hd * (hden // hn) for hn, hd in hs]
+    row.insert(j, hden)
+    g = gcd(fn, fd)
+    return fn // g, fd // g, row, hden
 
 
 def _det_at(rows, p, q) -> int:
@@ -159,17 +158,18 @@ def _check_u_side(zn, zd, n, m):
 
 def _v_side(u, v, cn, cd, conjugated):
     """The #v-sized determinant: row j is f(u, v_j) f(v_j, v-rest) /
-    h(v_j, v_k), minus z at k = j. Over zd * sd * lcm, row j is
-    zd * a_j - zn * b_j e_j, with a_j the f product sn / sd times the 1/h
-    row and b_j = sd * lcm."""
+    h(v_j, v_k), minus z at k = j. With f(u, v_j) = sn / sd and the row
+    pass (fn, fd, row, hden) of v_j, row j over zd * sd * fd * hden is
+    zd * a_j - zn * b_j e_j, with a_j = sn * fn * row and
+    b_j = sd * fd * hden."""
     rows, den = [], 1
     for j, vj in enumerate(v):
-        sn, sd = _f_prod([(a, vj) for a in u]
-                         + [(vj, b) for t, b in enumerate(v) if t != j],
-                         cn, cd, conjugated)
-        row, common = _inv_h_row(sn, v, j, cn, cd, conjugated)
-        rows.append((row, sd * common))
-        den *= sd * common
+        sn, sd = _f_prod([(a, vj) for a in u], cn, cd, conjugated)
+        fn, fd, row, hden = _row(v, j, cn, cd, conjugated)
+        sn *= fn
+        sd *= fd * hden
+        rows.append(([sn * x for x in row], sd))
+        den *= sd
 
     def at(zn, zd):
         return _det_at(rows, zd, -zn), zd ** len(rows) * den
@@ -180,18 +180,18 @@ def _v_side(u, v, cn, cd, conjugated):
 def _u_side(u, v, cn, cd, conjugated):
     """The #u-sized determinant with its (1-z)^(m-n) prefactor: row j is
     -z f(u_j, u-rest) / h(u_j, u_k), plus f(u_j, v) = dn / dd at k = j.
-    With the off-diagonal f product on / od, row j over
-    zd * od * dd * lcm is -zn * a_j + zd * b_j e_j, with a_j = on * dd times
-    the 1/h row and b_j = dn * od * lcm."""
+    With the row pass (fn, fd, row, hden) of u_j, row j over
+    zd * dd * fd * hden is -zn * a_j + zd * b_j e_j, with
+    a_j = dd * fn * row and b_j = dn * fd * hden."""
     n, m = len(u), len(v)
     rows, den = [], 1
     for j, uj in enumerate(u):
         dn, dd = _f_prod([(uj, b) for b in v], cn, cd, conjugated)
-        on, od = _f_prod([(uj, a) for t, a in enumerate(u) if t != j],
-                         cn, cd, conjugated)
-        row, common = _inv_h_row(on * dd, u, j, cn, cd, conjugated)
-        rows.append((row, dn * od * common))
-        den *= od * dd * common
+        fn, fd, row, hden = _row(u, j, cn, cd, conjugated)
+        fn *= dd
+        fd *= hden
+        rows.append(([fn * x for x in row], dn * fd))
+        den *= dd * fd
 
     def at(zn, zd):
         _check_u_side(zn, zd, n, m)
@@ -217,7 +217,7 @@ def izergin_reader(u_set: SpectralSet, v_set: SpectralSet, c,
     assembly. The assembly raises the PoleError of the first pole in the
     rows; a u-side read at z = 1 with #u != #v raises VariantUndefined.
     """
-    c = Rat(c)
+    c = _rat(c)
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     at = _VARIANTS[variant](_parts(u_set.values), _parts(v_set.values),
@@ -229,7 +229,7 @@ def _izergin(z, u_set: SpectralSet, v_set: SpectralSet, c, variant: str,
              conjugated: bool) -> Rat:
     """The determinant of one variant at one z, with every kernel read in
     the orientation of `conjugated`."""
-    z = Rat(z)
+    z = _rat(z)
     if variant == "u-side":   # VariantUndefined comes before any pole
         _check_u_side(z.numerator, z.denominator, len(u_set), len(v_set))
     return izergin_reader(u_set, v_set, c, variant, conjugated)(z)
@@ -299,10 +299,13 @@ def term_pair(*pairs) -> tuple:
     return num, den
 
 
-def by_popcount(weight, top: int) -> list:
-    """weight(k) for k = 0..top as integer (numerator, denominator) pairs,
-    so that a term reads the weight of a part by the part's popcount."""
-    return [(w.numerator, w.denominator) for w in map(weight, range(top + 1))]
+def geometric(first, ratio, top: int) -> list:
+    """first * ratio**k for k = 0..top, for integer pairs first and ratio
+    with nonzero denominators, as integer pairs in lowest terms with
+    positive denominators (the pairs a rational holds), each reduced once:
+    a term reads the weight of a part by the part's popcount."""
+    (fn, fd), (rn, rd) = first, ratio
+    return [_reduced(fn * rn ** k, fd * rd ** k) for k in range(top + 1)]
 
 
 def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
@@ -315,11 +318,11 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
     the u-side determinant). The f weights come from kernel tables built
     once per sum, each in the orientation of `conjugated`.
     """
-    z, c = Rat(z), Rat(c)
+    z = _rat(z)
     u, v = u_set.values, v_set.values
     n, m = len(u), len(v)
     all_u, all_v = (1 << n) - 1, (1 << m) - 1
-    power = by_popcount(lambda k: rat_pow(-z, k), max(n, m))
+    power = geometric((1, 1), (-z.numerator, z.denominator), max(n, m))
     if side == "v-partitions":
         within = FTable(c, v, None, conjugated)
         across = FTable(c, u, v, conjugated)
@@ -343,7 +346,7 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
                              across.pair(mask2, all_v),
                              within.pair(mask1, mask2))
 
-        return rat_pow(1 - z, m - n) * split_sum(n, 2, u_term)
+        return split_sum(n, 2, u_term) * rat_pow(1 - z, m - n)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -357,10 +360,10 @@ def izergin_convolution(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     reader per sum (block tables at z != 1), so the sum never calls the
     direct determinant.
     """
-    z1, z2 = Rat(z1), Rat(z2)
+    z1, z2 = _rat(z1), _rat(z2)
     left = DetTables(u_set.values, xi_set.values, c, shift=0).side(conjugated)
     right = DetTables(v_set.values, xi_set.values, c, shift=0).side(conjugated)
-    power = by_popcount(lambda k: rat_pow(z2, k), len(xi_set))
+    power = geometric((1, 1), (z2.numerator, z2.denominator), len(xi_set))
     k_left, k_right = left.reader(z1), right.reader(z2)
 
     def conv_term(mask1, mask2):   # f(x2, x1) f(u, x2)
@@ -379,9 +382,9 @@ def izergin_deformation_sum(z1, z2, u_set: SpectralSet, v_set: SpectralSet,
     determinants (through one reader at z2) and f weights come from one
     half of unshifted DetTables.
     """
-    z1, z2 = Rat(z1), Rat(z2)
+    z1, z2 = _rat(z1), _rat(z2)
     half = DetTables(u_set.values, v_set.values, c, shift=0).side(conjugated)
-    power = by_popcount(lambda k: rat_pow(z1, k), len(v_set))
+    power = geometric((1, 1), (z1.numerator, z1.denominator), len(v_set))
     k = half.reader(z2)
 
     def shift_term(mask1, mask2):   # f(v1, v2)
@@ -477,23 +480,41 @@ def _products(factors) -> list:
     return out
 
 
-def _f_ints(c, left, right=None, conjugated=False) -> tuple:
+def _f_ints(c, left, right=None, conjugated=False, inv_h=False) -> tuple:
     """f(a, b) for a in `left` and b in `right`, or f(b, a) when conjugated
     (with `right` omitted, the pairs within `left`, 1 on the diagonal), as
     integer numerator and denominator tables in lowest terms, one row per a;
-    PoleError("f") at the first pole in row-major order."""
-    c, same = Rat(c), right is None
+    PoleError("f") at the first pole in row-major order. With `inv_h`, also
+    the rows of 1/h(a, b), or 1/h(b, a), as reduced pairs from the same
+    differences; their first pole in row-major order raises PoleError("1/h")
+    once every f is read."""
+    c, same = _rat(c), right is None
     cn, cd = c.numerator, c.denominator
     left = _parts(left)
     right = left if same else _parts(right)
-    num, den = [], []
-    for i, a in enumerate(left):
-        row = [(1, 1) if same and i == j
-               else _reduced(*_f_entry(a, b, cn, cd, conjugated))
-               for j, b in enumerate(right)]
-        num.append([x for x, _ in row])
-        den.append([y for _, y in row])
-    return num, den
+    num, den, hinv, h_pole = [], [], [], None
+    for i, (a, an, ad) in enumerate(left):
+        nrow, drow, hrow = [], [], []
+        for j, (b, bn, bd) in enumerate(right):
+            dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
+            fn, fd = (1, 1) if same and i == j else f_pair(dn, ad * bd, cn, cd)
+            if not fd:
+                raise PoleError("f", *((b, a) if conjugated else (a, b)))
+            fn, fd = _reduced(fn, fd)
+            nrow.append(fn)
+            drow.append(fd)
+            if inv_h:
+                hn, hd = h_pair(dn, ad * bd, cn, cd)
+                if not hn and h_pole is None:
+                    h_pole = PoleError(
+                        "1/h", *((b, a) if conjugated else (a, b)))
+                hrow.append(_reduced(hd, hn) if hn else None)
+        num.append(nrow)
+        den.append(drow)
+        hinv.append(hrow)
+    if h_pole is not None:
+        raise h_pole
+    return (num, den, hinv) if inv_h else (num, den)
 
 
 class FTable:
@@ -589,20 +610,18 @@ class _Side(FTable):
     @cached_property
     def uoff(self):
         """The u-indexed off-diagonal parts f(u_j, u-rest) / h(u_j, u_k), or
-        their conjugates, as (integer rows, row denominators), each row over
-        its least denominator; None where two values of u collide (f or 1/h
-        has a pole between them), since only the ground-indexed rows are
-        defined there."""
+        their conjugates, from the row pass, as (integer rows, row
+        denominators), each row over its least positive denominator; None
+        where two values of u collide (f or 1/h has a pole between them),
+        since only the ground-indexed rows are defined there."""
         cn, cd, conj = self.c.numerator, self.c.denominator, self.conjugated
         u = _parts(self.u)
         rows, dens = [], []
         try:
-            for j, uj in enumerate(u):
-                fn, fd = _f_prod([(uj, ut) for t, ut in enumerate(u) if t != j],
-                                 cn, cd, conj)
-                row, common = _inv_h_row(fn, u, j, cn, cd, conj)
-                den = fd * common
-                g = gcd(den, *row)
+            for j in range(len(u)):
+                fn, fd, row, hden = _row(u, j, cn, cd, conj)
+                row, den = [fn * x for x in row], fd * hden
+                g = gcd(den, *row) if den > 0 else -gcd(den, *row)
                 rows.append([x // g for x in row])
                 dens.append(den // g)
         except PoleError:
@@ -867,14 +886,13 @@ class DetTables:
     """
 
     def __init__(self, u_values, ground_values, c, shift=None):
-        self.c = Rat(c)
-        self._u = [Rat(x) for x in u_values]
-        self._g = [Rat(x) for x in ground_values]
-        self._s = self.c if shift is None else Rat(shift)
-        self._f = _f_ints(self.c, self._g)
-        g, cn, cd = _parts(self._g), self.c.numerator, self.c.denominator
-        hinv = [[_reduced(*_inv_h_pair(a, b, cn, cd, False)) for b in g]
-                for a in g]
+        self.c = _rat(c)
+        self._u = [_rat(x) for x in u_values]
+        self._g = [_rat(x) for x in ground_values]
+        self._s = self.c if shift is None else shift
+        # f(xi_j, xi_k) and 1/h(xi_j, xi_k) from one difference per pair
+        fnum, fden, hinv = _f_ints(self.c, self._g, inv_h=True)
+        self._f = fnum, fden
         # 1/h(xi_j, xi_k) as integer rows over one denominator per row, for
         # each half (the conjugated half reads the transpose)
         self._h = _cleared(hinv), _cleared(list(zip(*hinv)))
@@ -884,14 +902,18 @@ class DetTables:
 
     @cached_property
     def _plus(self) -> _Side:
-        fu = _f_ints(self.c, self._u, [x + self._s for x in self._g])
+        fu = _f_ints(self.c, self._u, self._shifted(self._s))
         return _Side(self._u, self.c, False, self._f, fu, self._h[0])
 
     @cached_property
     def _minus(self) -> _Side:
-        fu = _f_ints(self.c, self._u, [x - self._s for x in self._g], True)
+        fu = _f_ints(self.c, self._u, self._shifted(-self._s), True)
         return _Side(self._u, self.c, True, _transposed(self._f), fu,
                      self._h[1])
+
+    def _shifted(self, s) -> list:
+        """The ground values plus s; unshifted tables reuse the ground."""
+        return [x + s for x in self._g] if s else self._g
 
     def side(self, conjugated: bool) -> _Side:
         """The half of K^(z)(u | xi_S + s), or conjugated of

@@ -30,7 +30,7 @@ from .chain import (MAX_SITES, ChainSpec, apply_entry_product, apply_nu,
                     direct_scalar, embed_two, gl2_random_matrix,
                     monodromy_ints, r_matrix, vacuum_state, vacuum_weights)
 from .errors import ConfigError
-from .izergin import (DetTables, FTable, by_popcount, conj_mod_izergin,
+from .izergin import (DetTables, FTable, conj_mod_izergin, geometric,
                       izergin_convolution, izergin_deformation_sum,
                       izergin_partition_sum, izergin_reader, mod_izergin,
                       ordinary_izergin, rat_pow, residue_check, term_pair)
@@ -426,7 +426,7 @@ def _binomial_sums(ctx, rng, top):
         xs, = _spectra(ctx, rng.getrandbits(48), [p], ["x"])
         params.append(xs)
         table = FTable(ctx.c, xs.values)
-        sign = by_popcount(lambda k: Rat(-1) ** k, p)
+        sign = geometric((1, 1), (-1, 1), p)
 
         def f21(m1, m2):
             return table.pair(m2, m1)

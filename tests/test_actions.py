@@ -132,6 +132,28 @@ class TestActionExamples:
         with pytest.raises(DomainError):
             eval_action("nu21", us, vs, oracle, degenerate, C)
 
+    def test_zero_beta_raises_before_any_table(self, monkeypatch):
+        """A zero beta raises _require_twist's DomainError before any
+        popcount table or DetTables is built."""
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(actions, "geometric", refuse)
+        monkeypatch.setattr(actions, "DetTables", refuse)
+        spec = chain(2, 39)
+        us, vs = spectra(spec, [1, 1], 40)
+        oracle = WeightOracle.fundamental(spec)
+        zero_one = TwistData(Rat(0), Rat(1, 2), Rat(3))
+        zero_two = TwistData(Rat(1, 2), Rat(0), Rat(3))
+        for kind, twist in (("nu22", zero_one), ("nu11", zero_two),
+                            ("nu21", zero_one), ("nu21", zero_two)):
+            with pytest.raises(DomainError):
+                eval_action(kind, us, vs, oracle, twist, C)
+        for form in ("SPfin", "SPfinIK"):
+            for twist in (zero_one, zero_two):
+                with pytest.raises(DomainError):
+                    eval_scalar(form, us, vs, oracle, twist, C)
+
     def test_annihilation_excess_gives_zero(self):
         spec = chain(3, 41)
         us, vs = spectra(spec, [2, 1], 42)

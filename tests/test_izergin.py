@@ -2,6 +2,8 @@
 law suite at small sizes, and the residue machinery."""
 
 from collections import Counter
+from contextlib import contextmanager
+from fractions import Fraction
 from functools import partial
 from math import gcd
 from operator import mul
@@ -17,7 +19,7 @@ from mbethe.izergin import (DetTables, FTable, _KBlocks, _Side,
                             izergin_convolution, izergin_deformation_sum,
                             izergin_partition_sum, mod_izergin,
                             ordinary_izergin, rat_pow, residue_check)
-from mbethe.partitions import enumerate_splits, mask_values
+from mbethe.partitions import enumerate_splits, mask_values, split_sum
 from mbethe.scalars import (Rat, SpectralSet, kernel_g, sample_generic,
                             sample_twist, set_product, with_shifts)
 from mbethe.suites import shifted_unit_sum
@@ -673,3 +675,66 @@ class TestIndependentRoutesAgree:
         full = (1 << m) - 1
         assert plus.k_plus(z, full) == want
         assert minus.k_minus_conj(z, full) == want_conj
+
+
+@contextmanager
+def counted_fractions():
+    """Every Fraction built inside the block, in the order built."""
+    original = Fraction.__dict__["__new__"]
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        value = original(cls, *args, **kwargs)
+        built.append(value)
+        return value
+
+    Fraction.__new__ = counting
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = original
+
+
+class TestIntegerSetUp:
+    """The determinant rows and the popcount tables are set up in integers:
+    a direct determinant on rational inputs builds one Fraction, its value,
+    and an Izergin sum builds none before `split_sum` returns its one."""
+
+    def test_direct_determinant_builds_its_value(self):
+        us, vs = spectra(61, [3, 4])
+        for fn in (mod_izergin, conj_mod_izergin):
+            for variant in ("v-side", "u-side"):
+                for z in (Rat(0), Rat(2), Rat(1, 3)):
+                    with counted_fractions() as built:
+                        value = fn(z, us, vs, C, variant)
+                    assert len(built) == 1 and built[0] is value
+
+    def test_sums_build_only_their_result(self, monkeypatch):
+        us, vs, xs = spectra(62, [2, 3, 3])
+        calls = []
+        built = []
+
+        def recorded(*args, **kwargs):
+            before = len(built)
+            result = split_sum(*args, **kwargs)
+            calls.append((before, len(built) - before))
+            return result
+
+        monkeypatch.setattr(izergin, "split_sum", recorded)
+        sums = []
+        for conj in (False, True):
+            for z in (Rat(0), Rat(2), Rat(1, 3)):
+                for side in ("v-partitions", "u-partitions"):
+                    sums.append(partial(izergin_partition_sum, z, us, vs, C,
+                                        side, conj))
+            for z1, z2 in ((Rat(2), Rat(1, 3)), (Rat(1), Rat(0)),
+                           (Rat(-1, 2), Rat(1))):
+                sums.append(partial(izergin_convolution, z1, z2, us, vs, xs,
+                                    C, conj))
+                sums.append(partial(izergin_deformation_sum, z1, z2, us, vs,
+                                    C, conj))
+        for run in sums:
+            calls.clear()
+            with counted_fractions() as built:
+                run()
+            assert calls == [(0, 1)], run

@@ -20,18 +20,19 @@ from math import gcd
 import pytest
 
 from mbethe import suites
-from mbethe.actions import (WeightOracle, eval_action, eval_scalar,
-                            eval_vacuum_average, hash_rational)
+from mbethe.actions import (WeightOracle, _beta_powers, eval_action,
+                            eval_scalar, eval_vacuum_average, hash_rational)
 from mbethe.chain import ChainSpec
 from mbethe.errors import PoleError, VariantUndefined
-from mbethe.izergin import (DetTables, FTable, conj_mod_izergin,
-                            izergin_convolution, izergin_deformation_sum,
-                            izergin_partition_sum, izergin_reader, mod_izergin)
+from mbethe.izergin import (DetTables, FTable, _parts, _row, _u_side, _v_side,
+                            conj_mod_izergin, geometric, izergin_convolution,
+                            izergin_deformation_sum, izergin_partition_sum,
+                            izergin_reader, mod_izergin, rat_pow)
 from mbethe.linalg import clear_denominators, det_int
 from mbethe.partitions import (CoefficientMap, bits_of, enumerate_splits,
                                mask_values)
-from mbethe.scalars import (Rat, SpectralSet, sample_generic, sample_twist,
-                            with_shifts)
+from mbethe.scalars import (Rat, SpectralSet, TwistData, sample_generic,
+                            sample_twist, with_shifts)
 
 CONSTANTS = [Rat(1), Rat(-3, 2)]
 
@@ -618,6 +619,219 @@ class TestReaderMatchesOneZ:
                             undefined = variant == "u-side" and z == 1 and n != m
                             assert got[0] == ("VariantUndefined" if undefined
                                               else "value")
+
+
+# The row pass and the ground pass, at the constants and deformations below.
+ROW_CONSTANTS = [Rat(1), Rat(-1), Rat(3, 2)]
+ROW_DEFORMATIONS = [Rat(0), Rat(1), Rat(2), Rat(1, 3)]
+
+
+def ref_row(x, j, c, conjugated):
+    """Row j of the product of f(x_j, x_t) over t != j divided by
+    h(x_j, x_k), 1/h read as 1 at k = j, in Fractions and in the order of
+    the assembly the row pass replaced: every f of the row, then every
+    1/h; conjugated, every kernel with its arguments reversed."""
+    def o(a, b):
+        return (b, a) if conjugated else (a, b)
+
+    base = Fraction(1)
+    for t, xt in enumerate(x):
+        if t != j:
+            base *= ref_f(*o(x[j], xt), c)
+    return [base if k == j else base * ref_inv_h(*o(x[j], xk), c)
+            for k, xk in enumerate(x)]
+
+
+def ref_ground(g, c):
+    """The ground tables of DetTables in Fractions: f(xi_j, xi_k), 1 on the
+    diagonal, then 1/h(xi_j, xi_k), each read in row-major order."""
+    f = [[Fraction(1) if j == k else ref_f(a, b, c) for k, b in enumerate(g)]
+         for j, a in enumerate(g)]
+    return f, [[ref_inv_h(a, b, c) for b in g] for a in g]
+
+
+def caught(fn, *args):
+    """("value", the result), or the PoleError's kind and pair."""
+    try:
+        return ("value", fn(*args))
+    except PoleError as err:
+        return ("PoleError", err.kind, err.left, err.right)
+
+
+def row_entries(x, j, c, conjugated):
+    """The entries of `_row`'s row, as rationals."""
+    fn, fd, row, hden = _row(_parts(x), j, c.numerator, c.denominator,
+                             conjugated)
+    assert gcd(fn, fd) == 1
+    return [Fraction(fn, fd) * Fraction(e, hden) for e in row]
+
+
+def tables_of(u, g, c):
+    """The ground tables DetTables builds, and each half's uoff, in the
+    order they are built."""
+    tables = DetTables(u, g, c)
+    return (tables._f, tables._h, tables.side(False).uoff,
+            tables.side(True).uoff)
+
+
+def ref_tables_of(u, g, c):
+    """The same from the Fraction references: the f table as reduced
+    numerators and denominators, the 1/h rows over their lcm for each
+    orientation, and the u-indexed rows over their least denominators (None
+    at a pole within u). Each half first reads its f(u, xi + c), or
+    f(xi - c, u), which may raise."""
+    f, h = ref_ground(g, c)
+    ground = ([[x.numerator for x in row] for row in f],
+              [[x.denominator for x in row] for row in f])
+    cleared = clear_denominators(h), clear_denominators(list(zip(*h)))
+    uoff = []
+    for conj in (False, True):
+        for a in u:
+            for b in g:
+                ref_f(b - c, a, c) if conj else ref_f(a, b + c, c)
+        try:
+            uoff.append(clear_denominators(
+                [ref_row(u, j, c, conj) for j in range(len(u))]))
+        except PoleError:
+            uoff.append(None)
+    return ground, cleared, *uoff
+
+
+class TestRowPassMatchesReference:
+    """The one row pass (`_row`) of `_v_side`, `_u_side` and `_Side.uoff`,
+    and the one ground pass of DetTables, against the Fraction references:
+    every entry, table and determinant bit for bit, and at a collision the
+    same PoleError, kind and pair, as the assembly they replaced."""
+
+    @pytest.mark.parametrize("c", ROW_CONSTANTS)
+    def test_rows(self, c):
+        rng = random.Random(51)
+        for size in range(6):
+            xs, = generic_sets(rng.getrandbits(32), [size], c)
+            x = list(xs.values)
+            for j in range(size):
+                for conj in (False, True):
+                    assert (row_entries(x, j, c, conj)
+                            == ref_row(x, j, c, conj))
+
+    @pytest.mark.parametrize("c", ROW_CONSTANTS)
+    def test_determinants(self, c):
+        rng = random.Random(52)
+        cn, cd = c.numerator, c.denominator
+        for n in range(6):
+            for m in range(6):
+                us, vs = generic_sets(rng.getrandbits(32), [n, m], c)
+                u, v = _parts(us.values), _parts(vs.values)
+                for conj in (False, True):
+                    reference = (ref_conj_mod_izergin if conj
+                                 else ref_mod_izergin)
+                    v_at = _v_side(u, v, cn, cd, conj)
+                    u_at = _u_side(u, v, cn, cd, conj)
+                    for z in ROW_DEFORMATIONS:
+                        zn, zd = z.numerator, z.denominator
+                        assert (outcome(lambda: Rat(*v_at(zn, zd)))
+                                == outcome(reference, z, us, vs, c))
+                        assert (outcome(lambda: Rat(*u_at(zn, zd)))
+                                == outcome(reference, z, us, vs, c,
+                                           variant="u-side"))
+
+    @pytest.mark.parametrize("c", ROW_CONSTANTS)
+    def test_tables(self, c):
+        rng = random.Random(53)
+        for n in range(6):
+            for m in range(6):
+                us, xs = generic_sets(rng.getrandbits(32), [n, m], c)
+                u, g = list(us.values), list(xs.values)
+                got = tables_of(u, g, c)
+                assert got == ref_tables_of(u, g, c)
+                assert got[2] is not None and got[3] is not None
+
+    @pytest.mark.parametrize("c", ROW_CONSTANTS)
+    def test_row_collisions(self, c):
+        """Values drawn from the small pool: the same entries or the same
+        PoleError, kind and pair, as the reference row."""
+        rng = random.Random(54)
+        poles = set()
+        for trial in range(400):
+            x = [rng.choice(POOL) for _ in range(rng.randint(1, 5))]
+            j = rng.randrange(len(x))
+            for conj in (False, True):
+                got = caught(row_entries, x, j, c, conj)
+                assert got == caught(ref_row, x, j, c, conj), (x, j, conj)
+                poles.add(got[1] if got[0] == "PoleError" else None)
+        assert {"f", "1/h", None} <= poles
+
+    @pytest.mark.parametrize("c", ROW_CONSTANTS)
+    def test_table_collisions(self, c):
+        """Ground and left sets drawn from the small pool: DetTables raises
+        the reference's PoleError (every f pole before any 1/h pole), or its
+        tables and each half's uoff (None at a pole within u) equal the
+        reference's."""
+        rng = random.Random(55)
+        poles, offs = set(), set()
+        for trial in range(300):
+            u = [rng.choice(POOL) for _ in range(rng.randint(0, 4))]
+            g = [rng.choice(POOL) for _ in range(rng.randint(0, 5))]
+            got = caught(tables_of, u, g, c)
+            assert got == caught(ref_tables_of, u, g, c), (u, g)
+            poles.add(got[1] if got[0] == "PoleError" else None)
+            if got[0] == "value":
+                offs.add(got[1][2] is None)
+        assert {"f", "1/h", None} <= poles and offs == {False, True}
+
+
+def pairs(values):
+    return [(x.numerator, x.denominator) for x in values]
+
+
+class TestGeometricMatchesPowers:
+    """Every popcount table, at its call site's first term and ratio,
+    against the `rat_pow` lambda it replaced: the same reduced pairs."""
+
+    BETAS = [Rat(1), Rat(-1), Rat(2), Rat(-3, 2), Rat(5, 7)]
+    ZS = ROW_DEFORMATIONS + [Rat(-1), Rat(-7, 4)]
+
+    def test_deformation_powers(self):
+        # izergin_partition_sum, then the convolution and deformation sums
+        for z in self.ZS:
+            zn, zd = z.numerator, z.denominator
+            for top in range(6):
+                ks = range(top + 1)
+                assert (geometric((1, 1), (-zn, zd), top)
+                        == pairs(rat_pow(-z, k) for k in ks))
+                assert (geometric((1, 1), (zn, zd), top)
+                        == pairs(rat_pow(z, k) for k in ks))
+
+    def test_signs(self):
+        # suites._binomial_sums, and the plain diagonal actions
+        for p in range(8):
+            assert (geometric((1, 1), (-1, 1), p)
+                    == pairs(Rat(-1) ** k for k in range(p + 1)))
+            for n in range(p + 1):
+                assert (geometric(((-1) ** n, 1), (1, 1), p)
+                        == pairs(rat_pow(-1, n) for k in range(p + 1)))
+
+    def test_twist_powers(self):
+        # the twisted diagonal actions, the twisted annihilation action,
+        # and SPfin / SPfinIK, with negative exponents and ratios -1/beta
+        for beta in self.BETAS:
+            bn, bd = beta.numerator, beta.denominator
+            for n in range(5):
+                for p in range(n, n + 5):
+                    ks = range(p + 1)
+                    assert (geometric((bn ** n, bd ** n), (-bd, bn), p)
+                            == pairs(rat_pow(beta, n) * rat_pow(-beta, -k)
+                                     for k in ks))
+                    assert (geometric(((-bn) ** n, bd ** n), (-bd, bn), p)
+                            == pairs(rat_pow(-beta, n - k) for k in ks))
+        for beta1 in self.BETAS:
+            for beta2 in self.BETAS:
+                twist = TwistData(beta1, beta2, Rat(3))
+                for n in range(5):
+                    for m in range(5):
+                        assert _beta_powers(twist, n, m) == pairs(
+                            rat_pow(-beta1, n - k) * rat_pow(-beta2, k - m)
+                            for k in range(n + m + 1))
 
 
 class TestTableSumsMatchReference:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from mbethe.chain import ChainSpec
 from mbethe.errors import DomainError, ExhaustionError, PoleError
-from mbethe.izergin import _inv_h_pair, _parts
-from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData, is_generic,
-                            kernel_f, kernel_g, kernel_h, rat_str,
-                            sample_generic, sample_nonzero, set_product,
-                            with_shifts)
+from mbethe.izergin import h_pair
+from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData,
+                            diff_pair, is_generic, kernel_f, kernel_g,
+                            kernel_h, rat_str, sample_generic, sample_nonzero,
+                            set_product, with_shifts)
 from mbethe.suites import Context, _spectra
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(Rat)
@@ -206,9 +206,12 @@ def ref_inv_h(a, b, c):
 
 
 def inv_h(a, b, c):
-    """1 / h(a, b) from the integer pair of `_inv_h_pair`, as a rational."""
-    left, right = _parts((a, b))
-    return Rat(*_inv_h_pair(left, right, c.numerator, c.denominator, False))
+    """1 / h(a, b) from the integer pair of `izergin.h_pair`, as a
+    rational."""
+    hn, hd = h_pair(*diff_pair(a, b), c.numerator, c.denominator)
+    if not hn:
+        raise PoleError("1/h", a, b)
+    return Rat(hd, hn)
 
 
 REFERENCE = {"f": ref_f, "g": ref_g, "h": ref_h}

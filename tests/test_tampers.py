@@ -9,7 +9,9 @@ average reads SPfin's block tables (`_KBlocks.pair`), and the ordinary
 determinant has its own Izergin-Korepin form beside K^(1), which reads
 `izergin.f_pair`. SCbe and SPfinIK assemble their two determinants per split
 (`actions._v_side`), and the nu12 reduction multiplies its g kernels per
-split (`actions._g_prod`).
+split (`actions._g_prod`). Every 1/h of the determinant rows and tables
+comes from `izergin.h_pair`, and every popcount weight table from
+`geometric` (bound by name in `izergin` and in `actions`).
 """
 
 import pytest
@@ -23,6 +25,8 @@ TRUE_K_PAIR = _Side.k_pair
 TRUE_BLOCK_PAIR = _KBlocks.pair
 TRUE_V_SIDE = actions._v_side
 TRUE_G_PROD = actions._g_prod
+TRUE_H_PAIR = izergin.h_pair
+TRUE_GEOMETRIC = izergin.geometric
 
 
 def f_at_twice_c(dn, dd, cn, cd):
@@ -55,6 +59,14 @@ def g_at_twice_c(left, right, c):
     return TRUE_G_PROD(left, right, 2 * c)
 
 
+def h_at_twice_c(dn, dd, cn, cd):
+    return TRUE_H_PAIR(dn, dd, 2 * cn, cd)
+
+
+def geometric_ratio_inverted(first, ratio, top):
+    return TRUE_GEOMETRIC(first, ratio[::-1], top)
+
+
 TAMPERS = [
     ("f_pair", izergin, "f_pair", f_at_twice_c,
      [("izergin-laws", "izergin/ordinary-limit")]),
@@ -68,6 +80,20 @@ TAMPERS = [
       ("aba-actions", "actions/scalar-forms-random-weights")]),
     ("reduction_g", actions, "_g_prod", g_at_twice_c,
      [("maba-actions", "actions/creation-reduction")]),
+    ("h_pair", izergin, "h_pair", h_at_twice_c,
+     [("izergin-laws", "izergin/partition-sum-expansion"),
+      ("izergin-laws", "izergin/unit-deformation-vanishing"),
+      ("aba-actions", "actions/plain-scalar-product"),
+      ("scalar-products", "scalar/twisted-scalar-product")]),
+    ("geometric_izergin", izergin, "geometric", geometric_ratio_inverted,
+     [("izergin-laws", "izergin/partition-sum-expansion"),
+      ("izergin-laws", "izergin/product-convolution"),
+      ("izergin-laws", "izergin/deformation-difference-sum")]),
+    ("geometric_actions", actions, "geometric", geometric_ratio_inverted,
+     [("maba-actions", "actions/twisted-diagonal-one"),
+      ("maba-actions", "actions/twisted-annihilation"),
+      ("scalar-products", "scalar/twisted-scalar-product"),
+      ("scalar-products", "scalar/twisted-vacuum-average")]),
 ]
 
 
