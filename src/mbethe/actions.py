@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 from typing import Callable, Optional
 
 from .chain import ChainSpec, entry_product_states, vacuum_weights
-from .errors import CapabilityError, CardinalityError, DomainError, PoleError
-from .izergin import (DetTables, FTable, _f_prod, _parts, _v_side,
-                      geometric, rat_pow, term_pair)
+from .errors import CapabilityError, CardinalityError, DomainError
+from .izergin import DetTables, FTable, _reduced, _v_side, geometric, term_pair
 from .partitions import CoefficientMap, GroundSet, mask_values, split_sum
-from .scalars import ModelParams, Rat, SpectralSet, TwistData, g_pair, rat_str
+from .scalars import (ModelParams, Rat, SpectralSet, TwistData, _parts,
+                      kernel_product, rat_str)
 
 DIAGONAL_TRANSPOSE = {
     "t11": "t22", "t22": "t11", "t12": "t12", "t21": "t21",
@@ -233,10 +234,10 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
                 geometric(((-b.numerator) ** n, b.denominator ** n),
                           (-b.denominator, b.numerator), p)   # (-beta)^(n-k)
                 for b in (twist.beta1, twist.beta2))
-        tables = DetTables(u_set.values, values, c)
-        plus, minus = tables.side(False), tables.side(True)
         if not twisted and m < n:
             return result(CoefficientMap())
+        tables = DetTables(u_set.values, values, c)
+        plus, minus = tables.side(False), tables.side(True)
         weight1, weight2 = _weight_table(lam1), _weight_table(lam2)
 
         def annihilation_term(mask1, mask2, mask3):
@@ -259,15 +260,17 @@ def eval_action(kind: str, u_set: SpectralSet, v_set: SpectralSet,
             raise DomainError(
                 f"nu12 reduction applies only when #u + #v >= {order}, got {p}")
         red = _weight_table([oracle.reduction_weight(x) for x in values])
-        pre = rat_pow((twist.mu - 1) * (twist.beta1 + twist.beta2)
-                      / (twist.beta1 * twist.beta2), p - order)
+        pre = ((twist.mu - 1) * (twist.beta1 + twist.beta2)
+               / (twist.beta1 * twist.beta2)) ** (p - order)
         prefactor = pre.numerator, pre.denominator
         parts = _parts(values)
+        cn, cd = c.numerator, c.denominator
 
         def reduction_term(mask1, mask2):
+            pairs = product(mask_values(parts, mask1),
+                            mask_values(parts, mask2))
             return term_pair(prefactor, red.row(0, mask1),
-                             _g_prod(mask_values(parts, mask1),
-                                     mask_values(parts, mask2), c))
+                             kernel_product("g", pairs, cn, cd))
 
         return result(split_sum(p, 2, reduction_term, (p - order, order),
                                 keyed=True))
@@ -343,7 +346,7 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
                 "SPfinIK carries the prefactor (1-mu)^(m-n), which is 0 or "
                 f"singular at mu=1 with n={n}, m={m}; use SPfin instead")
         twist = _require_twist(params, "SPfinIK")
-        prefactor = rat_pow(mu, 2 * n) * rat_pow(1 - mu, m - n)
+        prefactor = mu ** (2 * n) * (1 - mu) ** (m - n)
         term = _independent_pairs(u_set, v_set, oracle, 1 / mu, c)
         # -beta1 to the #u2 - #v2 and -beta2 to the #u1 - #v1, by the size
         # #u1 + #v2 of lambda2's part
@@ -392,10 +395,11 @@ def _independent_pairs(u_set: SpectralSet, v_set: SpectralSet,
     unreduced integer pair, for the splits mask1 = u1∪v1 and
     mask2 = u2∪v2 of u∪v (low bits index u): the weight pair of
     `_independent_weights`, f(u1, u2) f(v2, v1), and the z-deformed
-    K^(z)(v2 | u2) and K-bar^(z)(v1 | u1). The f products come from the
-    values' triples, and both determinants are assembled for each split by
-    the v-side row assembly (`izergin._v_side`), never from block tables:
-    this is the route that checks them."""
+    K^(z)(v2 | u2) and K-bar^(z)(v1 | u1). The f products are one
+    `kernel_product` over the values' triples, and both determinants are
+    assembled for each split by the v-side row assembly
+    (`izergin._v_side`), never from block tables: this is the route that
+    checks them."""
     n = len(u_set)
     low = (1 << n) - 1
     us, vs = _parts(u_set.values), _parts(v_set.values)
@@ -407,29 +411,13 @@ def _independent_pairs(u_set: SpectralSet, v_set: SpectralSet,
         u1, v1 = mask_values(us, mask1 & low), mask_values(vs, mask1 >> n)
         u2, v2 = mask_values(us, mask2 & low), mask_values(vs, mask2 >> n)
         return term_pair(weights(mask1, mask2),
-                         _f_prod([(a, b) for a in u1 for b in u2]
-                                 + [(a, b) for a in v2 for b in v1],
-                                 cn, cd, False),
+                         _reduced(*kernel_product(
+                             "f", [*product(u1, u2), *product(v2, v1)],
+                             cn, cd)),
                          _v_side(v2, u2, cn, cd, False)(zn, zd),
                          _v_side(v1, u1, cn, cd, True)(zn, zd))
 
     return term
-
-
-def _g_prod(left, right, c) -> tuple:
-    """Product of g(a, b) over the triples a in `left` and b in `right`, as
-    an unreduced integer pair; PoleError("g") at the first pair with
-    a = b."""
-    cn, cd = c.numerator, c.denominator
-    num = den = 1
-    for a, an, ad in left:
-        for b, bn, bd in right:
-            pn, pd = g_pair(an * bd - bn * ad, ad * bd, cn, cd)
-            if not pd:
-                raise PoleError("g", a, b)
-            num *= pn
-            den *= pd
-    return num, den
 
 
 def _weight_table(weights) -> FTable:

@@ -23,7 +23,7 @@ from .bench import bench_sizes, jobs_sweep, run_bench
 from .chain import ChainSpec, direct_scalar, twist_pair
 from .actions import WeightOracle, eval_scalar
 from .errors import CardinalityError, ConfigError, DomainError, MbetheError
-from .partitions import MAX_GROUND
+from .partitions import MAX_GROUND, MAX_JOBS
 from .report import ERROR_DIGEST, build_report, machine_facts, write_report
 from .scalars import ModelParams, Rat, rat_str, sample_generic, with_shifts
 from .suites import SUITES, RunConfig, config_number, run_suites
@@ -175,8 +175,8 @@ def cmd_scalar(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = args.exact_sizes if args.exact_sizes else bench_sizes(args.max_size)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise ConfigError(f"--jobs must lie in 1..{MAX_JOBS}, got {args.jobs}")
     bad = [size for size in sizes if not 0 <= size <= MAX_GROUND]
     if bad:
         raise ConfigError(f"bench sizes must lie in 0..{MAX_GROUND}, got {bad}")

@@ -18,8 +18,9 @@ reader of z (`izergin_reader`), so one (u, v) read at several z is
 assembled once. Its rows, and those of `_Side.uoff`, come from one row pass
 (`_row`), which reads each pair's difference once and keeps a row over the
 product of its h numerators; `DetTables` reads its f and 1/h tables in one
-pass too. Every f of the rows and tables comes from `f_pair`, and every h
-from `h_pair`.
+pass too. Every f of the row pass and the tables comes from `f_pair`,
+every row factor f(u, v_j) from `kernel_product`, and every h from
+`h_pair`.
 
 A partition-sum term returns the unreduced integer pair of its product
 (`term_pair`); `partitions.split_sum` adds the pairs and builds one rational
@@ -42,6 +43,7 @@ tables, so that a term reads the determinant and the weight as one pair.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial
+from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -49,54 +51,25 @@ from .errors import CardinalityError, DegenerateError, PoleError, VariantUndefin
 from .linalg import det, det_int, principal_minors
 from .partitions import split_sum
 from .ratfunc import rational_interpolate
-from .scalars import (Rat, SpectralSet, _rat, diff_pair, f_pair, g_pair,
-                      h_pair, is_generic, set_product)
+from .scalars import (Rat, SpectralSet, _parts, _rat, diff_pair, f_pair,
+                      g_pair, h_pair, is_generic, kernel_product, set_product)
 
 __all__ = [
     "mod_izergin", "conj_mod_izergin", "izergin_reader", "ordinary_izergin",
     "izergin_partition_sum", "izergin_convolution", "izergin_deformation_sum",
-    "residue_check", "rat_pow", "geometric", "term_pair", "DetTables",
+    "residue_check", "geometric", "term_pair", "DetTables",
     "FTable",
 ]
 
 
-def rat_pow(base, exp: int) -> Rat:
-    """base**exp for integer exp; 0**0 = 1, negative powers of 0 raise."""
-    base = Rat(base)
-    if exp == 0:
-        return Rat(1)
-    if base == 0 and exp < 0:
-        raise ZeroDivisionError("negative power of zero")
-    return base ** exp
-
-
 # The direct determinants below assemble their rows in integers. Each value
-# is read once as a (value, numerator, denominator) triple; every kernel is
-# an unreduced integer pair from f_pair or h_pair; and a row is written as
-# integers over one row denominator, so each determinant builds one rational.
-# A helper's `conjugated` flag reads f(b, a) and h(b, a) for f(a, b) and
-# h(a, b) by flipping the sign of the difference, d = b - a.
-
-def _parts(values) -> list:
-    """Each value with its numerator and denominator, read once."""
-    return [(x, x.numerator, x.denominator) for x in values]
-
-
-def _f_prod(pairs, cn, cd, conjugated) -> tuple:
-    """Product of f(a, b) over pairs of triples, or of f(b, a) when
-    conjugated, as an integer pair reduced by one gcd; PoleError("f") at the
-    first pair with a = b."""
-    num = den = 1
-    for (a, an, ad), (b, bn, bd) in pairs:
-        dn = bn * ad - an * bd if conjugated else an * bd - bn * ad
-        pn, pd = f_pair(dn, ad * bd, cn, cd)
-        if not pd:
-            raise PoleError("f", *((b, a) if conjugated else (a, b)))
-        num *= pn
-        den *= pd
-    g = gcd(num, den)
-    return num // g, den // g
-
+# is read once as a (value, numerator, denominator) triple (`_parts`). The
+# row pass reads f and h from f_pair and h_pair, one difference per pair;
+# each row factor f(u, v_j) is one `kernel_product`. A row is written as
+# integers over one row denominator, so each determinant builds one
+# rational. A helper's `conjugated` flag reads f(b, a) and h(b, a) for
+# f(a, b) and h(a, b): the row pass flips the sign of the difference,
+# d = b - a, and the row factors pass each pair as (b, a).
 
 def _row(values, j, cn, cd, conjugated) -> tuple:
     """Row j of f(x_j, x-rest) / h(x_j, x_k), 1/h read as 1 at k = j, over
@@ -164,7 +137,8 @@ def _v_side(u, v, cn, cd, conjugated):
     b_j = sd * fd * hden."""
     rows, den = [], 1
     for j, vj in enumerate(v):
-        sn, sd = _f_prod([(a, vj) for a in u], cn, cd, conjugated)
+        pairs = product([vj], u) if conjugated else product(u, [vj])
+        sn, sd = _reduced(*kernel_product("f", pairs, cn, cd))
         fn, fd, row, hden = _row(v, j, cn, cd, conjugated)
         sn *= fn
         sd *= fd * hden
@@ -186,7 +160,8 @@ def _u_side(u, v, cn, cd, conjugated):
     n, m = len(u), len(v)
     rows, den = [], 1
     for j, uj in enumerate(u):
-        dn, dd = _f_prod([(uj, b) for b in v], cn, cd, conjugated)
+        pairs = product(v, [uj]) if conjugated else product([uj], v)
+        dn, dd = _reduced(*kernel_product("f", pairs, cn, cd))
         fn, fd, row, hden = _row(u, j, cn, cd, conjugated)
         fn *= dd
         fd *= hden
@@ -346,7 +321,7 @@ def izergin_partition_sum(z, u_set: SpectralSet, v_set: SpectralSet, c,
                              across.pair(mask2, all_v),
                              within.pair(mask1, mask2))
 
-        return split_sum(n, 2, u_term) * rat_pow(1 - z, m - n)
+        return split_sum(n, 2, u_term) * (1 - z) ** (m - n)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -589,16 +564,13 @@ class _Side(FTable):
         self.u, self.c, self.conjugated = u, c, conjugated
         self.size, self.n_left = len(f[0]), len(u)
         self._set(f[0] + fu[0], f[1] + fu[1])
-        # the row factor f(u-set, xi_j + s), or f(xi_j - s, u-set)
-        self.row_num, self.row_den = [], []
-        for j in range(self.size):
-            num = den = 1
-            for fn, fd in zip(*fu):
-                num *= fn[j]
-                den *= fd[j]
-            g = gcd(num, den)
-            self.row_num.append(num // g)
-            self.row_den.append(den // g)
+        # the row factor f(u-set, xi_j + s), or f(xi_j - s, u-set): column
+        # j of the u-indexed rows
+        u_rows = ((1 << self.n_left) - 1) << self.size
+        factors = [_reduced(*self.pair(u_rows, 1 << j))
+                   for j in range(self.size)]
+        self.row_num = [num for num, _ in factors]
+        self.row_den = [den for _, den in factors]
         self.h_rows, self.h_den = h  # 1/h(xi_j, xi_k), or its transpose
         self._ground = _index_halves(self.size)
 

@@ -147,6 +147,10 @@ def enumerate_splits(ground: GroundSet | int, parts: int,
 
 
 MIN_POOL_SPLITS = 1024  # below this, forking a child costs more than it saves
+# the most workers a run may ask for: `split_sum` forks all but one of them
+# at once, each a copy of the caller, so a mistyped count would start
+# hundreds of processes; 64 is far above the cores of any machine this runs on
+MAX_JOBS = 64
 
 
 def split_sum(p: int, parts: int, term: Callable, cards: Sequence[int] | None = None,

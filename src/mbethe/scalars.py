@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from fractions import Fraction as Rat
 from math import gcd
 from typing import Callable, Sequence
@@ -143,31 +144,41 @@ def _as_values(side) -> tuple:
     return (_rat(side),)
 
 
+def _parts(values) -> list:
+    """Each value with its numerator and denominator, read once."""
+    return [(x, x.numerator, x.denominator) for x in values]
+
+
+def kernel_product(kind: str, pairs, cn, cd) -> tuple:
+    """Product of one kernel over an iterable of pairs of (value, numerator,
+    denominator) triples, each pair (a, b) read at a - b, for c = cn/cd, as
+    an unreduced integer pair; PoleError(kind, a, b) at the first pole.
+    Every product of a kernel over a list of pairs is taken here."""
+    pair = _PAIRS[kind]
+    num = den = 1
+    for (a, an, ad), (b, bn, bd) in pairs:
+        pn, pd = pair(an * bd - bn * ad, ad * bd, cn, cd)
+        if not pd:
+            raise PoleError(kind, a, b)
+        num *= pn
+        den *= pd
+    return num, den
+
+
 def set_product(kind: str, left, right, c) -> Rat:
     """Product of a rational kernel over all pairs drawn from two sides.
 
     Either side may be a scalar, a SpectralSet, a tuple, or None/empty. The
     product over an empty side is 1 (so a double product with one empty set is
     1). A PoleError identifies the offending pair. The kernel products are
-    taken on integer numerators and denominators, with one rational built
-    for the result. Products of operator entries over a set live with the
-    chain module (apply_entry_product), which extends the same convention.
+    taken on integer numerators and denominators (`kernel_product`), with
+    one rational built for the result. Products of operator entries over a
+    set live with the chain module (apply_entry_product), which extends the
+    same convention.
     """
-    pair = _PAIRS[kind]
     c = _rat(c)
-    cn, cd = c.numerator, c.denominator
-    # u - v as in diff_pair, from parts read once per value
-    rights = [(b, b.numerator, b.denominator) for b in _as_values(right)]
-    num = den = 1
-    for a in _as_values(left):
-        an, ad = a.numerator, a.denominator
-        for b, bn, bd in rights:
-            pn, pd = pair(an * bd - bn * ad, ad * bd, cn, cd)
-            if not pd and kind != "h":
-                raise PoleError(kind, a, b)
-            num *= pn
-            den *= pd
-    return Rat(num, den)
+    pairs = product(_parts(_as_values(left)), _parts(_as_values(right)))
+    return Rat(*kernel_product(kind, pairs, c.numerator, c.denominator))
 
 
 def prod_over(fn: Callable, values) -> Rat:

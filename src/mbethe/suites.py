@@ -33,10 +33,10 @@ from .errors import ConfigError
 from .izergin import (DetTables, FTable, conj_mod_izergin, geometric,
                       izergin_convolution, izergin_deformation_sum,
                       izergin_partition_sum, izergin_reader, mod_izergin,
-                      ordinary_izergin, rat_pow, residue_check, term_pair)
+                      ordinary_izergin, residue_check, term_pair)
 from .linalg import (clear_denominators, clear_matrix, identity, int_mat_mul,
                      kron, mat_add, mat_eq, mat_mul, rat_matrix)
-from .partitions import (enumerate_splits, mask_values,
+from .partitions import (MAX_JOBS, enumerate_splits, mask_values,
                          pole_extraction_sum, single_extraction_sum, split_sum)
 from .report import CheckRecord, Recorder, digest
 from .scalars import (Rat, SpectralSet, TwistData, _generic_pairs, _shift_pairs,
@@ -114,8 +114,9 @@ class RunConfig:
             raise ConfigError("c must be nonzero")
         if self.bound < 1:
             raise ConfigError("bound must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        if not 1 <= self.jobs <= MAX_JOBS:
+            raise ConfigError(
+                f"jobs must lie in 1..{MAX_JOBS}, got {self.jobs}")
         if not isinstance(self.report_path, (str, type(None))):
             raise ConfigError(
                 f"report_path must be a path, got {self.report_path!r}")
@@ -263,11 +264,11 @@ def _pair_reduction(c, us, vs, w, z):
 
 def _transposition(c, us, vs, z):
     yield (conj_mod_izergin(z, us, vs, c),
-           rat_pow(1 - z, len(vs) - len(us)) * mod_izergin(z, vs, us, c))
+           (1 - z) ** (len(vs) - len(us)) * mod_izergin(z, vs, us, c))
 
 
 def _inversion(c, us, vs, z):
-    scale = rat_pow(-z, len(us)) * rat_pow(1 - z, len(vs) - len(us))
+    scale = (-z) ** len(us) * (1 - z) ** (len(vs) - len(us))
     yield (mod_izergin(z, us, vs.shifted(c), c),
            scale / set_product("f", vs, us, c) * mod_izergin(1 / z, vs, us, c))
     yield (conj_mod_izergin(z, us, vs.shifted(-c), c),
@@ -297,7 +298,7 @@ def _empty_set_values(ctx, rng):
         empty = SpectralSet((), "v")
         lhs += [mod_izergin(z, us, empty, c), conj_mod_izergin(z, us, empty, c),
                 mod_izergin(z, empty, us, c), conj_mod_izergin(z, empty, us, c)]
-        rhs += [Rat(1), Rat(1), rat_pow(1 - z, n), rat_pow(1 - z, n)]
+        rhs += [Rat(1), Rat(1), (1 - z) ** n, (1 - z) ** n]
     return digest(z), lhs, rhs, lhs == rhs
 
 
@@ -314,9 +315,9 @@ def _single_row_forms(ctx, rng):
                 mod_izergin(z, us, vs, c),
                 conj_mod_izergin(z, single_u, ws, c),
                 conj_mod_izergin(z, us, vs, c)]
-        rhs += [rat_pow(1 - z, k - 1) * (set_product("f", u1, ws, c) - z),
+        rhs += [(1 - z) ** (k - 1) * (set_product("f", u1, ws, c) - z),
                 set_product("f", us, vs[0], c) - z,
-                rat_pow(1 - z, k - 1) * (set_product("f", ws, u1, c) - z),
+                (1 - z) ** (k - 1) * (set_product("f", ws, u1, c) - z),
                 set_product("f", vs[0], us, c) - z]
     return digest(params), lhs, rhs, lhs == rhs
 

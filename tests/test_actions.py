@@ -154,10 +154,15 @@ class TestActionExamples:
                 with pytest.raises(DomainError):
                     eval_scalar(form, us, vs, oracle, twist, C)
 
-    def test_annihilation_excess_gives_zero(self):
+    def test_annihilation_excess_gives_zero(self, monkeypatch):
+        """A plain t21 with #v < #u has no split, and builds no table."""
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
         spec = chain(3, 41)
         us, vs = spectra(spec, [2, 1], 42)
         oracle = WeightOracle.fundamental(spec)
+        monkeypatch.setattr(actions, "DetTables", refuse)
         result = eval_action("t21", us, vs, oracle, None, C)
         assert len(result.coefficients) == 0
         assert result.materialize(spec, None) == [Rat(0)] * spec.dim

@@ -14,6 +14,7 @@ import mbethe.izergin
 import mbethe.report
 from mbethe.chain import MAX_SITES
 from mbethe.cli import main
+from mbethe.partitions import MAX_JOBS
 from mbethe.report import strip_timing
 from mbethe.scalars import Rat
 from mbethe.suites import SUITES, RunConfig
@@ -57,15 +58,22 @@ def write_config(tmp_path, **kwargs):
 
 
 def negate_f(monkeypatch):
-    """Make every f that izergin reads, in the direct determinants and in
-    the f tables, come out negated."""
+    """Make every f that izergin reads, in the direct determinants (row
+    pass and row factors) and in the f tables, come out negated."""
     true_f = mbethe.izergin.f_pair
+    true_product = mbethe.izergin.kernel_product
 
     def skewed(dn, dd, cn, cd):
         num, den = true_f(dn, dd, cn, cd)
         return -num, den
 
+    def skewed_product(kind, pairs, cn, cd):
+        pairs = list(pairs)
+        num, den = true_product(kind, pairs, cn, cd)
+        return (-num if kind == "f" and len(pairs) % 2 else num), den
+
     monkeypatch.setattr(mbethe.izergin, "f_pair", skewed)
+    monkeypatch.setattr(mbethe.izergin, "kernel_product", skewed_product)
 
 
 class TestVerify:
@@ -164,6 +172,7 @@ class TestVerify:
         {"sizes": {"proof-steps": [1]}},
         {"sizes": [1]},
         {"suites": "proof-steps"},
+        {"parallelism": MAX_JOBS + 1},
     ])
     def test_malformed_config_is_config_error(self, values, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"suites": ["proof-steps"], **values})
@@ -332,6 +341,7 @@ class TestBench:
         ["--size", "-1"],
         ["--size", "4", "--size", "64"],
         ["--max-size", "64"],
+        ["--size", "4", "--jobs", str(MAX_JOBS + 1)],
     ])
     def test_bad_input_is_config_error(self, argv, capsys):
         assert main(["bench", *argv]) == 2

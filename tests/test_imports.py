@@ -1,12 +1,14 @@
-"""Every module of the package uses every name it imports, and imports
-nothing from outside the standard library.
+"""Every module of the package uses every name it imports, imports nothing
+from outside the standard library, and reads every private helper it
+defines.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree: a name bound by an import must be read somewhere else in the
 module. An import statement marked `# noqa` on any of its lines is exempt
 (a re-export that an outside caller looks up by name). Every absolute import
 must name a standard-library module, so the package has no runtime
-dependency.
+dependency. Every private function, class and method must be read somewhere
+in the package; a helper that only tests or benchmarks read is dead code.
 """
 
 import ast
@@ -90,3 +92,64 @@ def test_guard_sees_an_outside_import():
               "except ImportError:\n"
               "    pass\n")
     assert outside_imports(source) == [(2, "numpy"), (6, "sympy")]
+
+
+def dead_helpers(sources: dict) -> list:
+    """(module, name) of each private module-level function or class, and
+    each private method (`_name`, not a dunder), that no module in
+    `sources` (module name -> source) reads as a name, as an attribute or
+    as a name imported from a module."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__")
+                                             and name.endswith("__"))
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((module, item.name) for item in node.body
+                               if isinstance(item, defs))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [(module, name) for module, name in defined
+            if private(name) and name not in read]
+
+
+def test_no_dead_private_helpers():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert dead_helpers(sources) == []
+
+
+def test_guard_sees_a_dead_helper():
+    sources = {
+        "a": ("def _imported():\n"
+              "    pass\n"
+              "def _dead():\n"
+              "    pass\n"
+              "class _Kept:\n"
+              "    def __init__(self):\n"
+              "        self._run()\n"
+              "    def _run(self):\n"
+              "        pass\n"
+              "    def _idle(self):\n"
+              "        pass\n"
+              "    def __repr__(self):\n"
+              "        return ''\n"
+              "class _Unread:\n"
+              "    pass\n"
+              "def public():\n"
+              "    return _Kept()\n"),
+        "b": "from .a import _imported\n",
+    }
+    assert dead_helpers(sources) == [("a", "_dead"), ("a", "_idle"),
+                                     ("a", "_Unread")]

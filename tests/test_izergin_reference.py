@@ -24,15 +24,15 @@ from mbethe.actions import (WeightOracle, _beta_powers, eval_action,
                             eval_scalar, eval_vacuum_average, hash_rational)
 from mbethe.chain import ChainSpec
 from mbethe.errors import PoleError, VariantUndefined
-from mbethe.izergin import (DetTables, FTable, _parts, _row, _u_side, _v_side,
+from mbethe.izergin import (DetTables, FTable, _row, _u_side, _v_side,
                             conj_mod_izergin, geometric, izergin_convolution,
                             izergin_deformation_sum, izergin_partition_sum,
-                            izergin_reader, mod_izergin, rat_pow)
+                            izergin_reader, mod_izergin)
 from mbethe.linalg import clear_denominators, det_int
 from mbethe.partitions import (CoefficientMap, bits_of, enumerate_splits,
                                mask_values)
-from mbethe.scalars import (Rat, SpectralSet, TwistData, sample_generic,
-                            sample_twist, with_shifts)
+from mbethe.scalars import (Rat, SpectralSet, TwistData, _parts,
+                            sample_generic, sample_twist, with_shifts)
 
 CONSTANTS = [Rat(1), Rat(-3, 2)]
 
@@ -786,7 +786,7 @@ def pairs(values):
 
 class TestGeometricMatchesPowers:
     """Every popcount table, at its call site's first term and ratio,
-    against the `rat_pow` lambda it replaced: the same reduced pairs."""
+    against the powers of `Rat` it replaced: the same reduced pairs."""
 
     BETAS = [Rat(1), Rat(-1), Rat(2), Rat(-3, 2), Rat(5, 7)]
     ZS = ROW_DEFORMATIONS + [Rat(-1), Rat(-7, 4)]
@@ -798,9 +798,9 @@ class TestGeometricMatchesPowers:
             for top in range(6):
                 ks = range(top + 1)
                 assert (geometric((1, 1), (-zn, zd), top)
-                        == pairs(rat_pow(-z, k) for k in ks))
+                        == pairs(Rat(-z) ** k for k in ks))
                 assert (geometric((1, 1), (zn, zd), top)
-                        == pairs(rat_pow(z, k) for k in ks))
+                        == pairs(Rat(z) ** k for k in ks))
 
     def test_signs(self):
         # suites._binomial_sums, and the plain diagonal actions
@@ -809,7 +809,7 @@ class TestGeometricMatchesPowers:
                     == pairs(Rat(-1) ** k for k in range(p + 1)))
             for n in range(p + 1):
                 assert (geometric(((-1) ** n, 1), (1, 1), p)
-                        == pairs(rat_pow(-1, n) for k in range(p + 1)))
+                        == pairs(Rat(-1) ** n for k in range(p + 1)))
 
     def test_twist_powers(self):
         # the twisted diagonal actions, the twisted annihilation action,
@@ -820,17 +820,17 @@ class TestGeometricMatchesPowers:
                 for p in range(n, n + 5):
                     ks = range(p + 1)
                     assert (geometric((bn ** n, bd ** n), (-bd, bn), p)
-                            == pairs(rat_pow(beta, n) * rat_pow(-beta, -k)
+                            == pairs(Rat(beta) ** n * Rat(-beta) ** -k
                                      for k in ks))
                     assert (geometric(((-bn) ** n, bd ** n), (-bd, bn), p)
-                            == pairs(rat_pow(-beta, n - k) for k in ks))
+                            == pairs(Rat(-beta) ** (n - k) for k in ks))
         for beta1 in self.BETAS:
             for beta2 in self.BETAS:
                 twist = TwistData(beta1, beta2, Rat(3))
                 for n in range(5):
                     for m in range(5):
                         assert _beta_powers(twist, n, m) == pairs(
-                            rat_pow(-beta1, n - k) * rat_pow(-beta2, k - m)
+                            Rat(-beta1) ** (n - k) * Rat(-beta2) ** (k - m)
                             for k in range(n + m + 1))
 
 

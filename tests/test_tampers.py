@@ -6,12 +6,15 @@ checks passes untampered. A failure must be a value mismatch, not an error.
 The rows cover the routes the specialised scalar forms now go through: SCe
 reads K's half of the t21 action (`_Side.k_pair`), the twisted vacuum
 average reads SPfin's block tables (`_KBlocks.pair`), and the ordinary
-determinant has its own Izergin-Korepin form beside K^(1), which reads
-`izergin.f_pair`. SCbe and SPfinIK assemble their two determinants per split
-(`actions._v_side`), and the nu12 reduction multiplies its g kernels per
-split (`actions._g_prod`). Every 1/h of the determinant rows and tables
-comes from `izergin.h_pair`, and every popcount weight table from
-`geometric` (bound by name in `izergin` and in `actions`).
+determinant has its own Izergin-Korepin form beside K^(1), whose row pass
+reads `izergin.f_pair`. SCbe and SPfinIK assemble their two determinants
+per split (`actions._v_side`). Every product of one kernel over a list of
+pairs is `scalars.kernel_product`: bound in `izergin` it gives the row
+factors f(u, v_j) of the direct determinants, and bound in `actions` the
+f products of the independent-partition forms and the g products of the
+nu12 reduction. Every 1/h of the determinant rows and tables comes from
+`izergin.h_pair`, and every popcount weight table from `geometric` (bound
+by name in `izergin` and in `actions`).
 """
 
 import pytest
@@ -24,7 +27,7 @@ TRUE_F_PAIR = izergin.f_pair
 TRUE_K_PAIR = _Side.k_pair
 TRUE_BLOCK_PAIR = _KBlocks.pair
 TRUE_V_SIDE = actions._v_side
-TRUE_G_PROD = actions._g_prod
+TRUE_KERNEL_PRODUCT = izergin.kernel_product
 TRUE_H_PAIR = izergin.h_pair
 TRUE_GEOMETRIC = izergin.geometric
 
@@ -55,8 +58,12 @@ def v_side_doubled_on_conjugated(u, v, cn, cd, conjugated):
     return doubled
 
 
-def g_at_twice_c(left, right, c):
-    return TRUE_G_PROD(left, right, 2 * c)
+def kernel_product_at_twice_c(tampered):
+    """kernel_product read at 2c for the kernel `tampered`."""
+    def product(kind, pairs, cn, cd):
+        return TRUE_KERNEL_PRODUCT(kind, pairs,
+                                   2 * cn if kind == tampered else cn, cd)
+    return product
 
 
 def h_at_twice_c(dn, dd, cn, cd):
@@ -78,8 +85,12 @@ TAMPERS = [
     ("independent_det", actions, "_v_side", v_side_doubled_on_conjugated,
      [("scalar-products", "scalar/independent-partition-form"),
       ("aba-actions", "actions/scalar-forms-random-weights")]),
-    ("reduction_g", actions, "_g_prod", g_at_twice_c,
+    ("reduction_g", actions, "kernel_product", kernel_product_at_twice_c("g"),
      [("maba-actions", "actions/creation-reduction")]),
+    ("row_factor_f", izergin, "kernel_product", kernel_product_at_twice_c("f"),
+     [("izergin-laws", "izergin/ordinary-limit"),
+      ("izergin-laws", "izergin/representation-equivalence"),
+      ("scalar-products", "scalar/independent-partition-form")]),
     ("h_pair", izergin, "h_pair", h_at_twice_c,
      [("izergin-laws", "izergin/partition-sum-expansion"),
       ("izergin-laws", "izergin/unit-deformation-vanishing"),
