@@ -257,11 +257,14 @@ def ordinary_izergin(u_set: SpectralSet, v_set: SpectralSet, c,
             raise PoleError("g" if not gd else "1/h", a, b)
         return Rat(gn * hd, gd * hn)
 
-    pre = set_product("h", u, v, c)
+    up, vp = _parts(u.values), _parts(v.values)
+    g_pairs = []  # g(u_j, u_k) and g(v_k, v_j) for j < k
     for j in range(n):
-        pre *= (set_product("g", u[j], u[j + 1:], c)
-                * set_product("g", v[j + 1:], v[j], c))
-    return pre * det([[g_over_h(a, b) for b in v] for a in u])
+        g_pairs += [(up[j], a) for a in up[j + 1:]]
+        g_pairs += [(b, vp[j]) for b in vp[j + 1:]]
+    pre = term_pair(kernel_product("h", product(up, vp), cn, cd),
+                    kernel_product("g", g_pairs, cn, cd))
+    return Rat(*pre) * det([[g_over_h(a, b) for b in v] for a in u])
 
 
 def term_pair(*pairs) -> tuple:

@@ -146,7 +146,11 @@ def enumerate_splits(ground: GroundSet | int, parts: int,
                 yield (rest ^ m3, m2, m3)
 
 
-MIN_POOL_SPLITS = 1024  # below this, forking a child costs more than it saves
+# below this many splits, forking a child costs more than it saves. An
+# SPfin split costs about 11 us serially; on 2 cores, jobs=2 beat jobs=1 in
+# 9-10 of 10 alternated pairs at 2^12 splits (median 1.35-1.41x), in 7 of 10
+# at 2^11 and in 1-7 of 10 at 2^10 (BENCH_fork_placement.json)
+MIN_POOL_SPLITS = 4096
 # the most workers a run may ask for: `split_sum` forks all but one of them
 # at once, each a copy of the caller, so a mistyped count would start
 # hundreds of processes; 64 is far above the cores of any machine this runs on

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mbethe
+from mbethe import partitions
 
 
 @pytest.fixture(autouse=True)
@@ -22,6 +23,13 @@ def no_child_left_running():
         child.join()
     if alive:
         pytest.fail(f"multiprocessing children left running: {alive}")
+
+
+@pytest.fixture
+def fork_from_1024(monkeypatch):
+    """Lower the fork threshold to 1024 splits, so that the fork-path tests
+    take the fork path on sums of 2^10 splits."""
+    monkeypatch.setattr(partitions, "MIN_POOL_SPLITS", 1024)
 
 
 @pytest.fixture

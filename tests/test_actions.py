@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mbethe import actions, izergin
+from mbethe import actions, izergin, partitions
 from mbethe.actions import (ActionRequest, WeightOracle, _independent_weights,
                             eval_action, eval_request, eval_scalar,
                             eval_vacuum_average, phi_transform)
@@ -15,8 +15,7 @@ from mbethe.chain import (ChainSpec, apply_entry_product, direct_scalar,
                           vacuum_state)
 from mbethe.errors import (CapabilityError, CardinalityError, DomainError)
 from mbethe.izergin import _KBlocks
-from mbethe.partitions import (MIN_POOL_SPLITS, count_splits, enumerate_splits,
-                               mask_values)
+from mbethe.partitions import count_splits, enumerate_splits, mask_values
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData,
                             kernel_h, prod_over, sample_generic, with_shifts)
 
@@ -281,8 +280,8 @@ class TestScalarForms:
             assert (eval_scalar("SPfin", us, vs, oracle, twist, C)
                     == eval_scalar("SCe", us, vs, oracle, None, C))
 
-    def test_parallel_reduction_identical(self):
-        assert count_splits(10, 2) >= MIN_POOL_SPLITS
+    def test_parallel_reduction_identical(self, fork_from_1024):
+        assert count_splits(10, 2) >= partitions.MIN_POOL_SPLITS
         spec = chain(3, 68)
         us, vs = spectra(spec, [5, 5], 69)
         oracle = WeightOracle.fundamental(spec)
@@ -294,16 +293,19 @@ class TestScalarForms:
         # a script that makes spawn the default start method still gets the
         # serial value: split_sum names fork, so the children inherit the
         # SPfin term
-        assert count_splits(10, 2) >= MIN_POOL_SPLITS
         done = run_script("""
 import multiprocessing
 
+from mbethe import partitions
 from mbethe.actions import WeightOracle, eval_scalar
 from mbethe.chain import ChainSpec
+from mbethe.partitions import count_splits
 from mbethe.scalars import ModelParams, Rat, sample_generic, with_shifts
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
+    partitions.MIN_POOL_SPLITS = 1024
+    assert count_splits(10, 2) >= partitions.MIN_POOL_SPLITS
     c = Rat(1)
     theta = sample_generic(3, seed=68, c=c, bound=30, label="theta")
     oracle = WeightOracle.fundamental(ChainSpec(3, theta, c))
@@ -431,14 +433,15 @@ class TestSPfinBlocks:
     process that reads them: the caller of a forked sum builds only the
     blocks of its own rank range, and a serial sum builds each block once."""
 
-    def test_workers_build_only_their_blocks(self, monkeypatch):
+    def test_workers_build_only_their_blocks(self, fork_from_1024,
+                                             monkeypatch):
         spec = chain(3, 90)
         us, vs = spectra(spec, [5, 5], 91)
         oracle = WeightOracle.fundamental(spec)
         direct = direct_scalar(spec, TWIST, "nu21", us, "nu12", vs)
         p = len(us) + len(vs)
         blocks_per_reader = 1 << (p - p // 2)
-        assert count_splits(p, 2) >= MIN_POOL_SPLITS
+        assert count_splits(p, 2) >= partitions.MIN_POOL_SPLITS
         built = []
         build = _KBlocks._build
 
@@ -461,13 +464,13 @@ class TestSPfinBlocks:
                     assert len(his) == len(set(his))
                     assert 0 < len(his) <= blocks_per_reader // 2 + 1
 
-    def test_children_inherit_the_factors(self, monkeypatch):
+    def test_children_inherit_the_factors(self, fork_from_1024, monkeypatch):
         """The block tables compute their factors before the sum forks, so
         no forked child computes principal minors."""
         spec = chain(3, 92)
         us, vs = spectra(spec, [5, 5], 93)
         oracle = WeightOracle.fundamental(spec)
-        assert count_splits(len(us) + len(vs), 2) >= MIN_POOL_SPLITS
+        assert count_splits(len(us) + len(vs), 2) >= partitions.MIN_POOL_SPLITS
         own, minors = os.getpid(), izergin.principal_minors
 
         def parent_only(rows):

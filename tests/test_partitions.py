@@ -1,6 +1,7 @@
 """Split enumeration, the partition-sum engine, coefficient maps, and the
 closed proof-step sums."""
 
+import multiprocessing
 import pickle
 from fractions import Fraction
 from math import comb, lcm
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mbethe import partitions
 from mbethe.errors import ConstraintError, MbetheError, PoleError
 from mbethe.partitions import (MIN_POOL_SPLITS, CoefficientMap, GroundSet,
                                _add_term, bits_of, count_splits, enumerate_splits,
@@ -121,9 +123,9 @@ class TestSplitSum:
 
     @pytest.mark.parametrize("p, parts, cards",
                              [(10, 2, None), (7, 3, None), (13, 2, (6, 7))])
-    def test_jobs_bit_identical(self, p, parts, cards):
+    def test_jobs_bit_identical(self, fork_from_1024, p, parts, cards):
         # a lambda cannot be pickled: the forked children inherit the term
-        assert count_splits(p, parts, cards) >= MIN_POOL_SPLITS
+        assert count_splits(p, parts, cards) >= partitions.MIN_POOL_SPLITS
         mask_term = MaskTerm()
         for term in (mask_term, lambda *split: mask_term(*split)):
             serial = split_sum(p, parts, term, cards)
@@ -138,10 +140,10 @@ class TestSplitSum:
     def test_worker_error_reaches_the_parent(self, run_script):
         # the split with second mask 600 has rank 600 of 1024, so it lies in
         # the range of the forked child
-        assert count_splits(10, 2) >= MIN_POOL_SPLITS
         done = run_script("""
+from mbethe import partitions
 from mbethe.errors import PoleError
-from mbethe.partitions import split_sum
+from mbethe.partitions import count_splits, split_sum
 
 
 class PoleTerm:
@@ -152,6 +154,8 @@ class PoleTerm:
 
 
 if __name__ == "__main__":
+    partitions.MIN_POOL_SPLITS = 1024
+    assert count_splits(10, 2) >= partitions.MIN_POOL_SPLITS
     try:
         split_sum(10, 2, PoleTerm(), jobs=2)
     except PoleError as exc:
@@ -168,8 +172,9 @@ import multiprocessing
 import os
 import time
 
+from mbethe import partitions
 from mbethe.errors import PoleError, WorkerExitError
-from mbethe.partitions import MIN_POOL_SPLITS, count_splits, split_sum
+from mbethe.partitions import count_splits, split_sum
 
 
 class ForkedTerm:
@@ -204,7 +209,8 @@ def stall(mask2):
 
 
 if __name__ == "__main__":
-    assert count_splits(10, 2) >= MIN_POOL_SPLITS
+    partitions.MIN_POOL_SPLITS = 1024
+    assert count_splits(10, 2) >= partitions.MIN_POOL_SPLITS
     try:
         print("sum", split_sum(10, 2, ForkedTerm(%s, %s), jobs=%d))
     except WorkerExitError as exc:
@@ -229,6 +235,29 @@ if __name__ == "__main__":
         done = run_script(self.FORKED % (in_caller, in_child, jobs), timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [want, "left 0"]
+
+    def test_forks_from_the_threshold(self, monkeypatch):
+        # no 2- or 3-part shape has exactly MIN_POOL_SPLITS - 1 = 4095
+        # splits; C(30, 3) = 4060 is the largest count below 4096 that any
+        # shape up to MAX_GROUND gives
+        fork = multiprocessing.get_context("fork").Process
+        started, start = [], fork.start
+
+        def counted(child):
+            started.append(child)
+            start(child)
+
+        monkeypatch.setattr(fork, "start", counted)
+        p = MIN_POOL_SPLITS.bit_length() - 1
+        assert count_splits(p, 2) == MIN_POOL_SPLITS
+        below = [(p - 1, None), (30, (27, 3))]
+        for n, cards in below:
+            assert count_splits(n, 2, cards) < MIN_POOL_SPLITS
+            assert split_sum(n, 2, lambda *split: 1, cards,
+                             jobs=2) == count_splits(n, 2, cards)
+        assert started == []
+        assert split_sum(p, 2, lambda *split: 1, jobs=2) == MIN_POOL_SPLITS
+        assert len(started) == 1
 
 
 big = st.integers(-10**220, 10**220)
@@ -282,16 +311,17 @@ class TestPairAccumulator:
                                                     want.denominator)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_keyed_cancellation_drops_the_key(self, jobs):
-        assert count_splits(7, 3) >= MIN_POOL_SPLITS
+    def test_keyed_cancellation_drops_the_key(self, fork_from_1024, jobs):
+        assert count_splits(7, 3) >= partitions.MIN_POOL_SPLITS
         keyed = split_sum(7, 3, AlternatingTerm(), jobs=jobs, keyed=True)
         assert keyed.items() == [(0b1111111, Rat(1, 3))]
         assert len(keyed) == 1
         assert split_sum(7, 3, AlternatingTerm(), jobs=jobs) == Rat(1, 3)
 
     @pytest.mark.parametrize("p, parts", [(10, 2), (7, 3)])
-    def test_pair_terms_same_at_every_job_count(self, p, parts):
-        assert count_splits(p, parts) >= MIN_POOL_SPLITS
+    def test_pair_terms_same_at_every_job_count(self, fork_from_1024, p,
+                                                parts):
+        assert count_splits(p, parts) >= partitions.MIN_POOL_SPLITS
         term = PairTerm()
         want = sum((Fraction(*term(*split))
                     for split in enumerate_splits(p, parts)), Fraction(0))
