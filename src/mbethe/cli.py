@@ -20,7 +20,7 @@ import json
 import sys
 
 from .bench import bench_sizes, jobs_sweep, run_bench
-from .chain import ChainSpec, direct_scalar, twist_pair
+from .chain import MAX_SITES, ChainSpec, direct_scalar, twist_pair
 from .actions import WeightOracle, eval_scalar
 from .errors import CardinalityError, ConfigError, DomainError, MbetheError
 from .partitions import MAX_GROUND, MAX_JOBS
@@ -123,6 +123,8 @@ def cmd_scalar(args) -> int:
     if args.n + args.m > MAX_GROUND:
         raise ConfigError(f"--n plus --m must be at most {MAX_GROUND}, "
                           f"got {args.n + args.m}")
+    if not 1 <= args.sites <= MAX_SITES:
+        raise ConfigError(f"--sites must lie in 1..{MAX_SITES}, got {args.sites}")
     c, rho1, rho2, kp, km = (config_number(Rat, getattr(args, key), f"--{key}")
                              for key in ("c", "rho1", "rho2", "kp", "km"))
     theta = sample_generic(args.sites, seed=args.seed ^ 0x7E7A, bound=args.bound,

@@ -895,7 +895,8 @@ class DetTables:
         K-bar^(z)(u | xi_S - s); only that half is built."""
         return self._minus if conjugated else self._plus
 
-    # perfbench/tracing.py wraps the three rational forms below by name.
+    # The three rational forms below have no caller in the package: the
+    # tests read them, and perfbench/tracing.py wraps them by name.
 
     def k_plus(self, z, mask: int) -> Rat:
         """K^(z)(u | xi_S + s) for the subset S given as a bitmask."""

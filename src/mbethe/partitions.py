@@ -12,6 +12,9 @@ denominator) or a rational (an int counts as one). The engine adds every term
 into one integer pair per sum (per key, for keyed sums) and builds one
 rational at the end, so a term pays no gcd unless it brings a new factor into
 the sum's denominator.
+
+The engine holds no formula: it imports no kernel, and every term it sums,
+with the kernels and tables the term reads, comes from its caller.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from itertools import islice
 from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
-from .errors import ConstraintError, PoleError, WorkerExitError
-from .scalars import Rat, SpectralSet, kernel_f, kernel_g, kernel_h
+from .errors import ConstraintError, WorkerExitError
+from .scalars import Rat, SpectralSet
 
 MAX_GROUND = 63  # bitmask encoding cap; desk experiments stay far below
 
@@ -315,47 +318,3 @@ class CoefficientMap:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k:#x}: {v}" for k, v in self.items())
         return f"CoefficientMap({{{inner}}})"
-
-
-# ---------------------------------------------------------------------------
-# Closed partition sums used inside the multiple-action proofs. Both are
-# exposed as standalone checks: each must sum to exactly 1.
-# ---------------------------------------------------------------------------
-
-def single_extraction_sum(u, wset: SpectralSet, c) -> Rat:
-    """Sum over singleton extractions of f(rest, x) / h(u, x); equals 1 for
-    u in wset. Raises PoleError where h(u, x) = 0 (u - x = -c)."""
-    vals = wset.values
-    total = Rat(0)
-    for k in range(len(vals)):
-        x = vals[k]
-        h = kernel_h(u, x, c)
-        if not h:
-            raise PoleError("1/h", u, x)
-        term = 1 / h
-        for j, y in enumerate(vals):
-            if j != k:
-                term *= kernel_f(y, x, c)
-        total += term
-    return total
-
-
-def pole_extraction_sum(wset: SpectralSet, pivot, c) -> Rat:
-    """Sum over singleton extractions of g(rest, x) / g(rest, pivot); equals 1 for pivot in wset.
-
-    1/g(y, pivot) is evaluated as the polynomial (y - pivot)/c, so splits that
-    keep the pivot in the non-singleton part contribute exactly 0 instead of
-    tripping a pole.
-    """
-    vals = wset.values
-    pivot = Rat(pivot)
-    c = Rat(c)
-    total = Rat(0)
-    for k in range(len(vals)):
-        x = vals[k]
-        term = Rat(1)
-        for j, y in enumerate(vals):
-            if j != k:
-                term *= kernel_g(y, x, c) * (y - pivot) / c
-        total += term
-    return total

@@ -14,6 +14,16 @@ rhs, ok). `CHECKS` declares every check once: per suite, ordered groups of
 group runs trial by trial, so a one-row group runs its identity's trials
 back to back. `run_check` runs any one check by name; `run_suite` runs a
 suite's checks in declared order through it.
+
+Most checks are a law on one of two runners. `_grid` takes a law's draw
+shapes, a function from the suite sizes to count lists, and its z salts:
+at each count list it draws one generic set per count and one deformation
+per salt, and the law yields the (lhs, rhs) pairs it compares there.
+`_chain_grid` draws, at each count list, a chain, its twist, its weight
+oracle and the sets from one sub-seed (`_on_chain`), and the law gives the
+formula and the chain oracle's value. Every partition sum written here is a
+`split_sum` term: the shifted-unit convolution, the binomial sums and the
+two proof-step extraction sums over (p-1, 1) splits.
 """
 
 from __future__ import annotations
@@ -29,18 +39,18 @@ from .actions import (ActionRequest, WeightOracle, eval_action, eval_request,
 from .chain import (MAX_SITES, ChainSpec, apply_entry_product, apply_nu,
                     direct_scalar, embed_two, gl2_random_matrix,
                     monodromy_ints, r_matrix, vacuum_state, vacuum_weights)
-from .errors import ConfigError
+from .errors import ConfigError, PoleError
 from .izergin import (DetTables, FTable, conj_mod_izergin, geometric,
                       izergin_convolution, izergin_deformation_sum,
                       izergin_partition_sum, izergin_reader, mod_izergin,
                       ordinary_izergin, residue_check, term_pair)
 from .linalg import (clear_denominators, clear_matrix, identity, int_mat_mul,
                      kron, mat_add, mat_eq, mat_mul, rat_matrix)
-from .partitions import (MAX_JOBS, enumerate_splits, mask_values,
-                         pole_extraction_sum, single_extraction_sum, split_sum)
+from .partitions import MAX_JOBS, enumerate_splits, mask_values, split_sum
 from .report import CheckRecord, Recorder, digest
-from .scalars import (Rat, SpectralSet, TwistData, _generic_pairs, _shift_pairs,
-                      kernel_f, kernel_g, rat_str, sample_nonzero, sample_twist,
+from .scalars import (Rat, SpectralSet, TwistData, _generic_pairs, _parts,
+                      _shift_pairs, diff_pair, h_pair, kernel_f, kernel_g,
+                      kernel_product, rat_str, sample_nonzero, sample_twist,
                       set_product)
 
 DEFAULT_SIZES = {
@@ -198,6 +208,28 @@ def _cycle_sites(max_sites: int, idx: int) -> int:
     return max_sites - (idx % max_sites)
 
 
+def _on_chain(ctx, seed, sites, counts, salt):
+    """A chain of `sites` sites, its twist (drawn at seed ^ salt; None
+    without a salt), its fundamental weight oracle, and sets of the given
+    counts apart from its sites: all drawn from one sub-seed."""
+    spec = _chain(ctx, seed, sites)
+    params = None if salt is None else sample_twist(seed ^ salt, ctx.c)
+    sets = _spectra(ctx, seed ^ 0xACE, counts, "uv", chain=spec)
+    return spec, params, WeightOracle.fundamental(spec), *sets
+
+
+def _chain_grid(ctx, rng, law, shapes, salt=0x7157):
+    """One trial of a law against the chain oracle, on a chain whose length
+    cycles with the trial: for each count list of `shapes(sizes)`, one draw
+    of `_on_chain` from its own sub-seed, and the (lhs, rhs) pair that the
+    law gives there."""
+    sites = _cycle_sites(ctx.sizes["sites"], ctx.trial)
+    lhs, rhs = zip(*(
+        law(ctx, *_on_chain(ctx, rng.getrandbits(48), sites, counts, salt))
+        for counts in shapes(ctx.sizes)))
+    return digest(ctx.seed, sites), lhs, rhs, lhs == rhs
+
+
 # ---------------------------------------------------------------------------
 # Suite: izergin-laws
 # ---------------------------------------------------------------------------
@@ -221,23 +253,29 @@ def _equivalence(ctx, rng):
     return digest(params), lhs, rhs, lhs == rhs
 
 
-def _grid(ctx, rng, law, exclude=(), extra=False, low=0,
-          high=("max_n", "max_m")):
-    """Check a law at every (n, m) from `low` up to the sizes named by `high`:
-    draw u, v (and, with `extra`, one more value w), then z avoiding
-    `exclude`; the law yields the (lhs, rhs) pairs it compares there."""
+def _upto(*keys, low=0):
+    """The draw shapes of every count list from `low` up to the sizes named
+    by `keys`, the last key varying fastest."""
+    return lambda sz: product(*(range(low, sz[key] + 1) for key in keys))
+
+
+def _grid(ctx, rng, law, shapes=_upto("max_n", "max_m"), salts=(0,),
+          exclude=(), point=False):
+    """Check a law at every draw shape: for each count list of
+    `shapes(sizes)`, draw one set per count, then one z per salt (xored into
+    its seed) avoiding `exclude`; with `point`, the last set is its one
+    value. The law yields the (lhs, rhs) pairs it compares there."""
     lhs, rhs, params = [], [], []
-    for n in range(low, ctx.sizes[high[0]] + 1):
-        for m in range(low, ctx.sizes[high[1]] + 1):
-            sets = _spectra(ctx, rng.getrandbits(48), [n, m, 1] if extra else [n, m],
-                            ["u", "v", "w"])
-            if extra:
-                sets[2] = sets[2][0]
-            z = sample_nonzero(rng.getrandbits(48), 9, exclude=exclude)
-            params.append((*sets, z))
-            for left, right in law(ctx.c, *sets, z):
-                lhs.append(left)
-                rhs.append(right)
+    for counts in shapes(ctx.sizes):
+        sets = _spectra(ctx, rng.getrandbits(48), counts, "uvwx")
+        if point:
+            sets[-1] = sets[-1][0]
+        zs = [sample_nonzero(rng.getrandbits(48) ^ salt, 9, exclude=exclude)
+              for salt in salts]
+        params.append((*sets, *zs))
+        for left, right in law(ctx.c, *sets, *zs):
+            lhs.append(left)
+            rhs.append(right)
     return digest(params), lhs, rhs, lhs == rhs
 
 
@@ -302,24 +340,14 @@ def _empty_set_values(ctx, rng):
     return digest(z), lhs, rhs, lhs == rhs
 
 
-def _single_row_forms(ctx, rng):
-    c = ctx.c
-    lhs, rhs, params = [], [], []
-    for k in range(1, max(ctx.sizes["max_n"], ctx.sizes["max_m"]) + 1):
-        us, vs, single_u, ws = _spectra(ctx, rng.getrandbits(48), [k, 1, 1, k],
-                                        ["u", "v", "u2", "v2"])
-        z = sample_nonzero(rng.getrandbits(48), 9)
-        params.append((us, vs, single_u, ws, z))
-        u1 = single_u[0]
-        lhs += [mod_izergin(z, single_u, ws, c),
-                mod_izergin(z, us, vs, c),
-                conj_mod_izergin(z, single_u, ws, c),
-                conj_mod_izergin(z, us, vs, c)]
-        rhs += [(1 - z) ** (k - 1) * (set_product("f", u1, ws, c) - z),
-                set_product("f", us, vs[0], c) - z,
-                (1 - z) ** (k - 1) * (set_product("f", ws, u1, c) - z),
-                set_product("f", vs[0], us, c) - z]
-    return digest(params), lhs, rhs, lhs == rhs
+def _single_row_forms(c, us, vs, single_u, ws, z):
+    k, u1 = len(us), single_u[0]
+    yield (mod_izergin(z, single_u, ws, c),
+           (1 - z) ** (k - 1) * (set_product("f", u1, ws, c) - z))
+    yield mod_izergin(z, us, vs, c), set_product("f", us, vs[0], c) - z
+    yield (conj_mod_izergin(z, single_u, ws, c),
+           (1 - z) ** (k - 1) * (set_product("f", ws, u1, c) - z))
+    yield conj_mod_izergin(z, us, vs, c), set_product("f", vs[0], us, c) - z
 
 
 def _unit_vanishing(ctx, rng):
@@ -332,87 +360,44 @@ def _unit_vanishing(ctx, rng):
     return digest(len(lhs)), lhs, rhs, lhs == rhs
 
 
-def _ordinary_limit(ctx, rng):
-    c = ctx.c
-    lhs, rhs, params = [], [], []
-    for n in range(1, ctx.sizes["max_n"] + 1):
-        us, vs = _spectra(ctx, rng.getrandbits(48), [n, n], ["u", "v"])
-        params.append((us, vs))
-        lhs.append(ordinary_izergin(us, vs, c))
-        rhs.append(mod_izergin(1, us, vs, c))
-        lhs.append(ordinary_izergin(us, vs, c, conjugated=True))
-        rhs.append(conj_mod_izergin(1, us, vs, c))
-    return digest(params), lhs, rhs, lhs == rhs
+def _ordinary_limit(c, us, vs):
+    yield ordinary_izergin(us, vs, c), mod_izergin(1, us, vs, c)
+    yield (ordinary_izergin(us, vs, c, conjugated=True),
+           conj_mod_izergin(1, us, vs, c))
 
 
-def _convolution(ctx, rng):
-    c, sz = ctx.c, ctx.sizes
-    lhs, rhs, params = [], [], []
-    for n in range(0, sz["conv_max"] + 1):
-        for m in range(0, sz["conv_max"] + 1):
-            for l in range(0, sz["conv_len"] + 1):
-                us, vs, xs = _spectra(ctx, rng.getrandbits(48), [n, m, l],
-                                      ["u", "v", "xi"])
-                z1 = sample_nonzero(rng.getrandbits(48), 9)
-                z2 = sample_nonzero(rng.getrandbits(48) ^ 3, 9)
-                params.append((us, vs, xs, z1, z2))
-                merged = us.union(vs, "uv")
-                for conj in (False, True):
-                    fn = conj_mod_izergin if conj else mod_izergin
-                    lhs.append(izergin_convolution(z1, z2, us, vs, xs, c,
-                                                   conjugated=conj))
-                    rhs.append(fn(z1 * z2, merged, xs, c))
-    return digest(params), lhs, rhs, lhs == rhs
+def _convolution(c, us, vs, xs, z1, z2):
+    for fn, conj in ((mod_izergin, False), (conj_mod_izergin, True)):
+        yield (izergin_convolution(z1, z2, us, vs, xs, c, conjugated=conj),
+               fn(z1 * z2, us.union(vs), xs, c))
 
 
-def _shifted_unit_convolution(ctx, rng):
-    c, sz = ctx.c, ctx.sizes
-    lhs, rhs, params = [], [], []
-    for n in range(0, sz["conv_max"] + 1):
-        for m in range(0, sz["conv_max"] + 1):
-            us, vs, xs = _spectra(ctx, rng.getrandbits(48), [n, m, sz["conv_len"]],
-                                  ["u", "v", "xi"])
-            params.append((us, vs, xs))
-            merged = us.union(vs, "uv")
-            lhs += [shifted_unit_sum(us, vs, xs, c),
-                    shifted_unit_sum(us, vs, xs, c, conjugated=True)]
-            rhs += [mod_izergin(1, merged, xs.shifted(c), c),
-                    conj_mod_izergin(1, merged, xs.shifted(-c), c)]
-    return digest(params), lhs, rhs, lhs == rhs
+def _shifted_unit_convolution(c, us, vs, xs):
+    for fn, conj, shift in ((mod_izergin, False, c), (conj_mod_izergin, True, -c)):
+        yield (shifted_unit_sum(us, vs, xs, c, conjugated=conj),
+               fn(1, us.union(vs), xs.shifted(shift), c))
 
 
-def _deformation_sum(ctx, rng):
-    c = ctx.c
-    lhs, rhs, params = [], [], []
-    for n in range(0, ctx.sizes["max_n"] + 1):
-        for m in range(0, ctx.sizes["max_m"] + 1):
-            us, vs = _spectra(ctx, rng.getrandbits(48), [n, m], ["u", "v"])
-            z1 = sample_nonzero(rng.getrandbits(48), 9)
-            z2 = sample_nonzero(rng.getrandbits(48) ^ 5, 9)
-            params.append((us, vs, z1, z2))
-            for conj in (False, True):
-                fn = conj_mod_izergin if conj else mod_izergin
-                lhs.append(izergin_deformation_sum(z1, z2, us, vs, c,
-                                                   conjugated=conj))
-                rhs.append(fn(z2 - z1, us, vs, c))
-    return digest(params), lhs, rhs, lhs == rhs
+def _deformation_sum(c, us, vs, z1, z2):
+    for fn, conj in ((mod_izergin, False), (conj_mod_izergin, True)):
+        yield (izergin_deformation_sum(z1, z2, us, vs, c, conjugated=conj),
+               fn(z2 - z1, us, vs, c))
 
 
 def shifted_unit_sum(us, vs, xs, c, conjugated: bool = False) -> Rat:
     """Sum over splits of xs of K^(1)(us | x1 + c) K^(1)(vs | x2 + c)
     f(x2, x1) / f(x2, us); conjugated, of K-bar^(1)(us | x1 - c)
     K-bar^(1)(vs | x2 - c) f(x1, x2) / f(us, x2). Either equals the same
-    determinant on the merged set {us, vs}. The determinants come from one
-    half of DetTables and the f weights from kernel tables, built once per
-    sum in the orientation of `conjugated`."""
+    determinant on the merged set {us, vs}. The determinants and f weights
+    come from one half of DetTables each, in the orientation of
+    `conjugated`: 1 / f(x2, us) is the row factor f(us, x2 + c), and
+    1 / f(us, x2) the conjugated row factor f(x2 - c, us)."""
     left = DetTables(us.values, xs.values, c).side(conjugated)
     right = DetTables(vs.values, xs.values, c).side(conjugated)
-    to_u = FTable(c, xs.values, us.values, conjugated)
-    all_u = (1 << len(us)) - 1
 
-    def term(m1, m2):   # the reversed pair is 1 / f(x2, us), or 1 / f(us, x2)
+    def term(m1, m2):
         return term_pair(left.k_pair(1, m1), right.k_pair(1, m2),
-                         left.pair(m2, m1), to_u.pair(m2, all_u)[::-1])
+                         left.pair(m2, m1), left.factors.row(0, m2))
 
     return split_sum(len(xs), 2, term)
 
@@ -628,12 +613,8 @@ def _aux_embed(blocks, dim: int, which: str):
 # Suites: aba-actions and maba-actions
 # ---------------------------------------------------------------------------
 
-def _action_vs_oracle(seed, ctx, kind: str, sites: int, n: int, m: int):
+def _action_vs_oracle(ctx, spec, params, oracle, us, vs, kind: str):
     """Materialized formula state vs direct operator application."""
-    spec = _chain(ctx, seed, sites)
-    params = sample_twist(seed ^ 0x5EED, ctx.c) if kind.startswith("nu") else None
-    oracle = WeightOracle.fundamental(spec)
-    us, vs = _spectra(ctx, seed ^ 0xACE, [n, m], ["u", "v"], chain=spec)
     result = eval_action(kind, us, vs, oracle, params, ctx.c)
     formula_state = result.materialize(spec, params)
     family = "t12" if kind.startswith("t") else "nu12"
@@ -642,14 +623,11 @@ def _action_vs_oracle(seed, ctx, kind: str, sites: int, n: int, m: int):
 
 
 def _action_grid(ctx, rng, kind: str):
-    """One trial of an action: every (n, m) up to the maxima vs the oracle,
-    on a chain whose length cycles with the trial."""
-    sz = ctx.sizes
-    sites = _cycle_sites(sz["sites"], ctx.trial)
-    lhs, rhs = zip(*(
-        _action_vs_oracle(rng.getrandbits(48), ctx, kind, sites, n, m)
-        for n in range(0, sz["max_n"] + 1) for m in range(0, sz["max_m"] + 1)))
-    return digest(ctx.seed, sites), lhs, rhs, lhs == rhs
+    """One trial of an action: every (n, m) up to the maxima vs the oracle;
+    only the twisted family draws a twist."""
+    return _chain_grid(ctx, rng, partial(_action_vs_oracle, kind=kind),
+                       _upto("max_n", "max_m"),
+                       0x5EED if kind.startswith("nu") else None)
 
 
 def _creation_merge(ctx, rng):
@@ -721,18 +699,18 @@ def _truncation(ctx, rng):
     n, m = ctx.sizes["max_n"], ctx.sizes["max_m"]
     us, vs = _spectra(ctx, rng.getrandbits(48), [n, m], ["u", "v"])
     tables = DetTables(us.values, us.values + vs.values, ctx.c)
-    lhs = []
-    for mask1, _ in enumerate_splits(n + m, 2):
-        if mask1.bit_count() > n:
-            lhs.append(tables.k_minus_conj(1, mask1))
-            lhs.append(tables.k_plus(1, mask1))
+    halves = [tables.side(conjugated) for conjugated in (True, False)]
+    lhs = [Rat(*half.k_pair(1, mask1))
+           for mask1, _ in enumerate_splits(n + m, 2) if mask1.bit_count() > n
+           for half in halves]
     rhs = [Rat(0)] * len(lhs)
     return digest(us, vs), lhs, rhs, lhs == rhs
 
 
 def _creation_reduction(ctx, rng):
     lhs, rhs = zip(*(
-        _action_vs_oracle(rng.getrandbits(48), ctx, "nu12", sites, n, m)
+        _action_vs_oracle(ctx, *_on_chain(ctx, rng.getrandbits(48), sites,
+                                          [n, m], 0x5EED), kind="nu12")
         for sites, n, m in ((2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2))))
     return digest(ctx.seed), lhs, rhs, lhs == rhs
 
@@ -741,22 +719,9 @@ def _creation_reduction(ctx, rng):
 # Suite: scalar-products
 # ---------------------------------------------------------------------------
 
-def _twisted_scalar(ctx, rng):
-    c, sz = ctx.c, ctx.sizes
-    sites = _cycle_sites(sz["sites"], ctx.trial)
-    lhs, rhs = [], []
-    for total in range(0, sz["total_max"] + 1):
-        for n in range(0, total + 1):
-            sub = rng.getrandbits(48)
-            spec = _chain(ctx, sub, sites)
-            params = sample_twist(sub ^ 0x7157, c)
-            oracle = WeightOracle.fundamental(spec)
-            us, vs = _spectra(ctx, sub ^ 0xACE, [n, total - n], ["u", "v"],
-                              chain=spec)
-            lhs.append(eval_scalar("SPfin", us, vs, oracle, params, c,
-                                   jobs=ctx.jobs))
-            rhs.append(direct_scalar(spec, params, "nu21", us, "nu12", vs))
-    return digest(ctx.seed, sites), lhs, rhs, lhs == rhs
+def _twisted_scalar(ctx, spec, params, oracle, us, vs):
+    return (eval_scalar("SPfin", us, vs, oracle, params, ctx.c, jobs=ctx.jobs),
+            direct_scalar(spec, params, "nu21", us, "nu12", vs))
 
 
 def _independent_form(ctx, rng):
@@ -772,20 +737,9 @@ def _independent_form(ctx, rng):
     return digest(ctx.seed), lhs, rhs, lhs == rhs
 
 
-def _vacuum_average(ctx, rng):
-    c, sz = ctx.c, ctx.sizes
-    sites = _cycle_sites(sz["sites"], ctx.trial)
-    lhs, rhs = [], []
-    for p in range(0, sz["avg_max"] + 1):
-        sub = rng.getrandbits(48)
-        spec = _chain(ctx, sub, sites)
-        params = sample_twist(sub ^ 0x7157, c)
-        oracle = WeightOracle.fundamental(spec)
-        ws, = _spectra(ctx, sub ^ 0xACE, [p], ["w"], chain=spec)
-        lhs.append(eval_vacuum_average(ws, oracle, params, c))
-        rhs.append(direct_scalar(spec, params, "nu12", ws, "nu12",
-                                 SpectralSet((), "v")))
-    return digest(ctx.seed, sites), lhs, rhs, lhs == rhs
+def _vacuum_average(ctx, spec, params, oracle, ws):
+    return (eval_vacuum_average(ws, oracle, params, ctx.c),
+            direct_scalar(spec, params, "nu12", ws, "nu12", SpectralSet((), "v")))
 
 
 def _unit_twist_reduction(ctx, rng):
@@ -842,6 +796,51 @@ def _involution(ctx, rng):
 # Suite: proof-steps
 # ---------------------------------------------------------------------------
 
+def single_extraction_sum(u, wset: SpectralSet, c) -> Rat:
+    """Sum over the (p-1, 1) splits (rest, {x}) of wset of
+    f(rest, x) / h(u, x); equals 1 for u in wset. Raises PoleError where
+    h(u, x) = 0 (u - x = -c). The f weights come from one kernel table, and
+    1/h from a one-row table."""
+    c = Rat(c)
+    hs = []
+    for x in wset.values:
+        hn, hd = h_pair(*diff_pair(u, x), c.numerator, c.denominator)
+        if not hn:
+            raise PoleError("1/h", u, x)
+        hs.append((hn, hd))
+    within = FTable(c, wset.values)
+    inv_h = FTable.of_ints([[hd for _, hd in hs]], [[hn for hn, _ in hs]])
+
+    def term(rest, single):
+        return term_pair(within.pair(rest, single), inv_h.row(0, single))
+
+    return split_sum(len(wset), 2, term, (len(wset) - 1, 1))
+
+
+def pole_extraction_sum(wset: SpectralSet, pivot, c) -> Rat:
+    """Sum over the (p-1, 1) splits (rest, {x}) of wset of
+    g(rest, x) / g(rest, pivot); equals 1 for pivot in wset.
+
+    1/g(y, pivot) is read from a one-row table of the polynomial
+    (y - pivot)/c, so splits that keep the pivot in the rest contribute
+    exactly 0 instead of tripping a pole.
+    """
+    c = Rat(c)
+    cn, cd = c.numerator, c.denominator
+    values = _parts(wset.values)
+    steps = [diff_pair(y, pivot) for y in wset.values]
+    inv_g = FTable.of_ints([[dn * cd for dn, _ in steps]],
+                           [[dd * cn for _, dd in steps]])
+
+    def term(rest, single):
+        x, = mask_values(values, single)
+        g = kernel_product("g", ((y, x) for y in mask_values(values, rest)),
+                           cn, cd)
+        return term_pair(g, inv_g.row(0, rest))
+
+    return split_sum(len(wset), 2, term, (len(wset) - 1, 1))
+
+
 def _extraction(ctx, rng, pole: bool):
     """Each extraction sum over a drawn set and a random pivot in it is 1."""
     lhs = []
@@ -882,28 +881,40 @@ CHECKS = {
             ("izergin/conjugate-is-negated-c", _NM,
              partial(_grid, law=_conj_is_negated_c)),
             ("izergin/empty-set-values", _NM, _empty_set_values),
-            ("izergin/single-row-closed-forms", _NM, _single_row_forms),
+            ("izergin/single-row-closed-forms", _NM, partial(
+                _grid, law=_single_row_forms, shapes=lambda sz: [
+                    (k, 1, 1, k)
+                    for k in range(1, max(sz["max_n"], sz["max_m"]) + 1)])),
             ("izergin/unit-deformation-vanishing", _NM, _unit_vanishing),
-            ("izergin/ordinary-limit", _NM, _ordinary_limit),
+            ("izergin/ordinary-limit", _NM, partial(
+                _grid, law=_ordinary_limit, salts=(), shapes=lambda sz: [
+                    (n, n) for n in range(1, sz["max_n"] + 1)])),
             ("izergin/shift-transfer", _NM, partial(_grid, law=_shift_transfer)),
             ("izergin/negation-conjugation", _NM, partial(_grid, law=_negation)),
             ("izergin/paired-argument-reduction", _NM,
-             partial(_grid, law=_pair_reduction, extra=True)),
+             partial(_grid, law=_pair_reduction, point=True, shapes=lambda sz: [
+                 (n, m, 1) for n, m in _upto("max_n", "max_m")(sz)])),
             ("izergin/transposition", _NM,
              partial(_grid, law=_transposition, exclude=(1,))),
             ("izergin/inversion", _NM, partial(_grid, law=_inversion, exclude=(1,))),
             ("izergin/partition-sum-expansion", _NM,
              partial(_grid, law=_partition_expansion, exclude=(1,))),
-            ("izergin/product-convolution", _NM, _convolution),
-            ("izergin/shifted-unit-convolution", _NM, _shifted_unit_convolution),
-            ("izergin/deformation-difference-sum", _NM, _deformation_sum),
+            ("izergin/product-convolution", _NM, partial(
+                _grid, law=_convolution, salts=(0, 3),
+                shapes=_upto("conv_max", "conv_max", "conv_len"))),
+            ("izergin/shifted-unit-convolution", _NM, partial(
+                _grid, law=_shifted_unit_convolution, salts=(),
+                shapes=lambda sz: [(n, m, sz["conv_len"]) for n, m
+                                   in _upto("conv_max", "conv_max")(sz)])),
+            ("izergin/deformation-difference-sum", _NM,
+             partial(_grid, law=_deformation_sum, salts=(0, 5))),
             ("izergin/binomial-partition-sums", _NM, partial(
                 _binomial_sums, top=lambda sz: max(sz["max_n"], sz["max_m"]) + 3)),
         ]),
         ("residue_samples", [("izergin/residue-at-collision",
                               _sizes(max_n="residue_max", max_m="residue_max"),
-                              partial(_grid, law=_residue, low=1,
-                                      high=("residue_max", "residue_max")))]),
+                              partial(_grid, law=_residue, shapes=_upto(
+                                  "residue_max", "residue_max", low=1)))]),
     ],
     "yangian-structure": [
         ("samples", [("yangian/yang-baxter", {}, _yang_baxter),
@@ -940,11 +951,15 @@ CHECKS = {
     ],
     "scalar-products": [
         ("draws", [("scalar/twisted-scalar-product", _sizes("sites", "total_max"),
-                    _twisted_scalar),
+                    partial(_chain_grid, law=_twisted_scalar, shapes=lambda sz: [
+                        (n, total - n) for total in range(sz["total_max"] + 1)
+                        for n in range(total + 1)])),
                    ("scalar/independent-partition-form", _sizes("total_max"),
                     _independent_form),
                    ("scalar/twisted-vacuum-average",
-                    _sizes("sites", max_p="avg_max"), _vacuum_average),
+                    _sizes("sites", max_p="avg_max"),
+                    partial(_chain_grid, law=_vacuum_average,
+                            shapes=_upto("avg_max"))),
                    ("scalar/unit-twist-reduction", _sizes(max_n="red_max"),
                     _unit_twist_reduction)]),
     ],

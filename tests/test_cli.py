@@ -243,7 +243,8 @@ class TestVerify:
         err = capsys.readouterr().err
         crashed = [r for r in json.loads(path.read_text())["records"]
                    if r["params_digest"] == "sha256:error"]
-        assert {r["identity"] for r in crashed} == {"proof/binomial-partition-sums"}
+        assert {r["identity"] for r in crashed} == {
+            "proof/binomial-partition-sums", "proof/single-extraction-sum"}
         for r in crashed:
             assert r["lhs"].startswith("error: PoleError: pole of f at (")
             assert (f"FAIL {r['suite']}/{r['identity']} trial={r['trial']} "
@@ -297,6 +298,20 @@ class TestScalar:
                      "--sites", "1"]) == 2
         captured = capsys.readouterr()
         assert "at most 63" in captured.err
+        assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("sites", [0, MAX_SITES + 1, 3000])
+    def test_bad_site_count_is_config_error(self, sites, monkeypatch, capsys):
+        """A site count outside 1..MAX_SITES fails before any value is
+        sampled: sampling raises here if reached."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached sampling")
+
+        monkeypatch.setattr(mbethe.cli, "sample_generic", refuse)
+        assert main(["scalar", "--n", "1", "--m", "1",
+                     "--sites", str(sites)]) == 2
+        captured = capsys.readouterr()
+        assert f"--sites must lie in 1..{MAX_SITES}" in captured.err
         assert "verdict" not in captured.out
 
     def test_singular_prefactor_is_domain_error(self, capsys):

@@ -153,3 +153,26 @@ def test_guard_sees_a_dead_helper():
     }
     assert dead_helpers(sources) == [("a", "_dead"), ("a", "_idle"),
                                      ("a", "_Unread")]
+
+
+def kernel_imports(source: str) -> list:
+    """(line, name) of each kernel a module imports: a `kernel_*` function
+    (`kernel_product` among them) or a `*_pair` kernel formula."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name.startswith("kernel_") or alias.name.endswith("_pair")]
+
+
+def test_engine_imports_no_kernel():
+    """The partition-sum engine holds no formula: every term it sums comes
+    from its caller."""
+    engine = next(path for path in MODULES if path.stem == "partitions")
+    assert kernel_imports(engine.read_text()) == []
+
+
+def test_guard_sees_a_kernel_import():
+    source = ("from .errors import PoleError\n"
+              "from .scalars import (Rat, kernel_f,\n"
+              "                      h_pair, kernel_product)\n")
+    assert kernel_imports(source) == [(2, "kernel_f"), (2, "h_pair"),
+                                      (2, "kernel_product")]

@@ -14,9 +14,10 @@ from mbethe import partitions
 from mbethe.errors import ConstraintError, MbetheError, PoleError
 from mbethe.partitions import (MIN_POOL_SPLITS, CoefficientMap, GroundSet,
                                _add_term, bits_of, count_splits, enumerate_splits,
-                               mask_values, pole_extraction_sum,
-                               single_extraction_sum, split_sum)
-from mbethe.scalars import Rat, SpectralSet, sample_generic, set_product
+                               mask_values, split_sum)
+from mbethe.scalars import (Rat, SpectralSet, prod_over, sample_generic,
+                            set_product)
+from mbethe.suites import pole_extraction_sum, single_extraction_sum
 
 
 class MaskTerm:
@@ -460,6 +461,29 @@ class TestClosedSums:
         for p in range(1, 9):
             ws = sample_generic(p, seed=400 + p, c=c, bound=40)
             assert pole_extraction_sum(ws, ws[p // 2], c) == 1
+
+    @pytest.mark.parametrize("c", [Rat(1), Rat(-3, 2)])
+    def test_extraction_sums_match_loops(self, c):
+        """Off the identity (u and the pivot outside the set), both sums
+        equal their loops over singleton extractions on rationals."""
+        def single_loop(u, vals):
+            return sum((set_product("f", vals[:k] + vals[k + 1:], x, c)
+                        / set_product("h", u, x, c)
+                        for k, x in enumerate(vals)), Rat(0))
+
+        def pole_loop(vals, pivot):
+            return sum((set_product("g", vals[:k] + vals[k + 1:], x, c)
+                        * prod_over(lambda y: (y - pivot) / c,
+                                    vals[:k] + vals[k + 1:])
+                        for k, x in enumerate(vals)), Rat(0))
+
+        for p in range(1, 7):
+            ws = sample_generic(p + 1, seed=500 + p, c=c, bound=40)
+            vals, outside = ws.values[:p], ws[p]
+            assert (single_extraction_sum(outside, SpectralSet(vals), c)
+                    == single_loop(outside, vals))
+            assert (pole_extraction_sum(SpectralSet(vals), outside, c)
+                    == pole_loop(vals, outside))
 
     def test_bits_helpers(self):
         assert list(bits_of(0b1011)) == [0, 1, 3]

@@ -14,12 +14,15 @@ factors f(u, v_j) of the direct determinants, and bound in `actions` the
 f products of the independent-partition forms and the g products of the
 nu12 reduction. Every 1/h of the determinant rows and tables comes from
 `izergin.h_pair`, and every popcount weight table from `geometric` (bound
-by name in `izergin` and in `actions`).
+by name in `izergin` and in `actions`). The proof-step extraction sums
+hold at every c, so each row there tampers one factor only: the 1/h table
+of the single extraction (`suites.h_pair`) or the g products of the pole
+extraction (`suites.kernel_product`).
 """
 
 import pytest
 
-from mbethe import actions, izergin
+from mbethe import actions, izergin, suites
 from mbethe.izergin import _KBlocks, _Side
 from mbethe.suites import RunConfig, run_check
 
@@ -100,6 +103,10 @@ TAMPERS = [
      [("izergin-laws", "izergin/partition-sum-expansion"),
       ("izergin-laws", "izergin/product-convolution"),
       ("izergin-laws", "izergin/deformation-difference-sum")]),
+    ("extraction_h", suites, "h_pair", h_at_twice_c,
+     [("proof-steps", "proof/single-extraction-sum")]),
+    ("extraction_g", suites, "kernel_product", kernel_product_at_twice_c("g"),
+     [("proof-steps", "proof/pole-extraction-sum")]),
     ("geometric_actions", actions, "geometric", geometric_ratio_inverted,
      [("maba-actions", "actions/twisted-diagonal-one"),
       ("maba-actions", "actions/twisted-annihilation"),
