@@ -15,13 +15,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import comb, prod
 from typing import Callable, Optional
 
 from .chain import ChainSpec, entry_product_states, vacuum_weights
 from .errors import CapabilityError, CardinalityError, DomainError
 from .izergin import DetTables, FTable, _reduced, _v_side, geometric, term_pair
-from .partitions import CoefficientMap, GroundSet, mask_values, split_sum
+from .partitions import (CoefficientMap, GroundSet, count_splits,
+                         mask_values, split_sum)
 from .scalars import (ModelParams, Rat, SpectralSet, TwistData, _parts,
                       kernel_product, rat_str)
 
@@ -292,7 +293,9 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
     sum over splits of the merged set u∪v too, each split of it being a pair
     of splits of u and of v. SCe is not written out: at #u = #v the t21
     action's only survivor is the empty set, and its coefficient is SCe's
-    sum, term for term. Every other form is one `split_sum`. Only SPfin
+    sum, term for term. Every other form is one `split_sum`. SPfin reads
+    each split's term, with its beta power and weights, as one entry of a
+    table built block by block (`DetTables.split_terms`). Only SPfin
     honors `jobs` (its split count is 2^(n+m); the others stay serial).
     """
     c = Rat(c)
@@ -320,22 +323,15 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
     if form == "SPfin":
         twist = _require_twist(params, "SPfin")
         values = u_set.values + v_set.values
-        p = n + m
-        tables = DetTables(u_set.values, values, c)
-        plus, minus = tables.side(False), tables.side(True)
-        # lambda2 over the first part rides on K, lambda1 over the second
-        # on K-bar: the block tables fold each weight into their contents
-        k_plus = plus.reader(twist.mu, _weight_table([lam2(x) for x in values]))
-        k_minus = minus.reader(twist.mu,
-                               _weight_table([lam1(x) for x in values]))
-        beta_pow = _beta_powers(twist, n, m)
-
-        def spfin_term(mask1, mask2):
-            return term_pair(beta_pow[mask1.bit_count()],
-                             plus.pair(mask1, mask2), k_plus(mask1),
-                             k_minus(mask2))
-
-        return split_sum(p, 2, spfin_term, jobs=jobs)
+        # the beta power first * ratio^#S1 is the constant `first` times
+        # one ratio per element of S1, which rides on lambda2's weights, on
+        # K's side, as lambda1's ride on K-bar's; the table folds each
+        # weight into its determinant's
+        first, ratio = _beta_sequence(twist, n, m)
+        terms = DetTables(u_set.values, values, c).split_terms(
+            twist.mu, (_weight_table([lam2(x) for x in values], ratio),
+                       _weight_table([lam1(x) for x in values])), first)
+        return split_sum(n + m, 2, terms.pair, jobs=jobs)
 
     if form == "SPfinIK":
         mu = _require_twist(params, "SPfinIK", betas=()).mu
@@ -362,12 +358,40 @@ def eval_scalar(form: str, u_set: SpectralSet, v_set: SpectralSet,
     raise ValueError(f"unknown scalar form {form!r}")
 
 
-def _beta_powers(twist: TwistData, n: int, m: int) -> list:
-    """(-beta1)^(n-k) (-beta2)^(k-m) for k = 0..n+m, as integer pairs."""
+def scalar_cost(form: str, n: int, m: int) -> int:
+    """The size of one closed scalar-product sum at #u = n and #v = m,
+    known before any work: the splits it sums (`count_splits`) plus the
+    determinant entries it builds. SPfin tabulates each determinant once,
+    in a block table (`izergin._KBlocks`) of up to 2^n coefficients in each
+    of its 2^(p//2) low-half and 2^(p - p//2) high-half columns, p = n + m.
+    SPfinIK and SCbe assemble two determinants per split, of #u1 and #u2
+    rows (`izergin._v_side`), which SCbe does only where #u1 = #v1. SCe
+    sums the (n, n) splits of its 2n points, each with two ground-indexed
+    determinants of n rows."""
+    p = n + m
+    if form == "SPfin":
+        columns = (1 << p // 2) + (1 << p - p // 2)
+        return count_splits(p, 2) + 2 * (columns << n)
+    if form == "SPfinIK":
+        return count_splits(p, 2) + sum(
+            (comb(n, k) * (k * k + (n - k) ** 2)) << m for k in range(n + 1))
+    if form == "SCbe":
+        return count_splits(p, 2) + sum(
+            comb(n, k) ** 2 * (k * k + (n - k) ** 2) for k in range(n + 1))
+    return count_splits(2 * n, 3, (n, n, 0)) * (1 + 2 * n * n)
+
+
+def _beta_sequence(twist: TwistData, n: int, m: int) -> tuple:
+    """(first, ratio) of (-beta1)^(n-k) (-beta2)^(k-m) = first ratio^k, as
+    integer pairs."""
     an, ad = twist.beta1.numerator, twist.beta1.denominator
     bn, bd = twist.beta2.numerator, twist.beta2.denominator
-    return geometric(((-an) ** n * bd ** m, ad ** n * (-bn) ** m),
-                     (bn * ad, bd * an), n + m)
+    return ((-an) ** n * bd ** m, ad ** n * (-bn) ** m), (bn * ad, bd * an)
+
+
+def _beta_powers(twist: TwistData, n: int, m: int) -> list:
+    """(-beta1)^(n-k) (-beta2)^(k-m) for k = 0..n+m, as integer pairs."""
+    return geometric(*_beta_sequence(twist, n, m), n + m)
 
 
 def _independent_weights(u_set: SpectralSet, v_set: SpectralSet,
@@ -420,10 +444,12 @@ def _independent_pairs(u_set: SpectralSet, v_set: SpectralSet,
     return term
 
 
-def _weight_table(weights) -> FTable:
-    """Vacuum weights as a one-row table, read by mask in one lookup pair."""
-    return FTable.of_ints([[w.numerator for w in weights]],
-                          [[w.denominator for w in weights]])
+def _weight_table(weights, ratio=(1, 1)) -> FTable:
+    """Vacuum weights, each times the integer pair `ratio`, as a one-row
+    table, read by mask in one lookup pair."""
+    rn, rd = _reduced(*ratio)
+    return FTable.of_ints([[w.numerator * rn for w in weights]],
+                          [[w.denominator * rd for w in weights]])
 
 
 def eval_vacuum_average(w_set: SpectralSet, oracle: WeightOracle,

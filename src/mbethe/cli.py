@@ -9,24 +9,31 @@ Subcommands:
   bench   time the twisted scalar-product partition sum over a size range and
           a worker-count sweep.
 
+`scalar` and `bench` refuse, with exit 2, a sum that costs more than
+`partitions.MAX_SUM_COST` (`actions.scalar_cost`), before any work.
+
 `verify` also accepts a JSON config file mirroring the run-configuration
-fields; explicit command-line flags override file values.
+fields; explicit command-line flags override file values. With
+`--identity NAME --trial T` and one `--suite`, it runs that one check;
+each FAIL line on stderr ends with the command that reruns its check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 
 from .bench import bench_sizes, jobs_sweep, run_bench
 from .chain import MAX_SITES, ChainSpec, direct_scalar, twist_pair
-from .actions import WeightOracle, eval_scalar
-from .errors import CardinalityError, ConfigError, DomainError, MbetheError
-from .partitions import MAX_GROUND, MAX_JOBS
+from .actions import WeightOracle, eval_scalar, scalar_cost
+from .errors import (CardinalityError, ConfigError, CostError, DomainError,
+                     MbetheError)
+from .partitions import MAX_GROUND, MAX_JOBS, MAX_SUM_COST
 from .report import ERROR_DIGEST, build_report, machine_facts, write_report
 from .scalars import ModelParams, Rat, rat_str, sample_generic, with_shifts
-from .suites import SUITES, RunConfig, config_number, run_suites
+from .suites import SUITES, RunConfig, config_number, run_check, run_suites
 
 SCALAR_FORMS = ("SCe", "SCbe", "SPfin", "SPfinIK")
 
@@ -51,6 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write the JSON report here")
     ver.add_argument("--config", default=None, metavar="PATH",
                      help="JSON config file; flags override its values")
+    ver.add_argument("--identity", default=None, metavar="NAME",
+                     help="run only this check of the one --suite, at --trial")
+    ver.add_argument("--trial", type=int, default=None,
+                     help="the trial of --identity to run")
 
     sca = sub.add_parser("scalar", help="one scalar product, formula vs oracle")
     sca.add_argument("--n", type=int, required=True)
@@ -78,6 +89,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _rerun_command(args, cfg: RunConfig, rec) -> str:
+    """The command that runs only the check of `rec`, with the run's seed,
+    kernel constant, bound and config file, so that it gives the same
+    record."""
+    words = ["mbethe", "verify", "--suite", rec.suite, "--identity",
+             rec.identity, "--trial", str(rec.trial), "--seed", str(cfg.seed)]
+    if args.config:
+        words += ["--config", args.config]
+    for flag, value in (("--c", args.c), ("--bound", args.bound)):
+        if value is not None:
+            words += [flag, str(value)]
+    return shlex.join(words)
+
+
 def cmd_verify(args) -> int:
     values = {}
     if args.config:
@@ -91,6 +116,8 @@ def cmd_verify(args) -> int:
         unknown = set(values) - set(RunConfig().to_json())
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if args.identity is not None:  # a rerun keeps the full run's report
+        values.pop("report_path", None)
     flags = {"suites": args.suites, "seed": args.seed, "c": args.c,
              "bound": args.bound, "parallelism": args.jobs,
              "report_path": args.report}
@@ -98,7 +125,13 @@ def cmd_verify(args) -> int:
     if "parallelism" in values:
         values["jobs"] = values.pop("parallelism")
     cfg = RunConfig(**values)
-    records = run_suites(cfg)
+    if args.identity is None and args.trial is None:
+        records = run_suites(cfg)
+    elif args.identity is None or args.trial is None or len(cfg.suites) != 1:
+        raise ConfigError("--identity and --trial go together, with one "
+                          "--suite")
+    else:
+        records = [run_check(cfg, cfg.suites[0], args.identity, args.trial)]
     report = build_report(cfg.to_json(), records)
     if cfg.report_path:
         write_report(report, cfg.report_path)
@@ -111,10 +144,21 @@ def cmd_verify(args) -> int:
         detail = (rec.lhs if rec.params_digest == ERROR_DIGEST
                   else f"lhs={rec.lhs} rhs={rec.rhs}")
         print(f"FAIL {rec.suite}/{rec.identity} trial={rec.trial} "
-              f"seed={rec.seed}: {detail}", file=sys.stderr)
+              f"seed={rec.seed}: {detail}; rerun: "
+              f"{_rerun_command(args, cfg, rec)}", file=sys.stderr)
     total = report["summary"]
     print(f"total: {total['passed']}/{total['total']} passed")
     return 0 if not failures else 1
+
+
+def _check_cost(form: str, n: int, m: int) -> None:
+    """CostError if the sum of `form` at #u = n, #v = m costs more than
+    MAX_SUM_COST; nothing is sampled or built before this check."""
+    cost = scalar_cost(form, n, m)
+    if cost > MAX_SUM_COST:
+        raise CostError(f"{form} at n={n}, m={m} costs {cost} splits and "
+                        f"block-table entries, above the ceiling "
+                        f"{MAX_SUM_COST} (SPfin at n = m = 10)")
 
 
 def cmd_scalar(args) -> int:
@@ -123,6 +167,7 @@ def cmd_scalar(args) -> int:
     if args.n + args.m > MAX_GROUND:
         raise ConfigError(f"--n plus --m must be at most {MAX_GROUND}, "
                           f"got {args.n + args.m}")
+    _check_cost(args.form, args.n, args.m)
     if not 1 <= args.sites <= MAX_SITES:
         raise ConfigError(f"--sites must lie in 1..{MAX_SITES}, got {args.sites}")
     c, rho1, rho2, kp, km = (config_number(Rat, getattr(args, key), f"--{key}")
@@ -182,6 +227,8 @@ def cmd_bench(args) -> int:
     bad = [size for size in sizes if not 0 <= size <= MAX_GROUND]
     if bad:
         raise ConfigError(f"bench sizes must lie in 0..{MAX_GROUND}, got {bad}")
+    for size in sizes:  # run_bench splits each size as n = size // 2
+        _check_cost("SPfin", size // 2, size - size // 2)
     sweep = jobs_sweep(args.jobs)
     result = run_bench(sizes, sweep, seed=args.seed)
     print(f"{'size':>4} {'splits':>7} {'jobs':>4} {'seconds':>9} "
@@ -210,7 +257,7 @@ def main(argv=None) -> int:
         if args.command == "scalar":
             return cmd_scalar(args)
         return cmd_bench(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, CostError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MbetheError as exc:

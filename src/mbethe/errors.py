@@ -74,3 +74,8 @@ class DomainError(MbetheError):
 
 class ConfigError(MbetheError):
     """Invalid run configuration (CLI exit code 2)."""
+
+
+class CostError(MbetheError):
+    """A requested sum costs more than its ceiling allows (CLI exit code
+    2); raised before any table is built."""

@@ -38,6 +38,10 @@ once. A sum over splits takes one reader per determinant
 expansion does not apply or does not pay (`_Side.k_blocks`). A reader can
 carry a one-row weight table, which the blocks fold into their own
 tables, so that a term reads the determinant and the weight as one pair.
+SPfin goes one step further: its whole term, beta power, f product, both
+weighted determinants, is one entry of a table built block by block from
+the two block tables' dot products (`_SplitTerms`), so a split reads one
+entry.
 """
 
 from __future__ import annotations
@@ -458,6 +462,24 @@ def _products(factors) -> list:
     return out
 
 
+def _within(factors, slot: int, first) -> list:
+    """first times f(xi_A, xi_A') over the masks A of one half of the
+    ground set, A' the rest of the half, as integer pairs indexed by A;
+    `factors` holds, per index of the half, the subset products (as
+    `FTable` keeps them) of its row and of its column of f, and `slot` is
+    0 for the low half and 1 for the high half. Each index k joins the
+    rest, which multiplies by its column over A, or A, which multiplies by
+    its row over the rest."""
+    out = [first]
+    for k, (row, col) in enumerate(factors):
+        rest = (1 << k) - 1
+        rn, rd, cn, cd = row[slot], row[slot + 2], col[slot], col[slot + 2]
+        out = ([(x * cn[a], y * cd[a]) for a, (x, y) in enumerate(out)]
+               + [(x * rn[rest ^ a], y * rd[rest ^ a])
+                  for a, (x, y) in enumerate(out)])
+    return out
+
+
 def _f_ints(c, left, right=None, conjugated=False, inv_h=False) -> tuple:
     """f(a, b) for a in `left` and b in `right`, or f(b, a) when conjugated
     (with `right` omitted, the pairs within `left`, 1 on the diagonal), as
@@ -559,28 +581,39 @@ class _Side(FTable):
     K-bar. With the row factors and the 1/h rows, `k_pair` assembles the
     ground-indexed representation of one subset from its own subset
     products; `_KBlocks` reads the u-indexed rows, with the u-indexed
-    off-diagonal parts (`uoff`), for every subset at once. Those parts are
-    built on first use: sums at z = 1 never build them.
+    off-diagonal parts (`uoff`), for every subset at once. Each of those
+    is built on first use: sums at z = 1 never build `uoff`, and a sum
+    that reads only block tables never builds the row factors or the 1/h
+    rows.
     """
 
-    def __init__(self, u, c, conjugated, f, fu, h):
+    def __init__(self, u, c, conjugated, f, fu, hinv):
         self.u, self.c, self.conjugated = u, c, conjugated
         self.size, self.n_left = len(f[0]), len(u)
         self._set(f[0] + fu[0], f[1] + fu[1])
-        # the row factor f(u-set, xi_j + s), or f(xi_j - s, u-set): column
-        # j of the u-indexed rows
+        self._hinv = hinv  # 1/h(xi_j, xi_k), or its transpose, as pairs
+        self._ground = _index_halves(self.size)
+
+    @cached_property
+    def _row_factors(self) -> tuple:
+        """The row factor f(u-set, xi_j + s), or f(xi_j - s, u-set), for
+        each j (column j of the u-indexed rows), as lists of reduced
+        numerators and denominators."""
         u_rows = ((1 << self.n_left) - 1) << self.size
         factors = [_reduced(*self.pair(u_rows, 1 << j))
                    for j in range(self.size)]
-        self.row_num = [num for num, _ in factors]
-        self.row_den = [den for _, den in factors]
-        self.h_rows, self.h_den = h  # 1/h(xi_j, xi_k), or its transpose
-        self._ground = _index_halves(self.size)
+        return [num for num, _ in factors], [den for _, den in factors]
+
+    @cached_property
+    def _h_rows(self) -> tuple:
+        """The 1/h rows as integer rows over one denominator per row."""
+        return _cleared(self._hinv)
 
     @cached_property
     def factors(self) -> FTable:
         """The row factors, as a one-row table."""
-        return FTable.of_ints([self.row_num], [self.row_den])
+        num, den = self._row_factors
+        return FTable.of_ints([num], [den])
 
     @cached_property
     def uoff(self):
@@ -613,6 +646,8 @@ class _Side(FTable):
         product of that reduced denominator and a fixed row denominator.
         """
         sub = self._subsets
+        row_num, row_den = self._row_factors
+        h_rows, h_den = self._h_rows
         lo, hi = mask & self._low, mask >> self._half
         zn, zd = z.numerator, z.denominator
         idx = _indices(self._ground, mask)
@@ -620,12 +655,12 @@ class _Side(FTable):
         den = 1
         for pos, j in enumerate(idx):
             ln, hn, ld, hd = sub[j]
-            bn = self.row_num[j] * ln[lo] * hn[hi]
-            bd = self.row_den[j] * ld[lo] * hd[hi]
+            bn = row_num[j] * ln[lo] * hn[hi]
+            bd = row_den[j] * ld[lo] * hd[hi]
             g = gcd(bn, bd)
             bn = bn // g * zd
             bd //= g
-            hrow, hden = self.h_rows[j], self.h_den[j]
+            hrow, hden = h_rows[j], h_den[j]
             row = [bn * hrow[k] for k in idx]
             row[pos] -= zn * bd * hden
             rows.append(row)
@@ -741,7 +776,11 @@ class _KBlocks:
     side's blocks one after another, so it builds each once, and holds
     2^(p/2) entries per side instead of 2^p. The factors are computed in
     `__init__`, so a forked child of `split_sum` inherits them and builds
-    only the blocks of its own rank range.
+    only the blocks of its own rank range. `dots` gives a block's dot
+    products before its low and high parts are multiplied in: `_build`
+    multiplies them entry by entry, and SPfin's term table
+    (`_SplitTerms`) folds both tables' parts into its own, once per table
+    and once per block.
     """
 
     def __init__(self, side: _Side, z, weight: FTable | None = None):
@@ -783,14 +822,21 @@ class _KBlocks:
         self._low_cols = [_nonzero(col) for col in low]
         self._high_cols = high
 
+    def dots(self, hi: int) -> list:
+        """The dot products of the block with high half hi, indexed by low
+        half: the numerator of each entry over its low part (`_low_parts`)
+        and the block's high part (`_high_parts`, over `_den`)."""
+        scale = list(map(mul, self._coefs, self._high_cols[hi])).__getitem__
+        return [sum(map(mul, map(scale, idx), vals))
+                for idx, vals in self._low_cols]
+
     def _build(self, hi: int) -> list:
         """The (numerator, denominator) pairs of the masks with high half
         hi, indexed by their low half."""
-        scale = list(map(mul, self._coefs, self._high_cols[hi])).__getitem__
         content, den = self._high_parts[hi]
         den *= self._den
-        return [(k * content * sum(map(mul, map(scale, idx), vals)), d * den)
-                for (k, d), (idx, vals) in zip(self._low_parts, self._low_cols)]
+        return [(k * content * dot, d * den)
+                for (k, d), dot in zip(self._low_parts, self.dots(hi))]
 
     def pair(self, mask: int) -> tuple:
         """The determinant over the subset mask, times the weight, as an
@@ -800,6 +846,116 @@ class _KBlocks:
         if hi != self._hi:
             self._hi, self._block = hi, self._build(hi)
         return self._block[mask & self._low]
+
+
+class _SplitTerms:
+    """Every term of a sum over the splits of the ground set into S and its
+    complement S', as one unreduced pair per mask of S:
+
+        scale f(xi_S, xi_S') K^(z)(S) w+(S) K-bar^(z)(S') w-(S')
+
+    with K read on the half `plus` of one DetTables and K-bar on `minus`,
+    w+ and w- one-row weight tables and scale an integer pair: SPfin's
+    term, whose beta power is a constant times one ratio per element of S,
+    carried by w+. The masks of S that share a high half form a block,
+    built when a mask outside the block last read is read; only that block
+    is kept, as `_KBlocks` keeps its blocks. S' has the complementary high
+    half, so one block of this table reads one block of each half's table.
+    The factors are computed in `__init__`, so a forked child of
+    `split_sum` builds only the blocks of its own rank range.
+
+    Split S into its low half L and high half H, and S' into L' and H'.
+    Since S' is the complement of S, each factor of a term is a part of L
+    alone, of the block alone, or of both, and each is folded in once:
+    - f(L, L') and the low parts of both block tables
+      (`_KBlocks._low_parts`, K-bar's read at L') depend on L alone: one
+      low-half table for the whole sum;
+    - f(H, H'), scale and the high parts of both block tables, over their
+      `_den`s, depend on the block alone: one constant per block;
+    - f(L, H') f(H, L') is the product over L of the row factors
+      f(xi_i, xi_H') and over L' of the column factors f(xi_H, xi_j), i
+      and j in the low half: one pass per block (`_f_block`);
+    - the two block tables' dot products (`_KBlocks.dots`), K-bar's read
+      at L', are the rest of each entry.
+    The f products within a half come from one pass over its indices
+    (`_within`). Where a half has no block table (`_Side.k_blocks` is
+    None), its entries are read from its reader (`_Side.reader`), mask by
+    mask, as whole pairs.
+    """
+
+    def __init__(self, plus: _Side, minus: _Side, z, weights, scale):
+        half, low = plus._half, plus._low
+        high = (1 << (plus.size - half)) - 1
+        self._half, self._low, self._high = half, low, high
+        self._hi, self._block = None, None
+        self._sides, parts = [], []
+        for side, weight in zip((plus, minus), weights):
+            blocks = side.k_blocks(z, weight)
+            if blocks is None:
+                self._sides.append(side.reader(z, weight))
+                parts.append(([(1, 1)] * (low + 1), [(1, 1)] * (high + 1), 1))
+            else:
+                self._sides.append(blocks)
+                parts.append((blocks._low_parts, blocks._high_parts,
+                              blocks._den))
+        (k_low, k_high, k_den), (m_low, m_high, m_den) = parts
+        # by index i: the subset products of f(xi_i, xi_t), on K's half, and
+        # of f(xi_t, xi_i), on K-bar's, whose rows are f transposed
+        factors = list(zip(plus._subsets[:plus.size],
+                           minus._subsets[:plus.size]))
+        self._factors = factors[:half]
+        # the low-half table and the block constants, K-bar's parts read at
+        # the complement
+        sn, sd = scale
+        self._lows = [(fn * a * c, fd * b * d) for (fn, fd), (a, b), (c, d)
+                      in zip(_within(factors[:half], 0, (1, 1)),
+                             k_low, reversed(m_low))]
+        self._highs = [(fn * a * c, fd * b * d) for (fn, fd), (a, b), (c, d)
+                       in zip(_within(factors[half:], 1,
+                                      (sn, sd * k_den * m_den)),
+                              k_high, reversed(m_high))]
+
+    def _f_block(self, hi: int) -> list:
+        """The block constant times f(xi_L, xi_H') f(xi_H, xi_L') for the
+        block's high halves H = hi and H' its complement, as integer pairs
+        indexed by the low half L: the product over L of the row factors
+        f(xi_i, xi_H') and over L' of the column factors f(xi_H, xi_j).
+        Each low index i joins L' (times its column factor) or L (times
+        its row factor)."""
+        comp = self._high ^ hi
+        out = [self._highs[hi]]
+        for row, col in self._factors:
+            a, b, c, d = col[1][hi], col[3][hi], row[1][comp], row[3][comp]
+            out = [(x * a, y * b) for x, y in out] + [(x * c, y * d)
+                                                      for x, y in out]
+        return out
+
+    def _build(self, hi: int) -> list:
+        """The (numerator, denominator) pairs of the masks with high half
+        hi, indexed by their low half."""
+        block = self._f_block(hi)
+        dots = []
+        for side, h, flip in zip(self._sides, (hi, self._high ^ hi),
+                                 (False, True)):
+            if type(side) is _KBlocks:
+                read = side.dots(h)
+                dots.append(read[::-1] if flip else read)
+                continue
+            base, low = h << self._half, self._low
+            pairs = [side(base | (low ^ k if flip else k))
+                     for k in range(low + 1)]
+            dots.append([a for a, _ in pairs])
+            block = [(x, y * b) for (x, y), (_, b) in zip(block, pairs)]
+        return [(a * b * x * y, c * d) for (a, c), (b, d), x, y
+                in zip(self._lows, block, *dots)]
+
+    def pair(self, mask1: int, mask2: int) -> tuple:
+        """The term of the split (mask1, mask2), mask2 the complement of
+        mask1, as an unreduced pair; a `split_sum` term."""
+        hi = mask1 >> self._half
+        if hi != self._hi:
+            self._hi, self._block = hi, self._build(hi)
+        return self._block[mask1 & self._low]
 
 
 def _reduced(num, den) -> tuple:
@@ -857,7 +1013,8 @@ class DetTables:
     u free of collisions and a ground set larger than u, expands the
     u-indexed representation over every subset at once, one block of
     masks per high half (`_KBlocks`); otherwise it reads the
-    ground-indexed rows.
+    ground-indexed rows. SPfin reads its terms from `split_terms`, which
+    builds on the same block tables, or readers.
     """
 
     def __init__(self, u_values, ground_values, c, shift=None):
@@ -866,11 +1023,8 @@ class DetTables:
         self._g = [_rat(x) for x in ground_values]
         self._s = self.c if shift is None else shift
         # f(xi_j, xi_k) and 1/h(xi_j, xi_k) from one difference per pair
-        fnum, fden, hinv = _f_ints(self.c, self._g, inv_h=True)
+        fnum, fden, self._hinv = _f_ints(self.c, self._g, inv_h=True)
         self._f = fnum, fden
-        # 1/h(xi_j, xi_k) as integer rows over one denominator per row, for
-        # each half (the conjugated half reads the transpose)
-        self._h = _cleared(hinv), _cleared(list(zip(*hinv)))
 
     # Each determinant's tables are built on its first use: a sum that
     # needs only K, or only K-bar, builds only that half.
@@ -878,13 +1032,13 @@ class DetTables:
     @cached_property
     def _plus(self) -> _Side:
         fu = _f_ints(self.c, self._u, self._shifted(self._s))
-        return _Side(self._u, self.c, False, self._f, fu, self._h[0])
+        return _Side(self._u, self.c, False, self._f, fu, self._hinv)
 
     @cached_property
     def _minus(self) -> _Side:
         fu = _f_ints(self.c, self._u, self._shifted(-self._s), True)
         return _Side(self._u, self.c, True, _transposed(self._f), fu,
-                     self._h[1])
+                     list(zip(*self._hinv)))
 
     def _shifted(self, s) -> list:
         """The ground values plus s; unshifted tables reuse the ground."""
@@ -894,6 +1048,13 @@ class DetTables:
         """The half of K^(z)(u | xi_S + s), or conjugated of
         K-bar^(z)(u | xi_S - s); only that half is built."""
         return self._minus if conjugated else self._plus
+
+    def split_terms(self, z, weights, scale) -> _SplitTerms:
+        """The table of every term scale f(xi_S, xi_S') K^(z)(S) w+(S)
+        K-bar^(z)(S') w-(S') over the splits (S, S') of the ground set, for
+        the one-row weight tables `weights` = (w+, w-) and the integer pair
+        `scale` (`_SplitTerms`); its `pair` is a `split_sum` term."""
+        return _SplitTerms(self._plus, self._minus, z, weights, scale)
 
     # The three rational forms below have no caller in the package: the
     # tests read them, and perfbench/tracing.py wraps them by name.

@@ -29,6 +29,11 @@ from .errors import ConstraintError, WorkerExitError
 from .scalars import Rat, SpectralSet
 
 MAX_GROUND = 63  # bitmask encoding cap; desk experiments stay far below
+# the largest cost (`actions.scalar_cost`) of a scalar sum the CLI runs:
+# that of SPfin at n = m = 10, 2^20 splits and 2^22 block-table entries. A
+# serial `run_bench` took 2.6 s and 72 MB at n+m = 18 and 17.8 s and 239 MB
+# at n+m = 20 (Python 3.11, fractions, 2 cores; BENCH_spfin_terms.json)
+MAX_SUM_COST = (1 << 20) + (1 << 22)
 
 
 @dataclass(frozen=True)
@@ -150,9 +155,9 @@ def enumerate_splits(ground: GroundSet | int, parts: int,
 
 
 # below this many splits, forking a child costs more than it saves. An
-# SPfin split costs about 11 us serially; on 2 cores, jobs=2 beat jobs=1 in
-# 9-10 of 10 alternated pairs at 2^12 splits (median 1.35-1.41x), in 7 of 10
-# at 2^11 and in 1-7 of 10 at 2^10 (BENCH_fork_placement.json)
+# SPfin split costs about 5 us serially; on 2 cores, jobs=2 beat jobs=1 in
+# 10 of 10 alternated pairs at 2^12 and 2^13 splits (median 1.38-1.53x) and
+# in 5-6 of 10 at 2^11 (BENCH_spfin_terms.json)
 MIN_POOL_SPLITS = 4096
 # the most workers a run may ask for: `split_sum` forks all but one of them
 # at once, each a copy of the caller, so a mistyped count would start

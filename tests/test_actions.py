@@ -1,6 +1,7 @@
 """Multiple-action and scalar-product evaluators against the chain oracle."""
 
 import os
+import random
 from math import comb
 
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from mbethe import actions, izergin, partitions
 from mbethe.actions import (ActionRequest, WeightOracle, _independent_weights,
                             eval_action, eval_request, eval_scalar,
-                            eval_vacuum_average, phi_transform)
+                            eval_vacuum_average, phi_transform, scalar_cost)
 from mbethe.chain import (ChainSpec, apply_entry_product, direct_scalar,
                           vacuum_state)
 from mbethe.errors import (CapabilityError, CardinalityError, DomainError)
-from mbethe.izergin import _KBlocks
+from mbethe.izergin import DetTables, _KBlocks, _SplitTerms, term_pair
 from mbethe.partitions import count_splits, enumerate_splits, mask_values
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData,
                             kernel_h, prod_over, sample_generic, with_shifts)
@@ -370,6 +371,50 @@ nonzero_rats = st.builds(Rat, st.integers(-9, 9).filter(bool),
                          st.integers(1, 9))
 
 
+class TestScalarCost:
+    """`scalar_cost` counts what each form builds: the splits it sums plus
+    the determinant entries it assembles per split, or SPfin's block-table
+    entries, which it bounds."""
+
+    @pytest.mark.parametrize("n,m", [(0, 3), (2, 2), (3, 1), (2, 4)])
+    def test_assembled_entries(self, n, m, monkeypatch):
+        spec = chain(2, 130 + n)
+        us, vs = spectra(spec, [n, m], 131 + m)
+        oracle = WeightOracle.random_seeded(132)
+        rows = []
+        true_v_side, true_k_pair = actions._v_side, izergin._Side.k_pair
+
+        def v_side(u, v, cn, cd, conjugated):
+            rows.append(len(v))
+            return true_v_side(u, v, cn, cd, conjugated)
+
+        def k_pair(self, z, mask):
+            rows.append(mask.bit_count())
+            return true_k_pair(self, z, mask)
+
+        monkeypatch.setattr(actions, "_v_side", v_side)
+        monkeypatch.setattr(izergin._Side, "k_pair", k_pair)
+        forms = ["SPfinIK"] + (["SCbe", "SCe"] if n == m else [])
+        for form in forms:
+            rows.clear()
+            eval_scalar(form, us, vs, oracle, TWIST, C)
+            splits = (count_splits(2 * n, 3, (n, n, 0)) if form == "SCe"
+                      else count_splits(n + m, 2))
+            assert (scalar_cost(form, n, m)
+                    == splits + sum(k * k for k in rows)), form
+
+    @pytest.mark.parametrize("n,m", [(0, 4), (3, 2), (5, 5), (6, 3)])
+    def test_spfin_bounds_its_block_tables(self, n, m):
+        us, vs = spectra(chain(2, 133), [n, m], 134)
+        tables = DetTables(us.values, us.values + vs.values, C)
+        entries = 0
+        for conj in (False, True):
+            blocks = tables.side(conj).k_blocks(TWIST.mu)
+            entries += len(blocks._coefs) * (len(blocks._low_cols)
+                                             + len(blocks._high_cols))
+        assert count_splits(n + m, 2) + entries <= scalar_cost("SPfin", n, m)
+
+
 class TestScalarFormsProperty:
     # rho1, rho2 != 0 keeps mu away from 1, where SPfinIK is undefined;
     # rho1 + rho2 != 0 keeps beta1 != -beta2, where the product can vanish
@@ -428,41 +473,138 @@ class TestScalarFormsProperty:
         assert eval_scalar("SPfinIK", us, vs, oracle, TWIST, C) == direct
 
 
+def spfin_reference(tables, twist, weights, n, m):
+    """SPfin's term as one product per split: the beta power by popcount,
+    f(S1, S2) from K's half, and each determinant times its weight from its
+    reader (`_Side.reader`), K at S1 and K-bar at S2. `weights` holds the
+    lambda2 and lambda1 values of the ground set."""
+    plus, minus = tables.side(False), tables.side(True)
+    k_plus = plus.reader(twist.mu, actions._weight_table(weights[0]))
+    k_minus = minus.reader(twist.mu, actions._weight_table(weights[1]))
+    beta_pow = actions._beta_powers(twist, n, m)
+
+    def spfin_term(mask1, mask2):
+        return term_pair(beta_pow[mask1.bit_count()],
+                         plus.pair(mask1, mask2), k_plus(mask1),
+                         k_minus(mask2))
+
+    return spfin_term
+
+
+def spfin_table(tables, twist, weights, n, m):
+    """SPfin's term table, built as `eval_scalar` builds it."""
+    first, ratio = actions._beta_sequence(twist, n, m)
+    return tables.split_terms(
+        twist.mu, (actions._weight_table(weights[0], ratio),
+                   actions._weight_table(weights[1])), first)
+
+
+def assert_table_matches(tables, twist, weights, n, m, order=None):
+    """Every mask's table entry equals the reference term, as a rational;
+    masks read in `order`, or descending as `split_sum` reads them."""
+    p = len(tables._g)
+    full = (1 << p) - 1
+    term = spfin_reference(tables, twist, weights, n, m)
+    table = spfin_table(tables, twist, weights, n, m)
+    for mask1 in order or range(full, -1, -1):
+        want = Rat(*term(mask1, full ^ mask1))
+        assert Rat(*table.pair(mask1, full ^ mask1)) == want, (n, m, mask1)
+
+
+class TestSplitTerms:
+    """SPfin's term table (`izergin._SplitTerms`) against the per-split
+    product it replaced, mask by mask."""
+
+    TWISTS = (TWIST.twist(), TwistData(Rat(-3, 7), Rat(5, 2), Rat(-4, 9)))
+
+    def test_every_size(self):
+        rng = random.Random(94)
+        for p in range(13):
+            for n in sorted({p // 2, (p + 1) // 2 if p < 9 else p // 2}):
+                us, vs = [sample_generic(k, seed=rng.getrandbits(32), c=C,
+                                         bound=30, label=label)
+                          for k, label in ((n, "u"), (p - n, "v"))]
+                ground = us.values + vs.values
+                oracle = WeightOracle.random_seeded(rng.getrandbits(32))
+                weights = ([oracle.lambda2(x) for x in ground],
+                           [oracle.lambda1(x) for x in ground])
+                tables = DetTables(us.values, ground, C)
+                for twist in self.TWISTS[:1 if p > 9 else 2]:
+                    assert_table_matches(tables, twist, weights, n, p - n)
+
+    def test_read_in_any_order(self):
+        us, vs = spectra(chain(3, 95), [3, 4], 96)
+        ground = us.values + vs.values
+        weights = [[Rat(k + 2, 3 - 2 * k) for k in range(7)]] * 2
+        order = list(range(1 << 7))
+        random.Random(97).shuffle(order)
+        assert_table_matches(DetTables(us.values, ground, C), TWIST.twist(),
+                             weights, 3, 4, order)
+
+    @pytest.mark.parametrize("case", ["mu-one", "no-u", "no-v", "collision"])
+    def test_reader_routes(self, case):
+        """Where a half has no block table, its entries come from its
+        reader: at mu = 1, on a ground set no larger than u, and where two
+        values of u collide; u empty takes the block tables with no
+        u-indexed rows."""
+        us, vs = spectra(chain(3, 98), [3, 4], 99)
+        twist, u, ground = TWIST.twist(), us.values, us.values + vs.values
+        if case == "mu-one":
+            twist = TwistData(twist.beta1, twist.beta2, Rat(1))
+        elif case == "no-u":
+            u, ground = (), vs.values
+        elif case == "no-v":
+            ground = us.values
+        else:  # f(u_0, u_1) and 1/h(u_1, u_0) have poles; v is the ground
+            u, ground = (Rat(1, 3), Rat(1, 3) + C, Rat(5, 7)), vs.values
+        tables = DetTables(u, ground, C)
+        blocks = [tables.side(conj).k_blocks(twist.mu) for conj in (0, 1)]
+        assert (blocks == [None, None]) == (case != "no-u")
+        weights = [[Rat(2 * k - 5, k + 1) for k in range(len(ground))]] * 2
+        assert_table_matches(tables, twist, weights, len(u),
+                             len(ground) - len(u))
+
+
 class TestSPfinBlocks:
-    """The SPfin term reads K and K-bar from block tables built in the
-    process that reads them: the caller of a forked sum builds only the
-    blocks of its own rank range, and a serial sum builds each block once."""
+    """The SPfin term table is built block by block in the process that
+    reads it: each forked child builds only the blocks of its own rank
+    range, the caller those of the first, and a serial sum builds each
+    block once."""
 
     def test_workers_build_only_their_blocks(self, fork_from_1024,
-                                             monkeypatch):
+                                             monkeypatch, tmp_path):
         spec = chain(3, 90)
         us, vs = spectra(spec, [5, 5], 91)
         oracle = WeightOracle.fundamental(spec)
         direct = direct_scalar(spec, TWIST, "nu21", us, "nu12", vs)
         p = len(us) + len(vs)
-        blocks_per_reader = 1 << (p - p // 2)
-        assert count_splits(p, 2) >= partitions.MIN_POOL_SPLITS
-        built = []
-        build = _KBlocks._build
+        count, full, half = count_splits(p, 2), (1 << p) - 1, p // 2
+        assert count >= partitions.MIN_POOL_SPLITS
+        log = tmp_path / "builds"
+        build = _SplitTerms._build
 
-        def counted(blocks, hi):
-            built.append((id(blocks), hi))
-            return build(blocks, hi)
+        def counted(table, hi):
+            with open(log, "a") as fh:  # one line per build, from any process
+                fh.write(f"{os.getpid()} {hi}\n")
+            return build(table, hi)
 
-        monkeypatch.setattr(_KBlocks, "_build", counted)
+        monkeypatch.setattr(_SplitTerms, "_build", counted)
         for jobs in (2, 1):
-            built.clear()
+            log.write_text("")
             assert eval_scalar("SPfin", us, vs, oracle, TWIST, C,
                                jobs=jobs) == direct
-            readers = {reader for reader, _ in built}
-            assert len(readers) == 2  # K and K-bar
-            for reader in readers:
-                his = [hi for r, hi in built if r == reader]
-                if jobs == 1:
-                    assert sorted(his) == list(range(blocks_per_reader))
-                else:  # only the caller's builds are seen here
-                    assert len(his) == len(set(his))
-                    assert 0 < len(his) <= blocks_per_reader // 2 + 1
+            built = {}
+            for pid, hi in zip(*[iter(map(int, log.read_text().split()))] * 2):
+                built.setdefault(pid, []).append(hi)
+            # split rank r reads mask1 = full ^ r, whose high half is its
+            # block; the caller sums the first range
+            bounds = [count * k // jobs for k in range(jobs + 1)]
+            want = [list(dict.fromkeys((full ^ r) >> half
+                                       for r in range(lo, hi)))
+                    for lo, hi in zip(bounds, bounds[1:])]
+            assert len(built) == jobs
+            assert built.pop(os.getpid()) == want[0]
+            assert list(built.values()) == want[1:]
 
     def test_children_inherit_the_factors(self, fork_from_1024, monkeypatch):
         """The block tables compute their factors before the sum forks, so

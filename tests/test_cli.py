@@ -3,18 +3,22 @@
 import hashlib
 import json
 import platform
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+import mbethe.actions
 import mbethe.bench
 import mbethe.cli
 import mbethe.izergin
 import mbethe.report
+from mbethe.actions import scalar_cost
 from mbethe.chain import MAX_SITES
-from mbethe.cli import main
-from mbethe.partitions import MAX_JOBS
+from mbethe.cli import _check_cost, main
+from mbethe.errors import CostError
+from mbethe.partitions import MAX_JOBS, MAX_SUM_COST
 from mbethe.report import strip_timing
 from mbethe.scalars import Rat
 from mbethe.suites import SUITES, RunConfig
@@ -49,6 +53,13 @@ PINNED_SIZES = {
 # partition sums moved onto partitions.split_sum.
 PINNED_REPORT_SHA256 = (
     "9ea8ed42bf2679dce086983f869ae90bb6810dacbb225b396faf406890d3c38e")
+
+
+def rerun(record, config):
+    """The rerun command of a failing record of a run read from `config`."""
+    return shlex.join(["mbethe", "verify", "--suite", record["suite"],
+                       "--identity", record["identity"], "--trial",
+                       str(record["trial"]), "--seed", "0", "--config", config])
 
 
 def write_config(tmp_path, **kwargs):
@@ -229,7 +240,8 @@ class TestVerify:
         assert mismatches
         for r in mismatches:
             assert (f"FAIL {r['suite']}/{r['identity']} trial={r['trial']} "
-                    f"seed={r['seed']}: lhs={r['lhs']} rhs={r['rhs']}\n") in err
+                    f"seed={r['seed']}: lhs={r['lhs']} rhs={r['rhs']}; "
+                    f"rerun: {rerun(r, cfg)}\n") in err
 
     def test_fail_line_names_the_error(self, tmp_path, monkeypatch, capsys):
         def pole(dn, dd, cn, cd):
@@ -248,7 +260,54 @@ class TestVerify:
         for r in crashed:
             assert r["lhs"].startswith("error: PoleError: pole of f at (")
             assert (f"FAIL {r['suite']}/{r['identity']} trial={r['trial']} "
-                    f"seed={r['seed']}: {r['lhs']}\n") in err
+                    f"seed={r['seed']}: {r['lhs']}; "
+                    f"rerun: {rerun(r, cfg)}\n") in err
+
+    def test_rerun_command_reproduces_the_record(self, tmp_path, monkeypatch,
+                                                 capsys):
+        """Under a tampered kernel, each FAIL line's command runs only its
+        check and gives the same record, after strip_timing."""
+        negate_f(monkeypatch)
+        path = tmp_path / "bad.json"
+        cfg = write_config(tmp_path, suites=["izergin-laws"], seed=7,
+                           sizes={"izergin-laws": SMALL_SIZES["izergin-laws"]},
+                           report_path=str(path))
+        assert main(["verify", "--config", cfg, "--c", "3/2"]) == 1
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL ")]
+        written = path.read_text()
+        failing = [r for r in strip_timing(json.loads(written))["records"]
+                   if r["status"] == "fail"]
+        assert len(lines) == len(failing) > 1
+        for line, record in zip(lines, failing):
+            command = shlex.split(line.split("; rerun: ")[1])
+            assert command[:2] == ["mbethe", "verify"]
+            assert "--c" in command
+            again = tmp_path / "again.json"
+            assert main([*command[1:], "--report", str(again)]) == 1
+            report = strip_timing(json.loads(again.read_text()))
+            assert report["records"] == [record]
+            assert report["summary"]["failed"] == 1
+        # the config's report_path is the full run's: a rerun leaves it
+        assert main(command[1:]) == 1
+        assert path.read_text() == written
+
+    @pytest.mark.parametrize("argv", [
+        ["--identity", "proof/pole-extraction-sum"],
+        ["--suite", "proof-steps", "--trial", "0"],
+        ["--identity", "proof/pole-extraction-sum", "--trial", "0"],
+        ["--suite", "proof-steps", "--suite", "phi-symmetry",
+         "--identity", "proof/pole-extraction-sum", "--trial", "0"],
+        ["--suite", "proof-steps", "--identity", "proof/no-such-identity",
+         "--trial", "0"],
+        ["--suite", "proof-steps", "--identity", "proof/pole-extraction-sum",
+         "--trial", "99"],
+    ])
+    def test_bad_rerun_flags_are_config_errors(self, argv, capsys):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "passed" not in captured.out
 
 
 class TestScalar:
@@ -314,6 +373,37 @@ class TestScalar:
         assert f"--sites must lie in 1..{MAX_SITES}" in captured.err
         assert "verdict" not in captured.out
 
+    @pytest.mark.parametrize("form,n,m", [
+        ("SPfin", 15, 15), ("SPfin", 10, 11), ("SPfin", 13, 3),
+        ("SPfinIK", 11, 12), ("SCbe", 12, 12), ("SCe", 10, 10)])
+    def test_oversized_sum_is_cost_error(self, form, n, m, monkeypatch,
+                                         capsys):
+        """A sum above MAX_SUM_COST fails before any value is sampled or
+        any table is built: each raises here if reached."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached sampling or table building")
+
+        assert scalar_cost(form, n, m) > MAX_SUM_COST
+        monkeypatch.setattr(mbethe.cli, "sample_generic", refuse)
+        for owner in (mbethe.actions, mbethe.izergin):
+            monkeypatch.setattr(owner, "DetTables", refuse)
+        monkeypatch.setattr(mbethe.izergin, "_index_halves", refuse)
+        assert main(["scalar", "--form", form, "--n", str(n), "--m", str(m),
+                     "--sites", "3"]) == 2
+        captured = capsys.readouterr()
+        assert f"above the ceiling {MAX_SUM_COST}" in captured.err
+        assert "verdict" not in captured.out
+
+    def test_ceiling_admits_the_measured_sizes(self):
+        """SPfin at every bench size up to n+m = 20, and every form at the
+        sizes verify and criterion 9 run, stay under the ceiling."""
+        for size in range(21):
+            _check_cost("SPfin", size // 2, size - size // 2)
+        for form in ("SCe", "SCbe", "SPfin", "SPfinIK"):
+            _check_cost(form, 8, 8)
+        with pytest.raises(CostError):
+            _check_cost("SPfin", 10, 11)
+
     def test_singular_prefactor_is_domain_error(self, capsys):
         rc = main(["scalar", "--n", "1", "--m", "2", "--sites", "2",
                    "--form", "SPfinIK", "--rho1", "0"])
@@ -359,6 +449,20 @@ class TestBench:
         ["--size", "4", "--jobs", str(MAX_JOBS + 1)],
     ])
     def test_bad_input_is_config_error(self, argv, capsys):
+        assert main(["bench", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "speedup" not in captured.out
+
+    @pytest.mark.parametrize("argv", [["--size", "21"], ["--max-size", "22"],
+                                      ["--size", "8", "--size", "40"]])
+    def test_oversized_sum_is_cost_error(self, argv, monkeypatch, capsys):
+        """A size whose SPfin sum is above MAX_SUM_COST fails before the
+        bench runs any size: run_bench raises here if reached."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached run_bench")
+
+        monkeypatch.setattr(mbethe.cli, "run_bench", refuse)
         assert main(["bench", *argv]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err

@@ -667,11 +667,11 @@ def row_entries(x, j, c, conjugated):
 
 
 def tables_of(u, g, c):
-    """The ground tables DetTables builds, and each half's uoff, in the
-    order they are built."""
+    """The ground tables DetTables builds, and each half's 1/h rows and
+    uoff, in the order their errors are raised."""
     tables = DetTables(u, g, c)
-    return (tables._f, tables._h, tables.side(False).uoff,
-            tables.side(True).uoff)
+    plus, minus = tables.side(False), tables.side(True)
+    return tables._f, (plus._h_rows, minus._h_rows), plus.uoff, minus.uoff
 
 
 def ref_tables_of(u, g, c):

@@ -5,25 +5,31 @@ checks that must then fail at trial 0, seed 0, default sizes; each of those
 checks passes untampered. A failure must be a value mismatch, not an error.
 The rows cover the routes the specialised scalar forms now go through: SCe
 reads K's half of the t21 action (`_Side.k_pair`), the twisted vacuum
-average reads SPfin's block tables (`_KBlocks.pair`), and the ordinary
-determinant has its own Izergin-Korepin form beside K^(1), whose row pass
-reads `izergin.f_pair`. SCbe and SPfinIK assemble their two determinants
-per split (`actions._v_side`). Every product of one kernel over a list of
-pairs is `scalars.kernel_product`: bound in `izergin` it gives the row
-factors f(u, v_j) of the direct determinants, and bound in `actions` the
-f products of the independent-partition forms and the g products of the
-nu12 reduction. Every 1/h of the determinant rows and tables comes from
-`izergin.h_pair`, and every popcount weight table from `geometric` (bound
-by name in `izergin` and in `actions`). The proof-step extraction sums
-hold at every c, so each row there tampers one factor only: the 1/h table
-of the single extraction (`suites.h_pair`) or the g products of the pole
-extraction (`suites.kernel_product`).
+average is SPfin with no u, and the ordinary determinant has its own
+Izergin-Korepin form beside K^(1), whose row pass reads `izergin.f_pair`.
+SPfin reads each split's term from one table (`izergin._SplitTerms`), which
+multiplies a per-block f factor (`_f_block`) with the dot products of the
+two block tables; the convolution and deformation sums read the block
+tables' entries (`_KBlocks.pair`). Every block table folds its u-indexed
+rows into its columns (`_fold_columns`), and SPfin's beta powers are one
+constant and one ratio per element (`actions._beta_sequence`). SCbe and
+SPfinIK assemble their two determinants per split (`actions._v_side`). Every
+product of one kernel over a list of pairs is `scalars.kernel_product`:
+bound in `izergin` it gives the row factors f(u, v_j) of the direct
+determinants, and bound in `actions` the f products of the
+independent-partition forms and the g products of the nu12 reduction. Every
+1/h of the determinant rows and tables comes from `izergin.h_pair`, and
+every other popcount weight table from `geometric` (bound by name in
+`izergin` and in `actions`). The proof-step extraction sums hold at every c,
+so each row there tampers one factor only: the 1/h table of the single
+extraction (`suites.h_pair`) or the g products of the pole extraction
+(`suites.kernel_product`).
 """
 
 import pytest
 
 from mbethe import actions, izergin, suites
-from mbethe.izergin import _KBlocks, _Side
+from mbethe.izergin import _KBlocks, _Side, _SplitTerms
 from mbethe.suites import RunConfig, run_check
 
 TRUE_F_PAIR = izergin.f_pair
@@ -33,6 +39,9 @@ TRUE_V_SIDE = actions._v_side
 TRUE_KERNEL_PRODUCT = izergin.kernel_product
 TRUE_H_PAIR = izergin.h_pair
 TRUE_GEOMETRIC = izergin.geometric
+TRUE_F_BLOCK = _SplitTerms._f_block
+TRUE_FOLD_COLUMNS = izergin._fold_columns
+TRUE_BETA_SEQUENCE = actions._beta_sequence
 
 
 def f_at_twice_c(dn, dd, cn, cd):
@@ -77,6 +86,22 @@ def geometric_ratio_inverted(first, ratio, top):
     return TRUE_GEOMETRIC(first, ratio[::-1], top)
 
 
+def f_block_doubled(self, hi):
+    """The f factor of every block of SPfin's term table but the first,
+    doubled."""
+    block = TRUE_F_BLOCK(self, hi)
+    return [(2 * num, den) for num, den in block] if hi else block
+
+
+def fold_columns_swapped(columns, num, den):
+    return TRUE_FOLD_COLUMNS(columns, den, num)
+
+
+def beta_ratio_inverted(twist, n, m):
+    first, ratio = TRUE_BETA_SEQUENCE(twist, n, m)
+    return first, ratio[::-1]
+
+
 TAMPERS = [
     ("f_pair", izergin, "f_pair", f_at_twice_c,
      [("izergin-laws", "izergin/ordinary-limit")]),
@@ -84,7 +109,18 @@ TAMPERS = [
      [("aba-actions", "actions/plain-scalar-product"),
       ("aba-actions", "actions/scalar-forms-random-weights")]),
     ("block_pair", _KBlocks, "pair", block_doubled,
-     [("scalar-products", "scalar/twisted-vacuum-average")]),
+     [("izergin-laws", "izergin/product-convolution"),
+      ("izergin-laws", "izergin/deformation-difference-sum")]),
+    ("split_f_block", _SplitTerms, "_f_block", f_block_doubled,
+     [("scalar-products", "scalar/twisted-scalar-product"),
+      ("scalar-products", "scalar/independent-partition-form"),
+      ("scalar-products", "scalar/twisted-vacuum-average"),
+      ("scalar-products", "scalar/unit-twist-reduction")]),
+    ("fold_columns", izergin, "_fold_columns", fold_columns_swapped,
+     [("izergin-laws", "izergin/product-convolution"),
+      ("izergin-laws", "izergin/deformation-difference-sum"),
+      ("scalar-products", "scalar/twisted-scalar-product"),
+      ("scalar-products", "scalar/independent-partition-form")]),
     ("independent_det", actions, "_v_side", v_side_doubled_on_conjugated,
      [("scalar-products", "scalar/independent-partition-form"),
       ("aba-actions", "actions/scalar-forms-random-weights")]),
@@ -109,9 +145,11 @@ TAMPERS = [
      [("proof-steps", "proof/pole-extraction-sum")]),
     ("geometric_actions", actions, "geometric", geometric_ratio_inverted,
      [("maba-actions", "actions/twisted-diagonal-one"),
-      ("maba-actions", "actions/twisted-annihilation"),
-      ("scalar-products", "scalar/twisted-scalar-product"),
-      ("scalar-products", "scalar/twisted-vacuum-average")]),
+      ("maba-actions", "actions/twisted-annihilation")]),
+    ("beta_sequence", actions, "_beta_sequence", beta_ratio_inverted,
+     [("scalar-products", "scalar/twisted-scalar-product"),
+      ("scalar-products", "scalar/twisted-vacuum-average"),
+      ("scalar-products", "scalar/unit-twist-reduction")]),
 ]
 
 
