@@ -6,11 +6,11 @@ shows how the non-diagonal twist changes the vacuum actions while leaving
 the algebra untouched.
 """
 
-from mbethe import (ChainSpec, ModelParams, Rat, SpectralSet, build_monodromy,
-                    r_matrix, rat_str, sample_generic, twist_pair,
-                    vacuum_state, vacuum_weights)
-from mbethe.chain import apply_nu, apply_t, embed_two
-from mbethe.linalg import identity, kron, mat_add, mat_eq, mat_mul, mat_vec
+from mbethe import (ChainSpec, ModelParams, Rat, build_monodromy, r_matrix,
+                    rat_str, sample_generic, twist_pair, vacuum_state,
+                    vacuum_weights)
+from mbethe.chain import apply_nu, apply_t
+from mbethe.linalg import identity, kron, mat_add, mat_eq, mat_mul
 from mbethe.scalars import with_shifts
 
 c = Rat(1)
@@ -18,9 +18,11 @@ c = Rat(1)
 print("== R-matrix ==")
 print("R(0) is the permutation:", r_matrix(0, c)[1][2] == 1)
 u, v, w = sample_generic(3, seed=1, c=c, bound=20).values
-r12 = embed_two(r_matrix(u - v, c), [2, 2, 2], 0, 1)
-r13 = embed_two(r_matrix(u - w, c), [2, 2, 2], 0, 2)
-r23 = embed_two(r_matrix(v - w, c), [2, 2, 2], 1, 2)
+# R12 = R (x) 1 and R23 = 1 (x) R; R13 conjugates R (x) 1 by the swap P23
+one, p23 = identity(2), kron(identity(2), r_matrix(0, c))
+r12 = kron(r_matrix(u - v, c), one)
+r13 = mat_mul(mat_mul(p23, kron(r_matrix(u - w, c), one)), p23)
+r23 = kron(one, r_matrix(v - w, c))
 print("Yang-Baxter on C^8  :",
       mat_eq(mat_mul(mat_mul(r12, r13), r23), mat_mul(mat_mul(r23, r13), r12)))
 

@@ -8,7 +8,7 @@ operator application exactly.
 """
 
 from mbethe import (ChainSpec, ModelParams, Rat, WeightOracle, eval_action,
-                    rat_str, sample_generic, vacuum_state)
+                    sample_generic, vacuum_state)
 from mbethe.chain import apply_entry_product
 from mbethe.scalars import with_shifts
 

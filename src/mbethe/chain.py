@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .linalg import clear_denominators, clear_matrix, rat_matrix, zeros
+from .linalg import clear_denominators, clear_matrix, rat_matrix
 from .scalars import ZERO, ModelParams, Rat, SpectralSet, diff_pair, h_pair
 
 MAX_SITES = 10
@@ -78,33 +78,6 @@ def r_matrix(u, c):
         r[i][i] += x
         r[perm[i]][i] += 1
     return r
-
-
-def embed_two(mat4, dims, a, b):
-    """Place a 4x4 two-space operator on factors a, b of a product space."""
-    total = 1
-    for d in dims:
-        total *= d
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides.reverse()
-    out = zeros(total)
-    for row in range(total):
-        digits = [(row // strides[k]) % dims[k] for k in range(len(dims))]
-        ra, rb = digits[a], digits[b]
-        for ca in range(2):
-            for cb in range(2):
-                val = mat4[ra * 2 + rb][ca * 2 + cb]
-                if val == 0:
-                    continue
-                digits2 = list(digits)
-                digits2[a], digits2[b] = ca, cb
-                col = sum(digits2[k] * strides[k] for k in range(len(dims)))
-                out[row][col] += val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +144,23 @@ def _sweep(offsets, w1, w2) -> int:
     return den
 
 
-def monodromy_columns(spec: ChainSpec, u, psi, aux, rows) -> list:
-    """Auxiliary components of T(u) applied to aux (x) psi, one per row.
+def monodromy_columns(spec: ChainSpec, u, psi, aux, row) -> list:
+    """The auxiliary component of T(u) applied to aux (x) psi along one
+    read-out row.
 
     The sweep starts from the auxiliary vector aux = (a1, a2), so it yields
-    W_i = sum_j T_ij(u) a_j psi, and each row (r1, r2) gives the chain vector
-    r1 W1 + r2 W2. With aux the j-th unit vector and rows UNIT_ROWS this is
-    (T_1j psi, T_2j psi). W1 and W2 are kept as integers over one
-    denominator, and one rational is built per returned entry, at the end.
+    W_i = sum_j T_ij(u) a_j psi, and the row (r1, r2) gives the chain vector
+    r1 W1 + r2 W2. With aux the j-th unit vector and row the i-th one this
+    is T_ij psi. W1 and W2 are kept as integers over one denominator, and
+    one rational is built per entry, at the end.
     """
-    (start, (a1, a2)), (den, aux_den) = clear_denominators([psi, aux])
+    (start, (a1, a2), (r1, r2)), (den, aux_den, row_den) = clear_denominators(
+        [psi, aux, row])
     w1 = [a1 * x for x in start]
     w2 = [a2 * x for x in start]
-    den *= aux_den * _sweep(_offsets(spec, u), w1, w2)
-    out = []
-    for (r1, r2), row_den in zip(*clear_denominators(rows)):
-        total = den * row_den
-        sums = [r1 * x + r2 * y for x, y in zip(w1, w2)]
-        out.append([Rat(s, total) if s else ZERO for s in sums])
-    return out
+    total = den * aux_den * row_den * _sweep(_offsets(spec, u), w1, w2)
+    sums = [r1 * x + r2 * y for x, y in zip(w1, w2)]
+    return [Rat(s, total) if s else ZERO for s in sums]
 
 
 def monodromy_ints(spec: ChainSpec, u, params: ModelParams | None = None):
@@ -245,13 +216,13 @@ def _frame(spec: ChainSpec, params, kind: str, psi) -> tuple:
     else:
         aux, rows = UNIT_ROWS, UNIT_ROWS
     _check_state(spec, kind, psi)
-    return aux[j - 1], (rows[i - 1],)
+    return aux[j - 1], rows[i - 1]
 
 
 def apply_t(spec: ChainSpec, i: int, j: int, u, psi) -> list:
     """t_ij(u) applied to a state, matrix-free."""
     aux, row = _frame(spec, None, f"t{i}{j}", psi)
-    return monodromy_columns(spec, u, psi, aux, row)[0]
+    return monodromy_columns(spec, u, psi, aux, row)
 
 
 def apply_nu(spec: ChainSpec, params: ModelParams, i: int, j: int, u, psi) -> list:
@@ -261,7 +232,7 @@ def apply_nu(spec: ChainSpec, params: ModelParams, i: int, j: int, u, psi) -> li
     out along the row mu * e_i^T A0, gives the entry.
     """
     aux, row = _frame(spec, params, f"nu{i}{j}", psi)
-    return monodromy_columns(spec, u, psi, aux, row)[0]
+    return monodromy_columns(spec, u, psi, aux, row)
 
 
 def build_monodromy(spec: ChainSpec, u, params: ModelParams | None = None):
@@ -337,7 +308,7 @@ def apply_entry_product(spec: ChainSpec, params: ModelParams | None, kind: str,
     aux, row = _frame(spec, params, kind, psi)
     out = psi
     for w in reversed(args.values):
-        out = monodromy_columns(spec, w, out, aux, row)[0]
+        out = monodromy_columns(spec, w, out, aux, row)
     return out
 
 
@@ -361,7 +332,7 @@ def entry_product_states(spec: ChainSpec, params: ModelParams | None,
             low = mask & -mask
             states[mask] = monodromy_columns(
                 spec, values[low.bit_length() - 1], state(mask ^ low), aux,
-                row)[0]
+                row)
         return states[mask]
 
     return {mask: state(mask) for mask in masks}

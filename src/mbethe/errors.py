@@ -44,7 +44,8 @@ class ExhaustionError(MbetheError):
 
 
 class ConstraintError(MbetheError):
-    """Partition cardinality constraints are inconsistent with the ground set."""
+    """Partition cardinality constraints are inconsistent with the ground
+    set, or a partition sum asks for more workers than `MAX_JOBS`."""
 
 
 class CardinalityError(MbetheError):

@@ -35,13 +35,11 @@ assembles that one determinant from the ground-indexed rows; the block
 tables of `_KBlocks` sum the u-indexed expansion over every subset at
 once. A sum over splits takes one reader per determinant
 (`_Side.reader`), which reads the blocks at z != 1 and `k_pair` where the
-expansion does not apply or does not pay (`_Side.k_blocks`). A reader can
-carry a one-row weight table, which the blocks fold into their own
-tables, so that a term reads the determinant and the weight as one pair.
-SPfin goes one step further: its whole term, beta power, f product, both
-weighted determinants, is one entry of a table built block by block from
-the two block tables' dot products (`_SplitTerms`), so a split reads one
-entry.
+expansion does not apply or does not pay (`_Side.k_blocks`). The tables
+hold determinants alone. SPfin's whole term, beta power, f product, both
+determinants and their vacuum weights, is one entry of a table built block
+by block from the two block tables' dot products (`_SplitTerms`), which
+folds the weights in itself, so a split reads one entry.
 """
 
 from __future__ import annotations
@@ -667,33 +665,22 @@ class _Side(FTable):
             den *= zd * bd * hden
         return det_int(rows), den
 
-    def k_blocks(self, z, weight: FTable | None = None) -> _KBlocks | None:
-        """The determinant at deformation z over every subset, times the
-        one-row table `weight` if given, as a block table (`_KBlocks`);
-        None where the u-indexed expansion does not apply (at z = 1, or
-        where two values of u collide) or does not pay: on a ground set no
-        larger than u, `k_pair` assembles at most #u rows per subset and
-        never builds the 2^#u principal minors that the table needs."""
+    def k_blocks(self, z) -> _KBlocks | None:
+        """The determinant at deformation z over every subset, as a block
+        table (`_KBlocks`); None where the u-indexed expansion does not
+        apply (at z = 1, or where two values of u collide) or does not pay:
+        on a ground set no larger than u, `k_pair` assembles at most #u
+        rows per subset and never builds the 2^#u principal minors that the
+        table needs."""
         if z == 1 or self.size <= self.n_left or self.uoff is None:
             return None
-        return _KBlocks(self, z, weight)
+        return _KBlocks(self, z)
 
-    def reader(self, z, weight: FTable | None = None):
-        """mask -> the unreduced pair of the determinant at deformation z,
-        times weight.row(0, mask) when a one-row table `weight` is given:
-        the block table's `pair` where it applies, which folds the weight
-        into its tables, else `k_pair` at z times the weight's row."""
-        blocks = self.k_blocks(z, weight)
-        if blocks is not None:
-            return blocks.pair
-        if weight is None:
-            return partial(self.k_pair, z)
-
-        def weighted(mask):
-            (kn, kd), (wn, wd) = self.k_pair(z, mask), weight.row(0, mask)
-            return kn * wn, kd * wd
-
-        return weighted
+    def reader(self, z):
+        """mask -> the unreduced pair of the determinant at deformation z:
+        the block table's `pair` where it applies, else `k_pair` at z."""
+        blocks = self.k_blocks(z)
+        return partial(self.k_pair, z) if blocks is None else blocks.pair
 
 
 def _fold_columns(columns, num, den) -> list:
@@ -710,31 +697,29 @@ def _nonzero(col) -> tuple:
     return idx, [col[k] for k in idx]
 
 
-def _strip(columns, dens, kept, weight) -> list:
+def _strip(columns, dens, kept) -> list:
     """Keep the entries `kept` of each column and divide the column by its
-    content, in place. Returns, per column, its content times the weight's
-    entry and its denominator times the weight's denominator, both divided
-    by their gcd (`weight` is a pair of lists of numerators and
-    denominators, or None for 1)."""
+    content, in place. Returns, per column, its content over its
+    denominator in lowest terms."""
     parts = []
     for i, col in enumerate(columns):
         col = [col[k] for k in kept]
         g = gcd(*col) or 1
         columns[i] = [x // g for x in col]
-        den = dens[i]
-        if weight is not None:
-            g *= weight[0][i]
-            den *= weight[1][i]
-        r = gcd(g, den)
-        parts.append((g // r, den // r))
+        parts.append(_reduced(g, dens[i]))
     return parts
+
+
+def _weighted(parts, num, den) -> list:
+    """Each pair of `parts` times num[i] / den[i], i its index, in lowest
+    terms: a one-row weight's subset products over the half masks, folded
+    into a determinant's parts over the same half masks."""
+    return [_reduced(a * x, b * y) for (a, b), x, y in zip(parts, num, den)]
 
 
 class _KBlocks:
     """The determinant of one `_Side` at one deformation z != 1, over every
-    subset mask of the ground set, from the u-indexed representation; with
-    a one-row `FTable` `weight`, each determinant times that weight's
-    product over the mask.
+    subset mask of the ground set, from the u-indexed representation.
 
     Row j of that representation is a_j e_j + b_j A_j with a_j(S) = od_j
     prod_{t in S} fn_jt and b_j(S) = prod_{t in S} fd_jt. Here the rows of
@@ -759,12 +744,12 @@ class _KBlocks:
     divided by their gcd with the constant denominator. The subset products
     over one half mask, read across every K with a nonzero minor, form a
     column, and each column is divided by its content (the gcd of its
-    entries). That content, times the weight's product over the half mask,
-    is reduced against the half mask's denominator and multiplied back once
-    per entry. The low-half columns are stored by low half, so each entry
-    of a block is one dot product with the block's scales, and each keeps
-    only its nonzero entries, with their positions among the coefficients,
-    so that the dot product runs over those alone. On SPfin's tables most
+    entries). That content is reduced against the half mask's denominator
+    and multiplied back once per entry. The low-half columns are stored by
+    low half, so each entry of a block is one dot product with the block's
+    scales, and each keeps only its nonzero entries, with their positions
+    among the coefficients, so that the dot product runs over those
+    alone. On SPfin's tables most
     are 0: the ground set holds u itself at shift c, f(u_j, u_j + c) = 0,
     and so g_K over a low half mask vanishes where K misses a u index of
     that mask (76% of the low-half entries at n = m = 5, 90% at
@@ -783,7 +768,7 @@ class _KBlocks:
     and once per block.
     """
 
-    def __init__(self, side: _Side, z, weight: FTable | None = None):
+    def __init__(self, side: _Side, z):
         half = self._half = side._half
         self._low = side._low
         self._hi, self._block = None, None
@@ -813,12 +798,8 @@ class _KBlocks:
         den = prod(od) * wn ** n
         g = gcd(den, *coefs)
         self._coefs, self._den = [k // g for k in coefs], den // g
-        w_low = w_high = None
-        if weight is not None:
-            ln, hn, ld, hd = weight._subsets[0]
-            w_low, w_high = (ln, ld), (hn, hd)
-        self._low_parts = _strip(low, den_low, kept, w_low)
-        self._high_parts = _strip(high, den_high, kept, w_high)
+        self._low_parts = _strip(low, den_low, kept)
+        self._high_parts = _strip(high, den_high, kept)
         self._low_cols = [_nonzero(col) for col in low]
         self._high_cols = high
 
@@ -839,9 +820,8 @@ class _KBlocks:
                 for (k, d), dot in zip(self._low_parts, self.dots(hi))]
 
     def pair(self, mask: int) -> tuple:
-        """The determinant over the subset mask, times the weight, as an
-        unreduced pair, equal as a rational to `_Side.k_pair` times the
-        weight's `row(0, mask)`."""
+        """The determinant over the subset mask as an unreduced pair, equal
+        as a rational to `_Side.k_pair`."""
         hi = mask >> self._half
         if hi != self._hi:
             self._hi, self._block = hi, self._build(hi)
@@ -857,30 +837,35 @@ class _SplitTerms:
     with K read on the half `plus` of one DetTables and K-bar on `minus`,
     w+ and w- one-row weight tables and scale an integer pair: SPfin's
     term, whose beta power is a constant times one ratio per element of S,
-    carried by w+. The masks of S that share a high half form a block,
-    built when a mask outside the block last read is read; only that block
-    is kept, as `_KBlocks` keeps its blocks. S' has the complementary high
-    half, so one block of this table reads one block of each half's table.
+    carried by w+. The determinant tables hold no weight; this table is
+    the one owner of every factor of a term. The masks of S that share a
+    high half form a block, built when a mask outside the block last read
+    is read; only that block is kept, as `_KBlocks` keeps its blocks. S'
+    has the complementary high half, so one block of this table reads one
+    block of each half's table.
     The factors are computed in `__init__`, so a forked child of
     `split_sum` builds only the blocks of its own rank range.
 
     Split S into its low half L and high half H, and S' into L' and H'.
     Since S' is the complement of S, each factor of a term is a part of L
     alone, of the block alone, or of both, and each is folded in once:
-    - f(L, L') and the low parts of both block tables
+    - f(L, L'), w+(L), w-(L') and the low parts of both block tables
       (`_KBlocks._low_parts`, K-bar's read at L') depend on L alone: one
       low-half table for the whole sum;
-    - f(H, H'), scale and the high parts of both block tables, over their
-      `_den`s, depend on the block alone: one constant per block;
+    - f(H, H'), scale, w+(H), w-(H') and the high parts of both block
+      tables, over their `_den`s, depend on the block alone: one constant
+      per block;
     - f(L, H') f(H, L') is the product over L of the row factors
       f(xi_i, xi_H') and over L' of the column factors f(xi_H, xi_j), i
       and j in the low half: one pass per block (`_f_block`);
     - the two block tables' dot products (`_KBlocks.dots`), K-bar's read
       at L', are the rest of each entry.
-    The f products within a half come from one pass over its indices
-    (`_within`). Where a half has no block table (`_Side.k_blocks` is
-    None), its entries are read from its reader (`_Side.reader`), mask by
-    mask, as whole pairs.
+    Each weight's subset products over a half mask are multiplied into the
+    determinant's part over that half mask and reduced once, one pair per
+    half mask (`_weighted`). The f products within a half come from one
+    pass over its indices (`_within`). Where a half has no block table
+    (`_Side.k_blocks` is None), its determinants are read from `k_pair`,
+    mask by mask, as whole pairs, and its parts are 1.
     """
 
     def __init__(self, plus: _Side, minus: _Side, z, weights, scale):
@@ -890,14 +875,18 @@ class _SplitTerms:
         self._hi, self._block = None, None
         self._sides, parts = [], []
         for side, weight in zip((plus, minus), weights):
-            blocks = side.k_blocks(z, weight)
+            blocks = side.k_blocks(z)
             if blocks is None:
-                self._sides.append(side.reader(z, weight))
-                parts.append(([(1, 1)] * (low + 1), [(1, 1)] * (high + 1), 1))
+                self._sides.append(partial(side.k_pair, z))
+                lows, highs = [(1, 1)] * (low + 1), [(1, 1)] * (high + 1)
+                den = 1
             else:
                 self._sides.append(blocks)
-                parts.append((blocks._low_parts, blocks._high_parts,
-                              blocks._den))
+                lows, highs = blocks._low_parts, blocks._high_parts
+                den = blocks._den
+            wn_low, wn_high, wd_low, wd_high = weight._subsets[0]
+            parts.append((_weighted(lows, wn_low, wd_low),
+                          _weighted(highs, wn_high, wd_high), den))
         (k_low, k_high, k_den), (m_low, m_high, m_den) = parts
         # by index i: the subset products of f(xi_i, xi_t), on K's half, and
         # of f(xi_t, xi_i), on K-bar's, whose rows are f transposed
@@ -1008,13 +997,14 @@ class DetTables:
     A determinant has two routes. `_Side.k_pair` assembles the
     ground-indexed rows of one subset, as integers over one denominator
     per row, and eliminates them with `linalg.det_int`: the route of the
-    sums at z = 1 (the actions, SCe, the shifted-unit sum). A sum at
-    z != 1 takes one reader per determinant (`_Side.reader`), which, with
-    u free of collisions and a ground set larger than u, expands the
-    u-indexed representation over every subset at once, one block of
-    masks per high half (`_KBlocks`); otherwise it reads the
-    ground-indexed rows. SPfin reads its terms from `split_terms`, which
-    builds on the same block tables, or readers.
+    sums at z = 1 (the actions, SCe, the convolution at unit deformation).
+    A sum at z != 1 takes one reader per determinant (`_Side.reader`),
+    which, with u free of collisions and a ground set larger than u,
+    expands the u-indexed representation over every subset at once, one
+    block of masks per high half (`_KBlocks`); otherwise it reads the
+    ground-indexed rows. The tables hold determinants alone. SPfin reads
+    its terms from `split_terms`, which builds on the same block tables,
+    or on `k_pair`, and folds SPfin's vacuum weights in itself.
     """
 
     def __init__(self, u_values, ground_values, c, shift=None):

@@ -159,7 +159,7 @@ def enumerate_splits(ground: GroundSet | int, parts: int,
 # 10 of 10 alternated pairs at 2^12 and 2^13 splits (median 1.38-1.53x) and
 # in 5-6 of 10 at 2^11 (BENCH_spfin_terms.json)
 MIN_POOL_SPLITS = 4096
-# the most workers a run may ask for: `split_sum` forks all but one of them
+# the most workers a sum may ask for: `split_sum` forks all but one of them
 # at once, each a copy of the caller, so a mistyped count would start
 # hundreds of processes; 64 is far above the cores of any machine this runs on
 MAX_JOBS = 64
@@ -180,8 +180,11 @@ def split_sum(p: int, parts: int, term: Callable, cards: Sequence[int] | None = 
     raised, is pickled on the way back. An error is re-raised in the caller
     as it is, and a child that exits without a reply raises WorkerExitError
     with its exit code; no child outlives the call. Exact addition makes the
-    result identical at every worker count.
+    result identical at every worker count. More than MAX_JOBS workers
+    raise ConstraintError before any split is summed.
     """
+    if jobs > MAX_JOBS:
+        raise ConstraintError(f"at most {MAX_JOBS} workers, got {jobs}")
     count = count_splits(p, parts, cards)
     if jobs <= 1 or count < MIN_POOL_SPLITS:
         return _range_sum(p, parts, term, cards, keyed, 0, None)

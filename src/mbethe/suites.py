@@ -22,8 +22,9 @@ per salt, and the law yields the (lhs, rhs) pairs it compares there.
 `_chain_grid` draws, at each count list, a chain, its twist, its weight
 oracle and the sets from one sub-seed (`_on_chain`), and the law gives the
 formula and the chain oracle's value. Every partition sum written here is a
-`split_sum` term: the shifted-unit convolution, the binomial sums and the
-two proof-step extraction sums over (p-1, 1) splits.
+`split_sum` term: the binomial sums and the two proof-step extraction sums
+over (p-1, 1) splits. The shifted-unit convolution is `izergin_convolution`
+at unit deformation on a shifted ground set.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import NamedTuple
 from .actions import (ActionRequest, WeightOracle, eval_action, eval_request,
                       eval_scalar, eval_vacuum_average, phi_transform)
 from .chain import (MAX_SITES, ChainSpec, apply_entry_product, apply_nu,
-                    direct_scalar, embed_two, gl2_random_matrix,
+                    direct_scalar, gl2_random_matrix,
                     monodromy_ints, r_matrix, vacuum_state, vacuum_weights)
 from .errors import ConfigError, PoleError
 from .izergin import (DetTables, FTable, conj_mod_izergin, geometric,
@@ -373,33 +374,19 @@ def _convolution(c, us, vs, xs, z1, z2):
 
 
 def _shifted_unit_convolution(c, us, vs, xs):
+    """The convolution at unit deformation on the ground xs + c, or xs - c
+    conjugated: K^(1)(us | x1 + c) K^(1)(vs | x2 + c) f(x2, x1) / f(x2, us),
+    since f(us, x2 + c) = 1 / f(x2, us)."""
     for fn, conj, shift in ((mod_izergin, False, c), (conj_mod_izergin, True, -c)):
-        yield (shifted_unit_sum(us, vs, xs, c, conjugated=conj),
-               fn(1, us.union(vs), xs.shifted(shift), c))
+        ys = xs.shifted(shift)
+        yield (izergin_convolution(1, 1, us, vs, ys, c, conjugated=conj),
+               fn(1, us.union(vs), ys, c))
 
 
 def _deformation_sum(c, us, vs, z1, z2):
     for fn, conj in ((mod_izergin, False), (conj_mod_izergin, True)):
         yield (izergin_deformation_sum(z1, z2, us, vs, c, conjugated=conj),
                fn(z2 - z1, us, vs, c))
-
-
-def shifted_unit_sum(us, vs, xs, c, conjugated: bool = False) -> Rat:
-    """Sum over splits of xs of K^(1)(us | x1 + c) K^(1)(vs | x2 + c)
-    f(x2, x1) / f(x2, us); conjugated, of K-bar^(1)(us | x1 - c)
-    K-bar^(1)(vs | x2 - c) f(x1, x2) / f(us, x2). Either equals the same
-    determinant on the merged set {us, vs}. The determinants and f weights
-    come from one half of DetTables each, in the orientation of
-    `conjugated`: 1 / f(x2, us) is the row factor f(us, x2 + c), and
-    1 / f(us, x2) the conjugated row factor f(x2 - c, us)."""
-    left = DetTables(us.values, xs.values, c).side(conjugated)
-    right = DetTables(vs.values, xs.values, c).side(conjugated)
-
-    def term(m1, m2):
-        return term_pair(left.k_pair(1, m1), right.k_pair(1, m2),
-                         left.pair(m2, m1), left.factors.row(0, m2))
-
-    return split_sum(len(xs), 2, term)
 
 
 def _binomial_sums(ctx, rng, top):
@@ -440,9 +427,11 @@ def _yang_baxter(ctx, rng):
     c = ctx.c
     pts, = _spectra(ctx, ctx.seed, [3], ["uvw"])
     u, v, w = pts.values
-    r12 = embed_two(r_matrix(u - v, c), [2, 2, 2], 0, 1)
-    r13 = embed_two(r_matrix(u - w, c), [2, 2, 2], 0, 2)
-    r23 = embed_two(r_matrix(v - w, c), [2, 2, 2], 1, 2)
+    one = identity(2)
+    p23 = kron(one, r_matrix(0, c))  # R(0) is the swap of two factors
+    r12 = kron(r_matrix(u - v, c), one)
+    r13 = mat_mul(mat_mul(p23, kron(r_matrix(u - w, c), one)), p23)
+    r23 = kron(one, r_matrix(v - w, c))
     lhs = mat_mul(mat_mul(r12, r13), r23)
     rhs = mat_mul(mat_mul(r23, r13), r12)
     return digest(pts), lhs, rhs, mat_eq(lhs, rhs)

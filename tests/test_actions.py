@@ -2,7 +2,7 @@
 
 import os
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,7 +14,8 @@ from mbethe.actions import (ActionRequest, WeightOracle, _independent_weights,
                             eval_vacuum_average, phi_transform, scalar_cost)
 from mbethe.chain import (ChainSpec, apply_entry_product, direct_scalar,
                           vacuum_state)
-from mbethe.errors import (CapabilityError, CardinalityError, DomainError)
+from mbethe.errors import (CapabilityError, CardinalityError,
+                           ConstraintError, DomainError)
 from mbethe.izergin import DetTables, _KBlocks, _SplitTerms, term_pair
 from mbethe.partitions import count_splits, enumerate_splits, mask_values
 from mbethe.scalars import (ModelParams, Rat, SpectralSet, TwistData,
@@ -290,6 +291,20 @@ class TestScalarForms:
         assert eval_scalar("SPfin", us, vs, oracle, TWIST, C, jobs=2) == serial
         assert eval_scalar("SPfin", us, vs, oracle, TWIST, C, jobs=5) == serial
 
+    def test_too_many_jobs_is_constraint_error(self, monkeypatch):
+        """A library call asking for more than MAX_JOBS workers on a sum
+        large enough to fork raises in the caller and starts no process."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached the fork context")
+
+        monkeypatch.setattr(partitions.multiprocessing, "get_context", refuse)
+        spec = chain(3, 68)
+        us, vs = spectra(spec, [6, 6], 69)
+        assert count_splits(12, 2) >= partitions.MIN_POOL_SPLITS
+        oracle = WeightOracle.fundamental(spec)
+        with pytest.raises(ConstraintError):
+            eval_scalar("SPfin", us, vs, oracle, TWIST, C, jobs=500)
+
     def test_parallel_reduction_under_spawn(self, run_script):
         # a script that makes spawn the default start method still gets the
         # serial value: split_sum names fork, so the children inherit the
@@ -475,18 +490,23 @@ class TestScalarFormsProperty:
 
 def spfin_reference(tables, twist, weights, n, m):
     """SPfin's term as one product per split: the beta power by popcount,
-    f(S1, S2) from K's half, and each determinant times its weight from its
-    reader (`_Side.reader`), K at S1 and K-bar at S2. `weights` holds the
-    lambda2 and lambda1 values of the ground set."""
+    f(S1, S2) from K's half, each determinant from its reader
+    (`_Side.reader`), K at S1 and K-bar at S2, and the product of each
+    weight row over its part, w+ over S1 and w- over S2. `weights` holds
+    the lambda2 and lambda1 values of the ground set."""
     plus, minus = tables.side(False), tables.side(True)
-    k_plus = plus.reader(twist.mu, actions._weight_table(weights[0]))
-    k_minus = minus.reader(twist.mu, actions._weight_table(weights[1]))
+    k_plus, k_minus = plus.reader(twist.mu), minus.reader(twist.mu)
     beta_pow = actions._beta_powers(twist, n, m)
+
+    def weight(row, mask):
+        out = prod(mask_values(row, mask), start=Rat(1))
+        return out.numerator, out.denominator
 
     def spfin_term(mask1, mask2):
         return term_pair(beta_pow[mask1.bit_count()],
                          plus.pair(mask1, mask2), k_plus(mask1),
-                         k_minus(mask2))
+                         weight(weights[0], mask1), k_minus(mask2),
+                         weight(weights[1], mask2))
 
     return spfin_term
 
@@ -500,15 +520,19 @@ def spfin_table(tables, twist, weights, n, m):
 
 
 def assert_table_matches(tables, twist, weights, n, m, order=None):
-    """Every mask's table entry equals the reference term, as a rational;
-    masks read in `order`, or descending as `split_sum` reads them."""
+    """Every mask's table entry equals the reference term, as a rational,
+    and at least one is nonzero; masks read in `order`, or descending as
+    `split_sum` reads them."""
     p = len(tables._g)
     full = (1 << p) - 1
     term = spfin_reference(tables, twist, weights, n, m)
     table = spfin_table(tables, twist, weights, n, m)
+    nonzero = False
     for mask1 in order or range(full, -1, -1):
         want = Rat(*term(mask1, full ^ mask1))
         assert Rat(*table.pair(mask1, full ^ mask1)) == want, (n, m, mask1)
+        nonzero = nonzero or want != 0
+    assert nonzero
 
 
 class TestSplitTerms:
@@ -541,28 +565,53 @@ class TestSplitTerms:
         assert_table_matches(DetTables(us.values, ground, C), TWIST.twist(),
                              weights, 3, 4, order)
 
-    @pytest.mark.parametrize("case", ["mu-one", "no-u", "no-v", "collision"])
-    def test_reader_routes(self, case):
-        """Where a half has no block table, its entries come from its
-        reader: at mu = 1, on a ground set no larger than u, and where two
-        values of u collide; u empty takes the block tables with no
-        u-indexed rows."""
+    @staticmethod
+    def route(case):
+        """(twist, u, ground) of a route case: "blocks" takes both block
+        tables, the rest each take `k_pair` on both halves, but "no-u",
+        which takes block tables with no u-indexed rows."""
         us, vs = spectra(chain(3, 98), [3, 4], 99)
         twist, u, ground = TWIST.twist(), us.values, us.values + vs.values
         if case == "mu-one":
+            # K^(1)(u | S + c) vanishes at #S > #u, so a ground of more
+            # than 2 #u points would make every term 0
             twist = TwistData(twist.beta1, twist.beta2, Rat(1))
+            ground = us.values + vs.values[:len(u)]
         elif case == "no-u":
             u, ground = (), vs.values
         elif case == "no-v":
             ground = us.values
-        else:  # f(u_0, u_1) and 1/h(u_1, u_0) have poles; v is the ground
+        elif case == "collision":
+            # f(u_0, u_1) and 1/h(u_1, u_0) have poles; v is the ground
             u, ground = (Rat(1, 3), Rat(1, 3) + C, Rat(5, 7)), vs.values
         tables = DetTables(u, ground, C)
         blocks = [tables.side(conj).k_blocks(twist.mu) for conj in (0, 1)]
-        assert (blocks == [None, None]) == (case != "no-u")
-        weights = [[Rat(2 * k - 5, k + 1) for k in range(len(ground))]] * 2
-        assert_table_matches(tables, twist, weights, len(u),
-                             len(ground) - len(u))
+        assert (blocks == [None, None]) == (case not in ("blocks", "no-u"))
+        return twist, tables, len(u), len(ground) - len(u)
+
+    @pytest.mark.parametrize("case", ["mu-one", "no-u", "no-v", "collision"])
+    def test_reader_routes(self, case):
+        """Where a half has no block table, its entries come from `k_pair`:
+        at mu = 1, on a ground set no larger than u, and where two values
+        of u collide; u empty takes the block tables with no u-indexed
+        rows."""
+        twist, tables, n, m = self.route(case)
+        weights = [[Rat(2 * k - 5, k + 1) for k in range(n + m)]] * 2
+        assert_table_matches(tables, twist, weights, n, m)
+
+    @pytest.mark.parametrize("case", ["blocks", "mu-one", "collision"])
+    def test_zero_and_negative_weights(self, case):
+        """A weight row with a zero entry and negative ones, on either side
+        and with its zero in either half of the ground set, on the block
+        tables and on `k_pair`; the other side's row is generic."""
+        twist, tables, n, m = self.route(case)
+        p = n + m
+        generic = [Rat((7 * t + 3) % 11 + 1, (5 * t) % 7 + 2) for t in range(p)]
+        signed = [Rat(0) if t == 1 else Rat((-1) ** (t + 1) * (t + 2), 3)
+                  for t in range(p)]
+        for row in (signed, signed[::-1]):
+            for weights in ((row, generic), (generic, row)):
+                assert_table_matches(tables, twist, weights, n, m)
 
 
 class TestSPfinBlocks:

@@ -8,7 +8,7 @@ import pytest
 from mbethe import chain as chain_module
 from mbethe.chain import (UNIT_ROWS, ChainSpec, apply_entry_product, apply_nu,
                           apply_t, bethe_state, build_monodromy,
-                          direct_scalar, embed_two, entry_product_states,
+                          direct_scalar, entry_product_states,
                           gl2_random_matrix, modified_entry,
                           monodromy_columns, monodromy_ints, r_matrix,
                           twist_pair,
@@ -112,9 +112,16 @@ class TestRMatrix:
         for seed in range(20):
             pts = sample_generic(3, seed=seed, c=C, bound=30)
             u, v, w = pts.values
-            r12 = embed_two(r_matrix(u - v, C), [2, 2, 2], 0, 1)
-            r13 = embed_two(r_matrix(u - w, C), [2, 2, 2], 0, 2)
-            r23 = embed_two(r_matrix(v - w, C), [2, 2, 2], 1, 2)
+            one, p23 = identity(2), kron(identity(2), r_matrix(0, C))
+            r12 = kron(r_matrix(u - v, C), one)
+            r13 = mat_mul(mat_mul(p23, kron(r_matrix(u - w, C), one)), p23)
+            r23 = kron(one, r_matrix(v - w, C))
+            # R13 acts on the first and third factors: with basis index
+            # 4a + 2b + c, entry (abc, a'b'c') is R's (ac, a'c') at b = b'
+            r = r_matrix(u - w, C)
+            assert r13 == [[r[i >> 1 & 2 | i & 1][j >> 1 & 2 | j & 1]
+                            if i & 2 == j & 2 else 0 for j in range(8)]
+                           for i in range(8)]
             assert mat_eq(mat_mul(mat_mul(r12, r13), r23),
                           mat_mul(mat_mul(r23, r13), r12))
 
@@ -238,11 +245,11 @@ class TestSweepMatchesReference:
                 u = points(spec, 1, 80 + 10 * sites + trial)[0]
                 psi = mixed_state(rng, spec.dim)
                 for aux_col in (1, 2):
-                    got = monodromy_columns(spec, u, psi, UNIT_ROWS[aux_col - 1],
-                                            UNIT_ROWS)
                     want = reference_columns(spec, u, psi, aux_col)
-                    assert len(got) == 2
-                    assert all(same_bits(g, w) for g, w in zip(got, want))
+                    for row, w in zip(UNIT_ROWS, want):
+                        got = monodromy_columns(spec, u, psi,
+                                                UNIT_ROWS[aux_col - 1], row)
+                        assert same_bits(got, w)
 
     def test_single_entries(self):
         rng = random.Random(18)
@@ -431,9 +438,9 @@ class TestEntryProductStates:
         swept = []
         sweep = chain_module.monodromy_columns
 
-        def counted(spec, u, psi, aux, rows):
+        def counted(spec, u, psi, aux, row):
             swept.append(u)
-            return sweep(spec, u, psi, aux, rows)
+            return sweep(spec, u, psi, aux, row)
 
         monkeypatch.setattr(chain_module, "monodromy_columns", counted)
         entry_product_states(spec, TWIST, "nu12", values, masks)

@@ -1,6 +1,6 @@
 """Every module of the package uses every name it imports, imports nothing
 from outside the standard library, and reads every private helper it
-defines.
+defines; every test and demo uses every name it imports.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree: a name bound by an import must be read somewhere else in the
@@ -21,6 +21,8 @@ import mbethe
 
 SOURCES = sorted(Path(mbethe.__file__).resolve().parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -44,12 +46,20 @@ def unused_imports(source: str) -> list:
 
 
 def test_modules_found():
-    assert MODULES  # an empty parameter list would skip the check silently
+    # an empty parameter list would skip a check silently
+    assert MODULES
+    assert {path.parent.name for path in SCRIPTS} == {"tests", "demos"}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.stem)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS,
+                         ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_no_unused_imports_in_tests_and_demos(script):
+    assert unused_imports(script.read_text()) == []
 
 
 def test_guard_sees_an_unused_import():

@@ -22,7 +22,6 @@ from mbethe.izergin import (DetTables, FTable, _KBlocks, _Side,
 from mbethe.partitions import enumerate_splits, mask_values, split_sum
 from mbethe.scalars import (Rat, SpectralSet, kernel_g, sample_generic,
                             sample_twist, set_product, with_shifts)
-from mbethe.suites import shifted_unit_sum
 
 C = Rat(1)
 
@@ -431,7 +430,7 @@ class TestOrientation:
         """A sum of K-bar alone never builds K's half of its DetTables."""
         us, vs, xs = spectra(62, [2, 1, 4])
         z1, z2 = Rat(2), Rat(-3, 5)
-        unit = shifted_unit_sum(us, vs, xs, C, conjugated=True)
+        ys = xs.shifted(-C)  # the ground of the shifted-unit convolution
 
         def refuse(tables):
             raise AssertionError("built the plain half")
@@ -443,32 +442,8 @@ class TestOrientation:
             assert (izergin_deformation_sum(x1, x2, us, xs, C,
                                             conjugated=True)
                     == conj_mod_izergin(x2 - x1, us, xs, C))
-        assert shifted_unit_sum(us, vs, xs, C, conjugated=True) == unit
-
-
-def weight_rows(p):
-    """Weights on a ground set of p values, for the readers: None, generic
-    nonzero values, and values with a zero (at t = 1) and negative ones."""
-    generic = [Rat((7 * t + 3) % 11 + 1, (5 * t) % 7 + 2) for t in range(p)]
-    signed = [Rat(0) if t == 1 else Rat((-1) ** (t + 1) * (t + 2), 3)
-              for t in range(p)]
-    return None, generic, signed
-
-
-def weight_table(weights):
-    if weights is None:
-        return None
-    return FTable.of_ints([[w.numerator for w in weights]],
-                          [[w.denominator for w in weights]])
-
-
-def weight_products(weights, p):
-    """The product of the weights over every mask of range(p), as rationals
-    (1 throughout for no weight)."""
-    out = [Rat(1)]
-    for w in weights or [Rat(1)] * p:
-        out += [x * w for x in out]
-    return out
+        assert (izergin_convolution(1, 1, us, vs, ys, C, conjugated=True)
+                == conj_mod_izergin(1, us.union(vs), ys, C))
 
 
 class TestKBlocks:
@@ -477,68 +452,44 @@ class TestKBlocks:
 
     def test_every_mask_matches_k_pair(self):
         # masks with #S < n, #S = n and #S > n; the expansion holds at
-        # p <= n too, where k_blocks leaves the sum to k_pair. Each weight
-        # is folded into the tables; the signed one has a zero entry (at
-        # t = 1) and negative ones
+        # p <= n too, where k_blocks leaves the sum to k_pair
         for n in range(6):
             for p in range(1, 11):
                 us, xs = spectra(40 + 10 * n + p, [n, p])
                 tables = DetTables(us.values, xs.values, C)
                 mu = sample_twist(n * 11 + p, C).mu
-                weights = weight_rows(p)
-                products = [weight_products(w, p) for w in weights]
                 for z in (mu, Rat(0), Rat(-7, 4)):
                     for side in (tables._plus, tables._minus):
                         assert (side.k_blocks(z) is None) == (p <= n)
-                        reads = [_KBlocks(side, z, weight_table(w)).pair
-                                 for w in weights]
+                        read = _KBlocks(side, z).pair
                         for mask in range(1 << p):
-                            want = Rat(*side.k_pair(z, mask))
-                            for prods, read in zip(products, reads):
-                                assert Rat(*read(mask)) == prods[mask] * want
-        # the fallback reads k_pair times the weight: at z = 1, and where u
-        # collides or f or 1/h has a pole in u
-        us, xs = spectra(41, [3, 5])
-        _, ys = spectra(36, [0, 5])
-        weights = weight_rows(5)
-        products = [weight_products(w, 5) for w in weights]
-        for u_values, ground, z in ((us.values, xs, Rat(1)),
-                                    ((Rat(1, 3), Rat(1, 3)), ys, Rat(-7, 4)),
-                                    ((Rat(1, 3), Rat(4, 3)), ys, Rat(-7, 4))):
-            tables = DetTables(u_values, ground.values, C)
-            for side in (tables._plus, tables._minus):
-                reads = [side.reader(z, weight_table(w)) for w in weights]
-                assert side.k_blocks(z, weight_table(weights[1])) is None
-                for mask in range(1 << 5):
-                    want = Rat(*side.k_pair(z, mask))
-                    for prods, read in zip(products, reads):
-                        assert Rat(*read(mask)) == prods[mask] * want
+                            assert (Rat(*read(mask))
+                                    == Rat(*side.k_pair(z, mask)))
 
     @pytest.mark.parametrize("n,p", [(0, 5), (2, 5), (3, 8), (5, 10)])
     def test_tables_hold_no_content(self, n, p):
         """Every stored column of subset products has content 1, the
         coefficients share no factor with the constant denominator, and
-        each half mask's content, with the weight folded in, shares none
-        with that half mask's denominator."""
+        each half mask's content shares none with that half mask's
+        denominator."""
         us, xs = spectra(60 + n + p, [n, p])
         tables = DetTables(us.values, xs.values, C)
-        for w in weight_rows(p):
-            for side in (tables._plus, tables._minus):
-                blocks = _KBlocks(side, Rat(-7, 4), weight_table(w))
-                assert gcd(blocks._den, *blocks._coefs) == 1
-                size = len(blocks._coefs)
-                assert len(blocks._low_cols) == len(blocks._low_parts) > 1
-                for idx, vals in blocks._low_cols:
-                    # positions into the coefficients, strictly increasing
-                    assert len(idx) == len(vals)
-                    assert all(a < b for a, b in zip([-1, *idx], [*idx, size]))
-                    assert gcd(*vals) == 1
-                assert len(blocks._high_cols) == len(blocks._high_parts) > 1
-                for col in blocks._high_cols:
-                    assert len(col) == size
-                    assert gcd(*col) == 1
-                for content, den in blocks._low_parts + blocks._high_parts:
-                    assert gcd(content, den) == 1
+        for side in (tables._plus, tables._minus):
+            blocks = _KBlocks(side, Rat(-7, 4))
+            assert gcd(blocks._den, *blocks._coefs) == 1
+            size = len(blocks._coefs)
+            assert len(blocks._low_cols) == len(blocks._low_parts) > 1
+            for idx, vals in blocks._low_cols:
+                # positions into the coefficients, strictly increasing
+                assert len(idx) == len(vals)
+                assert all(a < b for a, b in zip([-1, *idx], [*idx, size]))
+                assert gcd(*vals) == 1
+            assert len(blocks._high_cols) == len(blocks._high_parts) > 1
+            for col in blocks._high_cols:
+                assert len(col) == size
+                assert gcd(*col) == 1
+            for content, den in blocks._low_parts + blocks._high_parts:
+                assert gcd(content, den) == 1
 
     @pytest.mark.parametrize("shape", ["spfin", "shift-0"])
     def test_sparse_build_matches_dense(self, shape, monkeypatch):
@@ -559,29 +510,28 @@ class TestKBlocks:
         def keep_all(col):
             return list(range(len(col))), col
 
-        for w in weight_rows(p):
-            for side in (tables._plus, tables._minus):
-                sparse = _KBlocks(side, Rat(-7, 4), weight_table(w))
-                with monkeypatch.context() as patch:
-                    patch.setattr(izergin, "_nonzero", keep_all)
-                    dense = _KBlocks(side, Rat(-7, 4), weight_table(w))
-                stored = 0
-                for (idx, vals), (_, col) in zip(sparse._low_cols,
-                                                 dense._low_cols):
-                    assert all(vals)
-                    assert [col[k] for k in idx] == vals
-                    assert sum(map(bool, col)) == len(vals)
-                    stored += len(vals)
-                if shape == "spfin":
-                    assert stored < (1 << n) * (1 << (p // 2)) // 2
-                for hi in range(len(sparse._high_cols)):
-                    scales = list(map(mul, dense._coefs, dense._high_cols[hi]))
-                    content, den = dense._high_parts[hi]
-                    want = [(k * content * sum(map(mul, scales, col)),
-                             d * den * dense._den)
-                            for (k, d), (_, col) in zip(dense._low_parts,
-                                                        dense._low_cols)]
-                    assert sparse._build(hi) == want
+        for side in (tables._plus, tables._minus):
+            sparse = _KBlocks(side, Rat(-7, 4))
+            with monkeypatch.context() as patch:
+                patch.setattr(izergin, "_nonzero", keep_all)
+                dense = _KBlocks(side, Rat(-7, 4))
+            stored = 0
+            for (idx, vals), (_, col) in zip(sparse._low_cols,
+                                             dense._low_cols):
+                assert all(vals)
+                assert [col[k] for k in idx] == vals
+                assert sum(map(bool, col)) == len(vals)
+                stored += len(vals)
+            if shape == "spfin":
+                assert stored < (1 << n) * (1 << (p // 2)) // 2
+            for hi in range(len(sparse._high_cols)):
+                scales = list(map(mul, dense._coefs, dense._high_cols[hi]))
+                content, den = dense._high_parts[hi]
+                want = [(k * content * sum(map(mul, scales, col)),
+                         d * den * dense._den)
+                        for (k, d), (_, col) in zip(dense._low_parts,
+                                                    dense._low_cols)]
+                assert sparse._build(hi) == want
 
     def test_unit_deformation_reads_k_pair(self):
         us, xs = spectra(41, [3, 6])

@@ -203,6 +203,13 @@ def ref_deformation_sum(z1, z2, u, v, c, conjugated):
     return ref_split_sum(len(v), term)
 
 
+def shifted_unit_sum(us, vs, xs, c, conjugated):
+    """The sum of `izergin/shifted-unit-convolution`: the convolution at
+    unit deformation on the ground xs + c, or xs - c conjugated."""
+    ys = xs.shifted(-c if conjugated else c)
+    return izergin_convolution(1, 1, us, vs, ys, c, conjugated=conjugated)
+
+
 def ref_shifted_unit_sum(u, v, xi, c, conjugated):
     def term(mask1, mask2):
         x1, x2 = mask_values(xi, mask1), mask_values(xi, mask2)
@@ -879,7 +886,7 @@ class TestTableSumsMatchReference:
                 for l in range(5):
                     us, vs, xs = generic_sets(rng.getrandbits(32), [n, m, l], c)
                     for conj in (False, True):
-                        same_outcome(suites.shifted_unit_sum, ref_shifted_unit_sum,
+                        same_outcome(shifted_unit_sum, ref_shifted_unit_sum,
                                      us, vs, xs, c, conjugated=conj)
 
     @pytest.mark.parametrize("c", CONSTANTS)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from mbethe import partitions
 from mbethe.errors import ConstraintError, MbetheError, PoleError
-from mbethe.partitions import (MIN_POOL_SPLITS, CoefficientMap, GroundSet,
+from mbethe.partitions import (MAX_JOBS, MIN_POOL_SPLITS, CoefficientMap,
+                               GroundSet,
                                _add_term, bits_of, count_splits, enumerate_splits,
                                mask_values, split_sum)
 from mbethe.scalars import (Rat, SpectralSet, prod_over, sample_generic,
@@ -259,6 +260,18 @@ if __name__ == "__main__":
         assert started == []
         assert split_sum(p, 2, lambda *split: 1, jobs=2) == MIN_POOL_SPLITS
         assert len(started) == 1
+
+    def test_too_many_jobs_is_constraint_error(self, monkeypatch):
+        """More than MAX_JOBS workers raise in the caller, before any fork
+        and any term, on a sum large enough to fork."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached the fork context")
+
+        monkeypatch.setattr(partitions.multiprocessing, "get_context", refuse)
+        p = MIN_POOL_SPLITS.bit_length() - 1
+        for jobs in (MAX_JOBS + 1, 500):
+            with pytest.raises(ConstraintError, match=f"got {jobs}"):
+                split_sum(p, 2, refuse, jobs=jobs)
 
 
 big = st.integers(-10**220, 10**220)

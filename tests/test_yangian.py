@@ -1,6 +1,7 @@
 """The dense operator checks of yangian-structure: the integer route against
-a Fraction-route copy of each check, record for record, and tampered
-kernels that each check must catch."""
+a Fraction-route copy of each check, record for record, and the tampered
+kernels of the tamper table (`tests/test_tampers.py`) that each check must
+catch, on both routes alike."""
 
 import dataclasses
 from itertools import product
@@ -8,15 +9,14 @@ from itertools import product
 import pytest
 
 from mbethe import suites
-from mbethe.chain import build_monodromy, r_matrix
-from mbethe.izergin import conj_mod_izergin, mod_izergin
+from mbethe.chain import build_monodromy
 from mbethe.linalg import (identity, kron, mat_add, mat_eq, mat_mul,
                            mat_scale, mat_sub)
 from mbethe.partitions import enumerate_splits, mask_values
 from mbethe.report import digest
-from mbethe.scalars import (Rat, SpectralSet, kernel_f, kernel_g,
-                            sample_twist, set_product)
+from mbethe.scalars import Rat, SpectralSet, sample_twist, set_product
 from mbethe.suites import CHECKS, RunConfig, _chain, _spectra, run_check
+from test_tampers import TAMPERS
 
 SUITE = "yangian-structure"
 
@@ -193,47 +193,23 @@ def test_integer_route_matches_fraction_route(monkeypatch, identity, sites):
         assert untimed(got) == untimed(want)
 
 
-# Each tamper names the identities it must make fail. The label-only
-# identities compute their `ok` inside the check, so a relation that
-# cross-multiplies into 0 == 0 would pass under every one of these.
-
-def negate_g(u, v, c):
-    return -kernel_g(u, v, c)
-
-
-def swap_f(u, v, c):
-    return kernel_f(v, u, c)
+# The tamper table's rows on this suite, rerun at another seed and size:
+# each must fail its identities on the Fraction route too, record for
+# record.
+YANGIAN_TAMPERS = [(row_id, owner, name, tamper,
+                    [identity for _, identity in checks])
+                   for row_id, owner, name, tamper, checks in TAMPERS
+                   if {suite for suite, _ in checks} == {SUITE}]
 
 
-def double_conj_izergin(*args, **kwargs):
-    return 2 * conj_mod_izergin(*args, **kwargs)
-
-
-def double_izergin(*args, **kwargs):
-    return 2 * mod_izergin(*args, **kwargs)
-
-
-def reversed_r(u, c):
-    return r_matrix(-u, c)
-
-
-TAMPERS = [
-    ("kernel_g", negate_g, ["yangian/exchange-relations",
-                            "yangian/triangular-exchange"]),
-    ("kernel_f", swap_f, ["yangian/triangular-exchange"]),
-    ("conj_mod_izergin", double_conj_izergin, ["yangian/multiple-exchange"]),
-    ("mod_izergin", double_izergin, ["yangian/multiple-exchange"]),
-    ("r_matrix", reversed_r, ["yangian/rtt"]),
-]
-
-
-@pytest.mark.parametrize("name, tamper, identities", TAMPERS,
-                         ids=[t[0] for t in TAMPERS])
-def test_tampered_relation_fails(monkeypatch, name, tamper, identities):
+@pytest.mark.parametrize("owner, name, tamper, identities",
+                         [t[1:] for t in YANGIAN_TAMPERS],
+                         ids=[t[0] for t in YANGIAN_TAMPERS])
+def test_tampered_relation_fails(monkeypatch, owner, name, tamper, identities):
     cfg = config(3, 2)
     for identity in identities:
         assert run_check(cfg, SUITE, identity, 0).status == "pass"
-    monkeypatch.setattr(suites, name, tamper)
+    monkeypatch.setattr(owner, name, tamper)
     for identity in identities:
         got = run_check(cfg, SUITE, identity, 0)
         assert got.status == "fail", identity
